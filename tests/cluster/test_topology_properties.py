@@ -136,14 +136,13 @@ def _apply_faults(topo, ops):
 
 
 #: None = join; int = leave; ("crash"|"restart", pick) = failure event
-FAULT_SCRIPT = st.lists(
-    st.one_of(
-        st.none(),
-        st.integers(min_value=0, max_value=31),
-        st.tuples(st.sampled_from(["crash", "restart"]),
-                  st.integers(min_value=0, max_value=31)),
-    ),
-    max_size=14)
+FAULT_OP = st.one_of(
+    st.none(),
+    st.integers(min_value=0, max_value=31),
+    st.tuples(st.sampled_from(["crash", "restart"]),
+              st.integers(min_value=0, max_value=31)),
+)
+FAULT_SCRIPT = st.lists(FAULT_OP, max_size=14)
 
 
 class TestFailureInvariants:
