@@ -295,3 +295,45 @@ class TestHeteroRuns:
             _config(node_types="3accel")
         with pytest.raises(HeteroError):
             _config(node_types="2full+1turbo")
+
+
+# ----------------------------------------------------------------------
+# handovers from an accelerator owner keep acked writes
+# ----------------------------------------------------------------------
+
+#: six full + two accelerator nodes under crash + restart: the
+#: restarted node steals its share from the accelerators, which own
+#: the most slots
+_HANDOVER = dict(
+    num_keys=2_000, warmup_ops=500, measure_ops=500, num_cores=1,
+    exec_mode="batched", nodes=8, node_types="6full+2accel",
+    net_rtt_cycles=300.0, arrival_process="poisson",
+    service_requests=8_000, offered_load=0.15, cluster_timeout=8.0)
+
+
+class TestAccelHandover:
+    """An accelerator owner is a cache and never holds a copy, so the
+    data of a slot taken from it must ship from a live durable holder
+    (the backer or a replica).  Before that rule these runs raised
+    FailoverError with 14-22 acked writes stranded on live nodes."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_restart_stealing_accel_slots_keeps_acked_writes(self, seed):
+        cluster = run_cluster(_config(
+            **_HANDOVER, seed=seed,
+            node_fault_plan=("crash:node=1,at=0.4",
+                             "restart:node=1,at=0.8"))).cluster
+        assert cluster["failover"]["promotions"] == 1
+        assert cluster["failover"]["events"]["node_restart"] == 1
+        assert cluster["failover_violations"] == 0
+        assert cluster["acked_write_losses"] == 0
+
+    def test_backer_moved_by_membership_keeps_acked_writes(self):
+        """Crashing a full node re-spreads every accelerator slot's
+        backer over the survivors; the re-sync must follow it."""
+        cluster = run_cluster(_config(
+            **_HANDOVER, seed=1,
+            node_fault_plan=("crash:node=0,at=0.3",
+                             "restart:node=0,at=0.7"))).cluster
+        assert cluster["failover"]["promotions"] == 1
+        assert cluster["failover_violations"] == 0
