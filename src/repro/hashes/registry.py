@@ -13,13 +13,17 @@ fastest).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..errors import ConfigError
 from .djb2 import djb2
 from .murmur import murmur64a
-from .siphash import siphash24
+from .siphash import HAVE_NUMPY, siphash24, siphash24_many
 from .xxhash import xxh3_64, xxh64
+
+#: below this many unseen keys of one length the numpy set-up costs
+#: more than the scalar calls it replaces
+_BULK_MIN_KEYS = 64
 
 
 @dataclass
@@ -31,6 +35,10 @@ class HashSpec:
     functionally while keeping the pure-Python hot loop fast.  The *cost*
     of each simulated invocation is still charged by the caller through
     :meth:`cost_cycles`.
+
+    ``bulk``, when set, is a vectorised twin of ``func`` over
+    equal-length keys; :meth:`prime` uses it to fill the memo for a
+    whole key set at once.
     """
 
     name: str
@@ -38,6 +46,7 @@ class HashSpec:
     base_cycles: int
     per_byte_cycles: float
     description: str
+    bulk: Optional[Callable[[Sequence[bytes]], List[int]]] = None
 
     def __post_init__(self) -> None:
         self._cache: Dict[bytes, int] = {}
@@ -52,6 +61,29 @@ class HashSpec:
             self._cache[data] = value
         return value
 
+    def prime(self, keys: Iterable[bytes]) -> None:
+        """Fill the memo for every key in ``keys`` not in it yet.
+
+        Unseen keys are grouped by length.  A group goes through
+        ``bulk`` when the hash has one, numpy is present and the group
+        is large enough; otherwise through ``func``, key by key.  Either
+        way the memo ends up as the scalar calls would leave it.
+        """
+        cache = self._cache
+        groups: Dict[int, List[bytes]] = {}
+        for key in keys:
+            if key not in cache:
+                groups.setdefault(len(key), []).append(key)
+        for group in groups.values():
+            if (self.bulk is not None and HAVE_NUMPY
+                    and len(group) >= _BULK_MIN_KEYS):
+                cache.update(zip(group, self.bulk(group)))
+            else:
+                func = self.func
+                for key in group:
+                    if key not in cache:
+                        cache[key] = func(key)
+
 
 HASH_FUNCTIONS: Dict[str, HashSpec] = {
     spec.name: spec
@@ -62,6 +94,7 @@ HASH_FUNCTIONS: Dict[str, HashSpec] = {
             base_cycles=36,
             per_byte_cycles=2.6,
             description="default hash function of Redis, Python, and Rust",
+            bulk=siphash24_many,
         ),
         HashSpec(
             "murmur",

@@ -183,6 +183,9 @@ class Index(abc.ABC):
     """A key -> record index structure over simulated memory."""
 
     name: str = "index"
+    #: whether the index hashes keys with ``ctx.slow_hash`` (the engine
+    #: then hashes its whole key set in bulk before populating)
+    hashes_keys: bool = False
 
     def __init__(self, ctx: SimContext) -> None:
         self.ctx = ctx

@@ -50,6 +50,7 @@ class ChainedHashIndex(Index):
     """Chained hash table over simulated memory."""
 
     name = "unordered_map"
+    hashes_keys = True
 
     def __init__(
         self,

@@ -37,6 +37,7 @@ class OpenHashIndex(Index):
     """Quadratically probed open-addressing table over simulated memory."""
 
     name = "dense_hash_map"
+    hashes_keys = True
 
     #: Google dense_hash_map's default maximum occupancy
     MAX_LOAD = 0.5
