@@ -162,52 +162,86 @@ class MemorySystem:
         """One line through L1 -> L2 -> L3 -> DRAM; returns latency.
 
         ``at`` is the cycle the request reaches the hierarchy (DRAM
-        queueing is computed against it); -1 means "now".  The L1-hit
-        case is inlined against the cache's internals: this function runs
-        once per simulated line and dominates wall-clock time, and the L1
-        hit rate is high.
+        queueing is computed against it); -1 means "now".  This runs
+        once per simulated line and dominates wall-clock time, so every
+        level's probe and fill and the DRAM channel reservation run
+        inline against the structures' internals (DESIGN.md section
+        11); ``Cache.lookup``/``insert`` and ``DRAM.access`` stay the
+        object face for every other caller.  A line that missed a level
+        is absent from it until this call fills it, so the fills skip
+        the presence check.
         """
+        stats = self.stats
         l1 = self.l1
-        s = l1._sets[line_addr & l1._set_mask]
-        if line_addr in s:
-            s.move_to_end(line_addr)
+        s1 = l1._sets[line_addr & l1._set_mask]
+        if line_addr in s1:
+            s1.move_to_end(line_addr)
             l1.hits += 1
-            self.stats.l1_hits += 1
+            stats.l1_hits += 1
             return l1.latency
         l1.misses += 1
-        cycles = l1.latency
-        self.stats.l1_misses += 1
-        cycles += self.l2.latency
-        if self.l2.lookup(line_addr):
-            self.stats.l2_hits += 1
-            self.l1.insert(line_addr)
+        stats.l1_misses += 1
+        l2 = self.l2
+        cycles = l1.latency + l2.latency
+        s2 = l2._sets[line_addr & l2._set_mask]
+        if line_addr in s2:
+            s2.move_to_end(line_addr)
+            l2.hits += 1
+            stats.l2_hits += 1
+            if len(s1) >= l1._ways:
+                s1.popitem(last=False)
+            s1[line_addr] = None
             return cycles
-        self.stats.l2_misses += 1
-        cycles += self.l3.latency
-        llc_hit = self.l3.lookup(line_addr)
+        l2.misses += 1
+        stats.l2_misses += 1
+        l3 = self.l3
+        cycles += l3.latency
+        s3 = l3._sets[line_addr & l3._set_mask]
+        llc_hit = line_addr in s3
         if llc_hit:
-            self.stats.l3_hits += 1
+            s3.move_to_end(line_addr)
+            l3.hits += 1
+            stats.l3_hits += 1
             if demand and line_addr in self._prefetched_lines:
-                self.stats.prefetches_useful += 1
+                stats.prefetches_useful += 1
                 self._prefetched_lines.discard(line_addr)
         else:
-            self.stats.l3_misses += 1
+            l3.misses += 1
+            stats.l3_misses += 1
             if at < 0:
                 at = self.now
-            queued_before = self.dram.queue_cycles
-            dram_latency = self.dram.access(at + cycles)
-            cycles += dram_latency
-            stats = self.stats
+            # reserve the DRAM channel from the cycle the miss reaches it
+            dram = self.dram
+            issue = at + cycles
+            start = dram._channel_free_at
+            if start < issue:
+                start = issue
+            queued = start - issue
+            service = dram.service
+            dram._channel_free_at = start + service
+            dram.accesses += 1
+            dram.queue_cycles += queued
+            dram.busy_cycles += service
+            if queued > dram.max_queue_cycles:
+                dram.max_queue_cycles = queued
+            cycles += queued + dram.latency
             stats.dram_accesses += 1
-            stats.dram_busy_cycles += self.dram.service
-            queued = self.dram.queue_cycles - queued_before
+            stats.dram_busy_cycles += service
             stats.dram_queue_cycles += queued
             if queued > stats.dram_max_queue_cycles:
                 stats.dram_max_queue_cycles = queued
-            self._insert_l3(line_addr)
-        self.l2.insert(line_addr)
-        self.l1.insert(line_addr)
-        if demand:
+            if len(s3) >= l3._ways:
+                victim, _ = s3.popitem(last=False)
+                self._prefetched_lines.discard(victim)
+            s3[line_addr] = None
+        if len(s2) >= l2._ways:
+            s2.popitem(last=False)
+        s2[line_addr] = None
+        if len(s1) >= l1._ways:
+            s1.popitem(last=False)
+        s1[line_addr] = None
+        if demand and (self.stream_prefetcher is not None
+                       or self.vldp_prefetcher is not None):
             if at < 0:
                 at = self.now
             self._run_data_prefetchers(line_addr, was_miss=not llc_hit,
@@ -251,61 +285,84 @@ class MemorySystem:
     def _translate(self, vpn: int) -> "tuple[int, int, bool, bool]":
         """Translate a vpn; returns (pfn, cycles, tlb_hit, walked).
 
-        The L1 D-TLB hit is inlined for speed (see _line_access).
+        The D-TLB and STLB probes and the TLB fills run inline (see
+        _line_access).  Past an STLB miss the STB, then the accel
+        backend or the page walker supply the pfn.  Accel backends
+        tick the clock inside ``resolve``, so callers re-read ``now``
+        after this returns.
         """
+        stats = self.stats
         dtlb = self.tlbs.l1
-        s = dtlb._sets[vpn % dtlb._num_sets]
-        pfn = s.get(vpn)
+        s1 = dtlb._sets[vpn % dtlb._num_sets]
+        pfn = s1.get(vpn)
         if pfn is not None:
-            s.move_to_end(vpn)
+            s1.move_to_end(vpn)
             dtlb.hits += 1
-            self.stats.dtlb_hits += 1
+            stats.dtlb_hits += 1
             return pfn, dtlb.latency, True, False
         dtlb.misses += 1
-        cycles = dtlb.latency
-        self.stats.dtlb_misses += 1
-        cycles += self.tlbs.l2.latency
-        pfn = self.tlbs.l2.lookup(vpn)
+        stats.dtlb_misses += 1
+        stlb = self.tlbs.l2
+        cycles = dtlb.latency + stlb.latency
+        s2 = stlb._sets[vpn % stlb._num_sets]
+        pfn = s2.get(vpn)
         if pfn is not None:
-            self.stats.stlb_hits += 1
-            self.tlbs.l1.insert(vpn, pfn)
+            s2.move_to_end(vpn)
+            stlb.hits += 1
+            stats.stlb_hits += 1
+            if len(s1) >= dtlb._ways:
+                s1.popitem(last=False)
+            s1[vpn] = pfn
             if vpn in self._prefetched_vpns:
-                self.stats.tlb_prefetches_useful += 1
+                stats.tlb_prefetches_useful += 1
                 self._prefetched_vpns.discard(vpn)
             return pfn, cycles, True, False
-        self.stats.stlb_misses += 1
+        stlb.misses += 1
+        stats.stlb_misses += 1
 
+        walked = False
         if self.stb is not None:
             cycles += self.stb_probe_cycles
             pfn = self.stb.probe(vpn)
             if pfn is not None:
-                self.stats.stb_hits += 1
-                self.tlbs.fill(vpn, pfn)
-                return pfn, cycles, False, False
-            self.stats.stb_misses += 1
-
-        if self.accel is not None:
-            # the backend owns probe/walk/fill (and misspeculation):
-            # returned cycles are the exposed translation latency; its
-            # internal costs arrive via tick(attr="accel")
-            pfn, accel_cycles, walked = self.accel.resolve(self, vpn)
-            cycles += accel_cycles
+                stats.stb_hits += 1
+            else:
+                stats.stb_misses += 1
+        if pfn is None:
+            if self.accel is not None:
+                # the backend owns probe/walk/fill (and misspeculation):
+                # returned cycles are the exposed translation latency;
+                # its internal costs arrive via tick(attr="accel")
+                pfn, accel_cycles, walked = self.accel.resolve(self, vpn)
+                cycles += accel_cycles
+            else:
+                pfn, walk_cycles = self.walker.walk(vpn)
+                cycles += walk_cycles
+                stats.page_walks += 1
+                stats.walk_cycles += walk_cycles
+                walked = True
             if pfn is None:
                 raise PageFault(vpn << PAGE_SHIFT)
-            self.tlbs.fill(vpn, pfn)
-            if walked:
-                self._run_tlb_prefetcher(vpn)
-            return pfn, cycles, False, walked
-
-        pfn, walk_cycles = self.walker.walk(vpn)
-        cycles += walk_cycles
-        self.stats.page_walks += 1
-        self.stats.walk_cycles += walk_cycles
-        if pfn is None:
-            raise PageFault(vpn << PAGE_SHIFT)
-        self.tlbs.fill(vpn, pfn)
-        self._run_tlb_prefetcher(vpn)
-        return pfn, cycles, False, True
+        # fill both levels (TLBHierarchy.fill); the resolver contract
+        # lets a backend fill them itself, so these keep the presence
+        # check
+        if vpn in s2:
+            s2[vpn] = pfn
+            s2.move_to_end(vpn)
+        else:
+            if len(s2) >= stlb._ways:
+                s2.popitem(last=False)
+            s2[vpn] = pfn
+        if vpn in s1:
+            s1[vpn] = pfn
+            s1.move_to_end(vpn)
+        else:
+            if len(s1) >= dtlb._ways:
+                s1.popitem(last=False)
+            s1[vpn] = pfn
+        if walked and self.tlb_prefetcher is not None:
+            self._run_tlb_prefetcher(vpn)
+        return pfn, cycles, False, walked
 
     def _run_tlb_prefetcher(self, vpn: int) -> None:
         if self.tlb_prefetcher is None:
@@ -330,7 +387,12 @@ class MemorySystem:
         write: bool = False,
         kind: AccessKind = AccessKind.OTHER,
     ) -> AccessResult:
-        """Perform one virtually addressed access of ``size`` bytes."""
+        """Perform one virtually addressed access of ``size`` bytes.
+
+        The D-TLB and L1 hit cases run inline; misses go through
+        ``_translate`` and ``_line_access``.  ``now`` is re-read after
+        every ``_translate`` (accel backends tick inside ``resolve``).
+        """
         if self.accel is not None:
             # op-site pseudo-PC for PC-indexed backends: the access kind
             # stands in for the instruction address of the issuing site
@@ -341,31 +403,44 @@ class MemorySystem:
             stats.writes += 1
         else:
             stats.reads += 1
-
+        dtlb = self.tlbs.l1
+        l1 = self.l1
+        attr = self.attr
         first_line = vaddr >> _LINE_SHIFT
         last_line = (vaddr + max(size, 1) - 1) >> _LINE_SHIFT
 
         if first_line == last_line:
             # fast path: the overwhelmingly common single-line access
             vpn = vaddr >> PAGE_SHIFT
-            pfn, t_cycles, tlb_hit, walked = self._translate(vpn)
-            paddr_line = ((pfn << PAGE_SHIFT) |
-                          (vaddr & (PAGE_BYTES - 1))) >> _LINE_SHIFT
-            cycles = t_cycles + self._line_access(
-                paddr_line, at=self.now + t_cycles)
+            s = dtlb._sets[vpn % dtlb._num_sets]
+            pfn = s.get(vpn)
+            if pfn is not None:
+                s.move_to_end(vpn)
+                dtlb.hits += 1
+                stats.dtlb_hits += 1
+                t_cycles = dtlb.latency
+                tlb_hit = True
+                walked = False
+            else:
+                pfn, t_cycles, tlb_hit, walked = self._translate(vpn)
+            line = ((pfn << PAGE_SHIFT) |
+                    (vaddr & (PAGE_BYTES - 1))) >> _LINE_SHIFT
+            s = l1._sets[line & l1._set_mask]
+            if line in s:
+                s.move_to_end(line)
+                l1.hits += 1
+                stats.l1_hits += 1
+                cycles = t_cycles + l1.latency
+            else:
+                cycles = t_cycles + self._line_access(
+                    line, True, self.now + t_cycles)
             self.now += cycles
             stats.total_cycles += cycles
-            attr = self.attr
             attr["translation"] = attr.get("translation", 0) + t_cycles
-            data_cycles = cycles - t_cycles
-            attr[kind.value] = attr.get(kind.value, 0) + data_cycles
-            return AccessResult(
-                cycles=cycles,
-                tlb_hit=tlb_hit,
-                stb_hit=not tlb_hit and not walked,
-                walked=walked,
-                lines_touched=1,
-            )
+            name = kind._value_
+            attr[name] = attr.get(name, 0) + cycles - t_cycles
+            return AccessResult(cycles, tlb_hit,
+                                not tlb_hit and not walked, walked, 1)
 
         cycles = 0
         translation_cycles = 0
@@ -378,31 +453,41 @@ class MemorySystem:
             line_va = line << _LINE_SHIFT
             vpn = line_va >> PAGE_SHIFT
             if vpn != last_vpn:
-                pfn, t_cycles, t_hit, t_walked = self._translate(vpn)
+                s = dtlb._sets[vpn % dtlb._num_sets]
+                pfn = s.get(vpn)
+                if pfn is not None:
+                    s.move_to_end(vpn)
+                    dtlb.hits += 1
+                    stats.dtlb_hits += 1
+                    t_cycles = dtlb.latency
+                else:
+                    pfn, t_cycles, t_hit, t_walked = self._translate(vpn)
+                    tlb_hit = tlb_hit and t_hit
+                    walked = walked or t_walked
+                    if not t_hit and not t_walked:
+                        stb_hit = True
                 cycles += t_cycles
                 translation_cycles += t_cycles
-                tlb_hit = tlb_hit and t_hit
-                walked = walked or t_walked
-                if not t_hit and not t_walked:
-                    stb_hit = True
                 last_vpn = vpn
             paddr_line = ((pfn << PAGE_SHIFT) | (line_va & (PAGE_BYTES - 1))) \
                 >> _LINE_SHIFT
-            cycles += self._line_access(paddr_line, at=self.now + cycles)
+            s = l1._sets[paddr_line & l1._set_mask]
+            if paddr_line in s:
+                s.move_to_end(paddr_line)
+                l1.hits += 1
+                stats.l1_hits += 1
+                cycles += l1.latency
+            else:
+                cycles += self._line_access(paddr_line, True,
+                                            self.now + cycles)
 
         self.now += cycles
-        self.stats.total_cycles += cycles
-        attr = self.attr
+        stats.total_cycles += cycles
         attr["translation"] = attr.get("translation", 0) + translation_cycles
-        data_cycles = cycles - translation_cycles
-        attr[kind.value] = attr.get(kind.value, 0) + data_cycles
-        return AccessResult(
-            cycles=cycles,
-            tlb_hit=tlb_hit,
-            stb_hit=stb_hit,
-            walked=walked,
-            lines_touched=last_line - first_line + 1,
-        )
+        name = kind._value_
+        attr[name] = attr.get(name, 0) + cycles - translation_cycles
+        return AccessResult(cycles, tlb_hit, stb_hit, walked,
+                            last_line - first_line + 1)
 
     def physical_access(self, paddr: int, size: int = 8) -> int:
         """Physically addressed access (STU traffic to STLT rows).
