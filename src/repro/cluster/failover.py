@@ -289,9 +289,22 @@ class FailoverScheduler:
     def _reachable(self, node: int) -> bool:
         return node not in self.crashed and node not in self.isolated
 
+    def _last_live_full(self, node: int) -> bool:
+        """Whether ``node`` is the last live full node of a mixed fleet
+        (crashed and isolated nodes count as gone).  Losing it would
+        demote every full node and leave an all-accelerator ring that
+        cannot serve writes, so the fault is infeasible: the mixed-fleet
+        twin of the ``len(ring) < 2`` guard."""
+        if not self.topology.hetero:
+            return False
+        gone = self.crashed | self.isolated
+        return all(n == node or n in gone
+                   for n in self.topology.full_nodes())
+
     def _apply_crash(self, node: int, now: float) -> bool:
         ring = self.topology.node_ids
-        if node in self.crashed or node not in ring or len(ring) < 2:
+        if node in self.crashed or node not in ring or len(ring) < 2 \
+                or self._last_live_full(node):
             return False
         self.crashed.add(node)
         self.network.partition(self._node_name(node))
@@ -322,7 +335,8 @@ class FailoverScheduler:
 
     def _apply_partition(self, node: int, now: float) -> bool:
         if node in self.isolated or node in self.crashed \
-                or node not in self.topology.node_ids:
+                or node not in self.topology.node_ids \
+                or self._last_live_full(node):
             return False
         self.isolated.add(node)
         self.network.partition(self._node_name(node))

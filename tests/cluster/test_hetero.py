@@ -20,12 +20,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.failover import FailoverScheduler, parse_node_fault
+from repro.cluster.network import ClusterNetwork
 from repro.cluster.service import run_cluster
 from repro.cluster.topology import ClusterTopology
 from repro.errors import HeteroError
 from repro.hetero.capability import OP_GET, OP_SET
 from repro.hetero.fleet import NODE_CLASS_ACCEL, NODE_CLASS_FULL
 from repro.sim.config import RunConfig
+
+from .test_cluster_golden import _SHARED as GOLDEN_SHARED
 
 SLOTS = 128
 
@@ -336,4 +340,45 @@ class TestAccelHandover:
             node_fault_plan=("crash:node=0,at=0.3",
                              "restart:node=0,at=0.7"))).cluster
         assert cluster["failover"]["promotions"] == 1
+        assert cluster["failover_violations"] == 0
+
+
+# ----------------------------------------------------------------------
+# fault storms never take the last live full node
+# ----------------------------------------------------------------------
+
+class TestStormKeepsAFullNode:
+    """A crash or partition of the last live full node would demote it
+    and leave an all-accelerator ring; the scheduler skips it instead
+    (crashed and isolated nodes count as gone)."""
+
+    def test_last_live_full_node_faults_are_skipped(self):
+        topo = ClusterTopology(3, num_slots=SLOTS, replicas=0,
+                               node_classes=("full", "full", "accel"))
+        plan = tuple(parse_node_fault(s) for s in (
+            "crash:node=0,at=0.0", "partition:node=1,start=0.1,stop=0.9",
+            "crash:node=1,at=0.2", "crash:node=2,at=0.3"))
+        scheduler = FailoverScheduler(topo, ClusterNetwork(100.0), plan,
+                                      seed=1, total_requests=100,
+                                      detect_cycles=1e9)
+        for index in range(40):
+            scheduler.before_request(index, now=float(index))
+        assert scheduler.crashed == {0, 2}
+        assert scheduler.isolated == set()
+        assert scheduler.skipped == 2
+        # the detector fires: the surviving full node keeps the ring legal
+        scheduler.before_request(41, now=2e9)
+        assert topo.full_nodes() == (1,)
+
+    def test_storm_on_a_mixed_fleet_runs_to_completion(self):
+        """Seed 2 of this storm used to raise HeteroError ("crashing
+        node 1 leaves no full node") when a promotion demoted the last
+        full node."""
+        cluster = run_cluster(RunConfig(**dict(
+            GOLDEN_SHARED, seed=2, node_types="6full+2accel", replicas=0,
+            offered_load=0.15, node_fault_plan=("storm:rate=0.003",),
+            cluster_hedge=2.0))).cluster
+        failover = cluster["failover"]
+        assert failover["promotions"] > 0
+        assert failover["skipped"] > 0
         assert cluster["failover_violations"] == 0
