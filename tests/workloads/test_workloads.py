@@ -1,10 +1,15 @@
 """Workload generation tests: keys, distributions, operation streams."""
 
 import collections
+import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
+from repro.workloads import ycsb
 from repro.workloads.distributions import (
     LatestChooser,
     UniformChooser,
@@ -195,3 +200,114 @@ class TestStridedStreams:
         spec = WorkloadSpec(distribution="latest")
         with pytest.raises(ConfigError):
             list(generate_operations(spec, 10, 5, new_id_stride=0))
+
+
+class ReferenceChooser:
+    """YCSB's per-draw formulas, the reference for the choosers' cached
+    constants: ``alpha`` and ``eta`` recomputed on every draw, and the
+    zipf scramble ``fnv64(rank) % n`` hashed on every draw."""
+
+    def __init__(self, name: str, num_keys: int, seed: int = 1,
+                 alpha: float = 0.99) -> None:
+        self.name = name
+        self.num_keys = num_keys
+        self.rng = random.Random(seed)
+        self.theta = alpha
+        self.n = 0
+        self.zetan = 0.0
+        self.zeta2 = 1.0 + 0.5 ** alpha
+        self._grow()
+
+    def _grow(self) -> None:
+        while self.n < self.num_keys:
+            self.n += 1
+            self.zetan += 1.0 / (self.n ** self.theta)
+
+    def _rank(self) -> int:
+        theta = self.theta
+        alpha = 1.0 / (1.0 - theta)
+        eta = (1.0 - (2.0 / self.n) ** (1.0 - theta)) / (
+            1.0 - self.zeta2 / self.zetan)
+        u = self.rng.random()
+        uz = u * self.zetan
+        if uz < 1.0:
+            return 0
+        if uz < self.zeta2:
+            return 1
+        return int(self.n * ((eta * u - eta + 1.0) ** alpha))
+
+    def choose(self) -> int:
+        if self.name == "uniform":
+            return self.rng.randrange(self.num_keys)
+        if self.name == "zipf":
+            return fnv64(self._rank()) % self.num_keys
+        return (self.num_keys - 1) - self._rank()
+
+    def observe_insert(self, new_key_id: int) -> None:
+        assert new_key_id == self.num_keys
+        self.num_keys += 1
+        self._grow()
+
+
+#: a chooser script: True inserts the next key, False draws one
+scripts = st.lists(st.integers(0, 7).map(lambda x: x == 0), max_size=400)
+
+
+def outcome(draw):
+    """``draw()``'s value, or the type of what it raised: at ``n = 2``
+    YCSB's ``eta`` can divide by zero, and the reference raises there
+    too."""
+    try:
+        return draw()
+    except ZeroDivisionError as exc:
+        return type(exc)
+
+
+def collect(ops):
+    """Every operation of a stream, then what ended it early if
+    anything did."""
+    out = []
+    try:
+        out.extend(ops)
+    except ZeroDivisionError as exc:
+        out.append(type(exc))
+    return out
+
+
+class TestChoosersMatchTheReference:
+    """The cached ``eta`` and the scramble memo change no draw, also
+    while ``observe_insert`` grows the keyspace between draws."""
+
+    @pytest.mark.parametrize("cls,name", [(ZipfianChooser, "zipf"),
+                                          (LatestChooser, "latest")])
+    @settings(max_examples=80, deadline=None)
+    @given(num_keys=st.integers(1, 3000), seed=st.integers(0, 2**32),
+           alpha=st.floats(0.01, 0.999), script=scripts)
+    def test_draws_are_identical(self, cls, name, num_keys, seed, alpha,
+                                 script):
+        chooser = cls(num_keys, seed=seed, alpha=alpha)
+        reference = ReferenceChooser(name, num_keys, seed=seed, alpha=alpha)
+        for insert in script:
+            if insert:
+                chooser.observe_insert(chooser.num_keys)
+                reference.observe_insert(reference.num_keys)
+            else:
+                assert outcome(chooser.choose) == outcome(reference.choose)
+
+    @pytest.mark.parametrize("distribution", ["zipf", "latest", "uniform"])
+    @settings(max_examples=40, deadline=None)
+    @given(num_keys=st.integers(1, 2000), num_ops=st.integers(0, 600),
+           seed=st.integers(0, 2**32),
+           set_fraction=st.sampled_from([None, 0.1]),
+           cores=st.integers(1, 4), data=st.data())
+    def test_streams_are_identical(self, distribution, num_keys, num_ops,
+                                   seed, set_fraction, cores, data):
+        core = data.draw(st.integers(0, cores - 1))
+        spec = WorkloadSpec(distribution, 64, set_fraction=set_fraction)
+        # one core's stream of a multi-core run: a strided namespace of
+        # fresh ids (cores=1 is the single-stream default)
+        args = (spec, num_keys, num_ops, seed, num_keys + core, cores)
+        stream = collect(generate_operations(*args))
+        with mock.patch.object(ycsb, "make_chooser", ReferenceChooser):
+            reference = collect(generate_operations(*args))
+        assert stream == reference
