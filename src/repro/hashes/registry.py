@@ -19,7 +19,7 @@ from ..errors import ConfigError
 from .djb2 import djb2
 from .murmur import murmur64a
 from .siphash import HAVE_NUMPY, siphash24, siphash24_many
-from .xxhash import xxh3_64, xxh64
+from .xxhash import xxh3_64, xxh3_64_many, xxh64
 
 #: below this many unseen keys of one length the numpy set-up costs
 #: more than the scalar calls it replaces
@@ -123,6 +123,7 @@ HASH_FUNCTIONS: Dict[str, HashSpec] = {
             base_cycles=9,
             per_byte_cycles=0.35,
             description="variation of xxh64; STLT fast-path default",
+            bulk=xxh3_64_many,
         ),
         HashSpec(
             "hw_hash",
@@ -134,6 +135,7 @@ HASH_FUNCTIONS: Dict[str, HashSpec] = {
                 "the fast-path hash at fixed latency (gains performance "
                 "at the expense of flexibility)"
             ),
+            bulk=xxh3_64_many,
         ),
     )
 }
