@@ -381,6 +381,8 @@ class FailoverScheduler:
     # ------------------------------------------------------------------
 
     def _commit_due_promotions(self, now: float) -> None:
+        if not self._pending:  # outside every detection window
+            return
         due = sorted(node for node, deadline in self._pending.items()
                      if deadline <= now)
         committed = False

@@ -14,6 +14,7 @@ paper's workloads.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List
 
 from ..errors import AllocationError, ConfigError
@@ -27,6 +28,11 @@ _BASE_CLASSES = [
     160, 192, 224, 256, 320, 384, 448, 512, 640, 768, 896, 1024,
     1280, 1536, 1792, 2048, 2560, 3072, 3584, 4096,
 ]
+
+#: size -> its class for sizes 1..4096 (index 0 unused), so
+#: :meth:`BumpAllocator.size_class` reads instead of scanning
+_SMALL_CLASS = [0] + [_BASE_CLASSES[bisect_left(_BASE_CLASSES, size)]
+                      for size in range(1, _BASE_CLASSES[-1] + 1)]
 
 #: Pages fetched from the address space per size-class refill.
 _RUN_PAGES = 16
@@ -49,9 +55,8 @@ class BumpAllocator:
         """Round a request up to its size class."""
         if size <= 0:
             raise ConfigError("allocation size must be positive")
-        for cls in _BASE_CLASSES:
-            if size <= cls:
-                return cls
+        if size < len(_SMALL_CLASS):
+            return _SMALL_CLASS[size]
         # large objects: whole pages
         return ((size + PAGE_BYTES - 1) // PAGE_BYTES) * PAGE_BYTES
 

@@ -3,11 +3,25 @@
 import pytest
 
 from repro.errors import AllocationError, ConfigError
-from repro.mem.allocator import BumpAllocator
+from repro.mem.allocator import _BASE_CLASSES, BumpAllocator
 from repro.params import PAGE_BYTES
 
 
+def linear_scan_class(size: int) -> int:
+    """The reference rule: the first base class that fits, else whole
+    pages."""
+    for cls in _BASE_CLASSES:
+        if size <= cls:
+            return cls
+    return ((size + PAGE_BYTES - 1) // PAGE_BYTES) * PAGE_BYTES
+
+
 class TestSizeClasses:
+    def test_every_size_matches_the_linear_scan(self):
+        for size in range(1, 3 * PAGE_BYTES + 1):
+            assert BumpAllocator.size_class(size) == \
+                linear_scan_class(size), size
+
     def test_round_up_to_class(self):
         assert BumpAllocator.size_class(1) == 8
         assert BumpAllocator.size_class(100) == 112
