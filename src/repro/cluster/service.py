@@ -56,7 +56,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ClusterError, FailoverError, HeteroError, ReproError
 from ..hetero.accel_node import (
@@ -572,17 +572,25 @@ def simulate_cluster(
         return (node not in failover.crashed
                 and node not in failover.isolated)
 
+    def _resync_targets(slot: int) -> FrozenSet[int]:
+        # durable copies live on the write authority + replicas; for a
+        # homogeneous fleet that is exactly the read set, for a mixed
+        # one it excludes accelerator primaries (their on-chip memory
+        # is a cache, never a copy of record).  A re-sync cannot land
+        # on a crashed member still inside its detection window: its
+        # process is gone, and _node_crashed already dropped it from
+        # every holder set.  A partitioned member keeps its place: a
+        # partition wipes no copy, the same rule _node_crashed applies.
+        durable = topology.durable_set(slot)
+        return durable if failover is None else durable - failover.crashed
+
     def _owner_changed(slot: int, old: int, new: int) -> None:
         # data: re-replicate the slot's acked keys onto the new regime
         # when the data can actually get there (the heir already holds
         # a copy, or the old owner can ship it)
         keys = slot_keys.get(slot)
         if keys:
-            # durable copies live on the write authority + replicas;
-            # for a homogeneous fleet that is exactly the read set, for
-            # a mixed one it excludes accelerator primaries (their
-            # on-chip memory is a cache, never a copy of record)
-            durable = topology.durable_set(slot)
+            durable = _resync_targets(slot)
             # an accelerator owner never holds a copy, so its handover
             # ships the data from any live durable holder instead
             from_accel = topology.is_accel(old)
@@ -647,7 +655,7 @@ def simulate_cluster(
             # stayed put may have changed — the replication daemon
             # re-syncs every key whose primary still holds a copy
             for slot, keys in slot_keys.items():
-                durable: Optional[Set[int]] = None
+                durable: Optional[FrozenSet[int]] = None
                 # the node driving the re-sync is the one serving the
                 # slot's writes: the primary, or (mixed fleets) the
                 # accelerator primary's full-class backer.  A backer
@@ -662,7 +670,7 @@ def simulate_cluster(
                             from_accel
                             and any(map(_can_sync_from, holders))):
                         if durable is None:
-                            durable = topology.durable_set(slot)
+                            durable = _resync_targets(slot)
                         holders.clear()
                         holders.update(durable)
 

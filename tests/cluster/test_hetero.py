@@ -382,3 +382,23 @@ class TestStormKeepsAFullNode:
         assert failover["promotions"] > 0
         assert failover["skipped"] > 0
         assert cluster["failover_violations"] == 0
+
+
+class TestResyncSkipsCrashedMembers:
+    """A re-sync (owner change or ring-membership change) used to copy
+    a key onto the slot's whole durable set, a crashed member still
+    inside its detection window included.  When the live copies were
+    lost later, that dead node still counted as a holder and the oracle
+    raised FailoverError (2, 3 and 1 violations in these storms); the
+    keys are losses, which is what the run must now report."""
+
+    @pytest.mark.parametrize("seed,rate,losses", [
+        (2, 0.003, 31), (3, 0.001, 10), (3, 0.003, 6)])
+    def test_storm_reports_losses_not_violations(self, seed, rate, losses):
+        cluster = run_cluster(RunConfig(**dict(
+            GOLDEN_SHARED, seed=seed, node_types="6full+2accel",
+            replicas=1, offered_load=0.15, cluster_hedge=2.0,
+            node_fault_plan=(f"storm:rate={rate}",)))).cluster
+        assert cluster["failover"]["promotions"] > 0
+        assert cluster["failover_violations"] == 0
+        assert cluster["acked_write_losses"] == losses
