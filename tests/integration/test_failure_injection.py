@@ -79,7 +79,7 @@ class TestEngineIntegrity:
         engine.index.remove(victim.key)
         with pytest.raises(KVSError):
             for _ in range(2000):
-                engine._do_get(0)
+                engine.do_get(0, 0)
 
     def test_stale_stlt_row_to_freed_record_is_survivable(self, ctx):
         # a freed-and-reused VA behind a stale STLT row must degrade to
