@@ -29,7 +29,7 @@ SMOKE = dict(num_keys=200, measure_ops=60, warmup_ops=120)
 SMOKE_POINTS = [
     (program, frontend)
     for program in ("unordered_map", "btree")
-    for frontend in ("baseline", "slb", "stlt")
+    for frontend in ("baseline", "slb", "stlt", "stlt_va", "stlt_sw")
 ]
 
 
