@@ -6,11 +6,15 @@ the point of the whole layer: mitigation caps the tail (p99/p99.9) that
 an unmitigated run pays in full — deterministically, per seed.
 """
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.sim.config import RunConfig
-from repro.svc.dispatch import make_dispatcher
+from repro.svc.dispatch import DISPATCH_POLICIES, make_dispatcher
 from repro.svc.service import (
     Mitigation,
     ServiceResult,
@@ -51,11 +55,34 @@ class TestMitigationValidation:
                        hedge_cycles=400.0, fallback=True, slo_cycles=600.0)
         assert Mitigation.from_dict(m.to_dict()) == m
 
-    def test_none_mitigation_uses_legacy_loop(self):
-        a = run_service([[100]], [0.0, 0.0, 0.0])
-        b = run_service([[100]], [0.0, 0.0, 0.0], mitigation=Mitigation())
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cores=st.integers(1, 4),
+        policy=st.sampled_from(DISPATCH_POLICIES),
+        disabled=st.one_of(
+            st.just(Mitigation()),
+            st.builds(Mitigation, retries=st.integers(0, 4),
+                      backoff=st.floats(1.0, 4.0)),
+            st.builds(Mitigation, slo_cycles=st.floats(0.0, 2_000.0))),
+        seed=st.integers(0, 2 ** 16),
+    )
+    def test_none_mitigation_uses_legacy_loop(self, cores, policy,
+                                              disabled, seed):
+        """A disabled mitigation is the plain FIFO: every field equals
+        the ``mitigation=None`` run exactly."""
+        assert not disabled.enabled
+        rng = random.Random(seed)
+        service = [[rng.randint(1, 400) for _ in range(rng.randint(1, 30))]
+                   for _ in range(cores)]
+        # whole-cycle arrivals: completions coincide with arrivals too
+        arrivals = sorted(float(rng.randrange(20_000)) for _ in range(200))
+        keys = [rng.randrange(64) for _ in arrivals]
+        a = run_service(service, arrivals, keys, cores=cores, policy=policy)
+        b = run_service(service, arrivals, keys, cores=cores, policy=policy,
+                        mitigation=disabled)
         assert a.to_dict() == b.to_dict()
         assert a.mitigation is None
+        assert a.timeouts == a.hedges == a.fallbacks == 0
 
 
 class TestTimeoutRetry:
