@@ -5,8 +5,8 @@ The paper's STLT/STB/SPTW fast path, refactored behind one
 retrieved rival designs under the *same* memory system, OS-churn
 paths, and stale-translation oracle:
 
-* ``stlt``      — the paper's design (bit-identical to the legacy
-  ``frontend="stlt"`` path; golden-pinned);
+* ``stlt``      — the paper's design (the ``frontend="stlt"`` object
+  graph from the same engine builder; golden-pinned);
 * ``victima``   — TLB-reach extension in underutilized L2/L3 capacity;
 * ``pcax``      — PC-indexed translation table over op-site pseudo-PCs;
 * ``revelator`` — hash-based speculative translation with charged

@@ -1,18 +1,16 @@
 """The paper's STLT/STB/SPTW path as the first accel backend.
 
-``accel=stlt`` is the existing ``frontend="stlt"`` machinery refactored
-behind the :class:`~repro.accel.base.TranslationAccel` interface: the
-backend constructs the *identical* object graph, in the identical
-order, as the engine's legacy stlt branch — one shared IPB, one STU
-per core (STB + insertion buffer + SPTW), one kernel
-:class:`~repro.core.os_interface.OSInterface` spanning all STUs, one
-``STLTalloc`` — and returns real ``STLTFrontend`` objects.  The golden
-regression pins it bit-identical to the pre-refactor frontend across
-reference and batched execution modes.
-
-It also re-exports ``engine.stus`` / ``engine.osi``, so prefill, the
-chaos injector's ``STLTresize`` events, the IPB/scrub telemetry, and
-the batched fast path all work on an accelerated run unchanged.
+``accel=stlt`` is the ``frontend="stlt"`` machinery behind the
+:class:`~repro.accel.base.TranslationAccel` interface: its
+``build_frontends`` is one call to
+:meth:`~repro.sim.engine.Engine.build_stlt_frontends`, the one place
+the STLT object graph (shared IPB, per-core STUs, kernel
+:class:`~repro.core.os_interface.OSInterface`, ``STLTalloc``) is built.
+It therefore returns real ``STLTFrontend`` objects and sets
+``engine.stus`` / ``engine.osi``, so prefill, the chaos injector's
+``STLTresize`` events, the IPB/scrub telemetry and the batched fast path
+work on an accelerated run unchanged.  The golden regression pins it
+bit-identical to ``frontend="stlt"`` in both execution modes.
 """
 
 from __future__ import annotations
@@ -20,10 +18,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List
 
 from ..core.hwcost import HardwareCostReport, hardware_cost
-from ..core.ipb import IPB
-from ..core.os_interface import OSInterface
-from ..core.stu import STU
-from ..hashes.registry import get_hash
 from .base import TranslationAccel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -36,24 +30,7 @@ class StltAccel(TranslationAccel):
     name = "stlt"
 
     def build_frontends(self) -> "List[LookupFrontend]":
-        from ..sim.frontend import make_frontend  # avoid an import cycle
-        engine = self.engine
-        config = self.config
-        ctx = engine.ctx
-        fast_hash = get_hash(config.fast_hash)
-        shared_ipb = IPB()
-        engine.stus = [
-            STU(core.mem, va_only=False, ipb=shared_ipb)
-            for core in ctx.cores
-        ]
-        engine.osi = OSInterface(ctx.space, ctx.cores[0].mem, engine.stus)
-        engine.osi.stlt_alloc(config.effective_stlt_rows,
-                              ways=config.stlt_ways)
-        return [
-            make_frontend("stlt", ctx, engine.index,
-                          stu=stu, fast_hash=fast_hash)
-            for stu in engine.stus
-        ]
+        return self.engine.build_stlt_frontends("stlt")
 
     def report(self) -> dict:
         engine = self.engine
