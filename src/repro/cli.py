@@ -204,8 +204,7 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                         default="reference",
                         help="'reference' runs the original loop; "
                              "'batched' the bit-identical fused fast "
-                             "path; 'untimed' counts hierarchy events "
-                             "without timing (oracle-only runs)")
+                             "path")
     parser.add_argument("--seed", type=int, default=1)
 
 

@@ -1201,9 +1201,8 @@ def run_cluster(config):
             # interval for a canonical resident GET, and they
             # contribute no op-cycle captures
             capacities.append(
-                1.0 if config.exec_mode == "untimed"
-                else 1.0 / lookup_interval_cycles(CANON_KEY_BYTES,
-                                                  config.value_size))
+                1.0 / lookup_interval_cycles(CANON_KEY_BYTES,
+                                             config.value_size))
             captures.append(())
             continue
         engine = Engine(_node_config(config, node))
@@ -1214,11 +1213,7 @@ def run_cluster(config):
         if mc.injector is not None:
             result.chaos = build_chaos_report(engine, mc.injector)
         per_node_results.append(result)
-        # untimed engines report zero cycles, hence zero throughput; the
-        # overlay only needs *relative* node capacities to route, so an
-        # event-count run gives every node unit capacity
-        capacities.append(1.0 if config.exec_mode == "untimed"
-                          else result.throughput)
+        capacities.append(result.throughput)
         captures.append(outcome.op_cycles)
 
     cluster = simulate_cluster(config, capacities, captures)

@@ -95,7 +95,6 @@ class SimContext:
         slow_hash: str = "siphash",
         num_cores: int = 1,
         mem_kwargs_fn: Optional[Callable[[int], dict]] = None,
-        mem_class: Optional[type] = None,
         **mem_kwargs,
     ) -> "SimContext":
         """Build a context of ``num_cores`` private cores over one shared
@@ -105,22 +104,17 @@ class SimContext:
         per-core state) come from ``mem_kwargs_fn(core_id)`` when given;
         plain ``**mem_kwargs`` apply to every core and are only safe for
         single-core contexts when they carry stateful objects.
-
-        ``mem_class`` is the execution-mode seam: the engine passes
-        :class:`~repro.mem.untimed.UntimedMemorySystem` for event-count
-        runs; ``None`` builds the reference :class:`MemorySystem`.
         """
         if num_cores < 1:
             raise KVSError("a context needs at least one core")
-        mem_cls = MemorySystem if mem_class is None else mem_class
         space = AddressSpace()
         shared_mem = SharedMemory(machine)
         cores: List[CoreContext] = []
         for core_id in range(num_cores):
             kwargs = (mem_kwargs_fn(core_id) if mem_kwargs_fn is not None
                       else mem_kwargs)
-            mem = mem_cls(space, machine, shared=shared_mem,
-                          core_id=core_id, **kwargs)
+            mem = MemorySystem(space, machine, shared=shared_mem,
+                               core_id=core_id, **kwargs)
             cores.append(CoreContext(core_id=core_id, mem=mem))
         alloc = BumpAllocator(space)
         records = RecordStore(alloc=alloc, mem=cores[0].mem)

@@ -45,10 +45,8 @@ DISPATCH_POLICIES = ("round_robin", "key_hash", "jsq")
 #: execution modes of the engine loop (DESIGN.md section 11):
 #: "reference" — the per-op object-traversal loop, unchanged semantics;
 #: "batched"   — the fused array-backed fast path, bit-identical to
-#:               reference (pinned by the golden + differential tests);
-#: "untimed"   — the event-count mode: identical hit/miss/oracle counts,
-#:               zero cycles (oracle-only chaos/cluster runs)
-EXEC_MODES = ("reference", "batched", "untimed")
+#:               reference (pinned by the golden + differential tests)
+EXEC_MODES = ("reference", "batched")
 
 #: paper regime: the 512 MB STLT holds 32 M rows for 10 M keys — 3.2 rows
 #: per key (1.25 keys per 4-way set), which is where Table V's conflict
@@ -228,11 +226,10 @@ class RunConfig:
     #: revelator: penalty charged on a misspeculation (squash + refetch)
     #: on top of the fully exposed walk
     spec_mispredict_cycles: int = 24
-    #: how the engine loop executes (see EXEC_MODES): the timed modes
-    #: ("reference", "batched") are bit-identical by contract; "untimed"
-    #: pins event counts only.  Content-hashed like every other field,
-    #: but deliberately absent from ``label`` — the label names the
-    #: experiment, and timed modes produce the same numbers
+    #: how the engine loop executes (see EXEC_MODES): the two modes are
+    #: bit-identical by contract.  Content-hashed like every other
+    #: field, but deliberately absent from ``label`` — the label names
+    #: the experiment, and both modes produce the same numbers
     exec_mode: str = "reference"
     seed: int = 1
     #: the ratio-preserving scaled machine (params.scaled_machine); pass
@@ -376,13 +373,6 @@ class RunConfig:
             raise ConfigError(
                 f"unknown exec mode {self.exec_mode!r}; "
                 f"choose one of {EXEC_MODES!r}")
-        if self.exec_mode == "untimed" \
-                and self.arrival_process != "closed":
-            # the open-loop service layer charges requests their measured
-            # per-op service cycles; an untimed run has none to offer
-            raise ConfigError(
-                "untimed execution produces no service times for the "
-                "open-loop layer; use exec_mode 'reference' or 'batched'")
 
     # -- derived defaults -------------------------------------------------
 
@@ -591,11 +581,6 @@ class RunConfig:
                 base = f"{base}^{counts['full']}f{counts['accel']}a"
                 if self.hetero_big_key_fraction > 0.0:
                     base = f"{base}~bk{self.hetero_big_key_fraction:g}"
-        if self.exec_mode == "untimed":
-            # timed modes share the label (their numbers are identical);
-            # untimed results carry zero cycles and must not be mistaken
-            # for them in reports
-            base = f"{base}!untimed"
         return base
 
 

@@ -192,9 +192,8 @@ class MultiCoreEngine:
 
         # execution-mode seam: the batched mode hands the interleave to
         # the fused executor loop (bit-identical by the differential
-        # suite); reference and untimed run the loop below with the
-        # engine's own methods (untimed differs only in the memory
-        # system the engine was built with)
+        # suite); reference runs the loop below with the engine's own
+        # methods
         if config.exec_mode == "batched":
             from .fastpath import BatchedOpExecutor  # avoid an import cycle
             BatchedOpExecutor(engine).run_interleave(

@@ -100,19 +100,6 @@ class TestRivalBackends:
         assert bat.accel == ref.accel
 
     @pytest.mark.parametrize("accel", RIVALS)
-    def test_untimed_counts_match_reference(self, accel):
-        config = RunConfig(program="redis", frontend="baseline",
-                           accel=accel, **BIG)
-        ref = run_experiment(
-            dataclasses.replace(config, exec_mode="reference"))
-        unt = run_experiment(
-            dataclasses.replace(config, exec_mode="untimed"))
-        assert unt.accel == ref.accel
-        assert asdict(unt.mem)["page_walks"] == \
-            asdict(ref.mem)["page_walks"]
-        assert unt.cycles == 0
-
-    @pytest.mark.parametrize("accel", RIVALS)
     def test_backend_is_exercised_past_tlb_reach(self, accel):
         config = RunConfig(program="redis", frontend="baseline",
                            accel=accel, **BIG)
