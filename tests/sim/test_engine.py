@@ -1,7 +1,13 @@
 """Engine integration tests on small configurations."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.sim.config import RunConfig
 from repro.sim.engine import Engine, run_experiment
 
@@ -25,6 +31,21 @@ class TestEngineRuns:
             program=program, frontend="stlt", num_keys=1500,
             measure_ops=400, warmup_ops=800))
         assert result.cycles_per_op > 0
+
+    def test_stlt_runs_leave_the_accel_lab_unimported(self):
+        # the STLT builder lives in the engine, so a plain stlt/stlt_va
+        # run does not pay for importing repro.accel; a fresh process,
+        # since other tests import it here
+        code = ("import sys\n"
+                "from repro.sim.config import RunConfig\n"
+                "from repro.sim.engine import run_experiment\n"
+                "for frontend in ('stlt', 'stlt_va'):\n"
+                "    run_experiment(RunConfig(frontend=frontend, num_keys=200,"
+                " measure_ops=20, warmup_ops=20))\n"
+                "assert 'repro.accel' not in sys.modules\n")
+        src = Path(repro.__file__).resolve().parents[1]
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env=dict(os.environ, PYTHONPATH=str(src)))
 
     def test_latest_distribution_grows_keyspace(self):
         engine = Engine(RunConfig(distribution="latest", **SMALL))
