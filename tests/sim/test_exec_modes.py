@@ -116,12 +116,21 @@ class TestBatchedDifferential:
         assert bat == ref
 
     def test_capture_and_faults_are_identical(self):
-        config = RunConfig(
-            frontend="stlt", fault_plan=("slowdown:core=0,factor=2",),
-            **SMOKE)
-        ref = full_state(*run_mode(config, "reference", capture=True))
-        bat = full_state(*run_mode(config, "batched", capture=True))
-        assert bat == ref
+        # "latest" draws 5% SETs, so captures cover SETs on the
+        # single-core slice (1 core, no fault plan) and on the per-op
+        # loop (2 cores, or a fault plan's injector), where core 1's
+        # GETs must run against core 1
+        for num_cores in (1, 2):
+            for fault_plan in ((), ("slowdown:core=0,factor=2",)):
+                config = RunConfig(
+                    frontend="stlt", distribution="latest",
+                    num_cores=num_cores, fault_plan=fault_plan, **SMOKE)
+                ref = full_state(*run_mode(config, "reference",
+                                           capture=True))
+                bat = full_state(*run_mode(config, "batched",
+                                           capture=True))
+                assert ref["aggregate"]["sets"] > 0
+                assert bat == ref, (num_cores, fault_plan)
 
     def test_redis_program_is_identical(self):
         config = RunConfig(program="redis", frontend="stlt", **SMOKE)
