@@ -1,7 +1,7 @@
 """The batched execution fast path (``exec_mode="batched"``).
 
-``BatchedOpExecutor`` owns the interleave loop for batched runs and
-replaces :meth:`Engine.do_get` with a *fused* per-operation kernel.  The
+``BatchedOpExecutor`` owns the interleave loop for fused batched runs
+and replaces :meth:`Engine.do_get` with a *fused* GET kernel.  The
 contract is strict bit-identity with the reference mode: every counter,
 every cycle, every RNG draw, every LRU transition and every DRAM queue
 timestamp must come out the same (the golden and differential suites
@@ -15,19 +15,22 @@ the *interpreter* overhead of the reference path instead:
   into one flat function over a per-core :class:`_CoreView` of hoisted
   references (flat STLT column arrays, L1/D-TLB set lists, counters);
 * the overwhelmingly common *all-hit* GET (single STLT match, IPB
-  clear, D-TLB + L1 hits throughout, oracle clean) runs a two-phase
+  clear, record and value each on one page, oracle clean) runs a two-phase
   kernel: a read-only probe phase proves the op takes the all-hit
   shape, then a commit phase replays the reference mutation sequence
   (LRU moves, the counter RNG draw, the STB insert) and *defers* the
   pure event counters into per-core accumulators that are flushed at
   the measurement boundaries — turning ~40 counter writes per op into
   a handful of integer adds;
-* any deviation falls back first to the general fused kernel (hit
-  cases inlined with immediate counters, miss cases delegated to the
-  reference ``MemorySystem`` methods with the exact ``at=now + cycles``
-  timestamps, so the DRAM queue accounting in :mod:`repro.mem.dram`
-  sees the identical request order), and from there to the reference
-  engine methods;
+* cache and TLB misses inside the kernel are delegated to the
+  reference ``MemorySystem._translate`` / ``_line_access`` with the
+  exact ``at=now + cycles`` timestamps, so the DRAM queue accounting in
+  :mod:`repro.mem.dram` sees the identical request order;
+* any other deviation falls back first to the general kernel (the
+  reference GET flattened over the view with immediate counters; its
+  memory accesses are the reference ``MemorySystem.access`` /
+  ``physical_access`` calls), and from there to the reference engine
+  methods;
 * the stale-translation oracle's page-mapped checks are memoised in a
   set evicted by an :attr:`AddressSpace.invalidation_hooks` observer
   (only *positive* translations are cached: ``remap_page`` fires no
@@ -38,20 +41,28 @@ the *interpreter* overhead of the reference path instead:
 Deferral is safe because everything deferred is a pure event count read
 only at measurement boundaries: the loop flushes before ``mark()``,
 before every chaos ``after_op`` (the injector may read any counter),
-and at the end of the run; ``mem.now`` and the DRAM clock are always
-exact because the commit phase advances them per op.  Per-op cycle
-deltas (fault charging, open-loop capture) read
-``stats.total_cycles + acc_cycles``.
+and at the end of the run.  The clock and the DRAM channel are always
+exact: the commit phase advances the clock per op (in a local, synced
+into ``mem.now`` before every delegated call).  Per-op cycle
+deltas on the per-op loop (fault charging, open-loop capture) read
+``stats.total_cycles + acc_cycles``; the single-core slice stamps the
+core clock instead (see :meth:`BatchedOpExecutor.run_interleave`).
 
 Fusion covers GETs of the ``stlt``/``stlt_va`` front-ends — the paper's
-design point and the hot loop of every paper-scale sweep.  Everything
-else (SETs, the other front-ends, the Redis command wrapper, a
-monitor-disabled STU) executes the reference code *inside* the batched
-loop, which keeps those paths trivially identical.  Chaos runs work
-unmodified: OS churn mutates the shared structures in place (the view
-aliases them), an ``STLTresize`` that swaps the table object is caught
-by the per-op view resync, and the per-op flush around ``after_op``
-keeps every counter exact when the injector looks at them.
+design point and the hot loop of every paper-scale sweep — and there is
+one all-hit GET kernel, :meth:`BatchedOpExecutor._run_hot_ops`.  A
+single-core run without a chaos injector, captured or not, runs each
+measurement window through it as one slice; multi-core and chaos runs
+call it with a one-op slice from :meth:`BatchedOpExecutor.do_get`,
+after a per-op preamble (a disabled STU or a detached STLT takes the
+reference ``Engine.do_get``).  SETs run the reference ``Engine.do_set``.
+A config with nothing to fuse (the other front-ends, the Redis command
+wrapper, the translation-level accel backends) never gets here:
+``MultiCoreEngine.run`` runs its own reference loop for it.  Chaos runs
+work unmodified: OS churn mutates the shared structures in place (the
+view aliases them), an ``STLTresize`` that swaps the table object is
+caught by the per-op view resync, and the per-op flush around
+``after_op`` keeps every counter exact when the injector looks at them.
 """
 
 from __future__ import annotations
@@ -63,12 +74,14 @@ from ..core.row import COUNTER_MAX, ROW_BYTES, SUBINT_BITS, SUBINT_MASK
 from ..errors import KVSError, ReproError
 from ..kvs.base import KEY_COMPARE_CYCLES
 from ..kvs.records import RECORD_HEADER_BYTES
+from ..mem.types import AccessKind
 from ..params import PAGE_BYTES, PAGE_SHIFT
 from ..workloads.keys import key_bytes
 from ..workloads.ycsb import Operation
 
 _LINE_SHIFT = 6
 _PAGE_OFF_MASK = PAGE_BYTES - 1
+_GET = Operation.GET
 
 
 class _CoreView:
@@ -218,7 +231,7 @@ class _CoreView:
 
 
 class BatchedOpExecutor:
-    """Fused per-op executors and the batched interleave loop."""
+    """The fused GET kernel and the batched interleave loop."""
 
     def __init__(self, engine) -> None:
         self.engine = engine
@@ -227,8 +240,7 @@ class BatchedOpExecutor:
         #: kernel programs (including the accel=stlt backend, whose
         #: front-ends are the same STLTFrontend objects); everything
         #: else — the translation-level accel backends included — runs
-        #: reference ops inside the batched loop (identical by
-        #: construction: correctness first, kernels later)
+        #: MultiCoreEngine's reference loop (identical by construction)
         self.fused = (
             (config.frontend in ("stlt", "stlt_va")
              or config.accel == "stlt")
@@ -261,7 +273,7 @@ class BatchedOpExecutor:
 
     # ------------------------------------------------------------------
     # the batched interleave loop (the reference loop with the fused
-    # executors, no per-op core binding on the fused path, and the
+    # kernel, no per-op core binding on the fused path, and the
     # deferred-counter flush points)
     # ------------------------------------------------------------------
 
@@ -272,73 +284,50 @@ class BatchedOpExecutor:
         Bit-identical to the reference loop in
         :meth:`MultiCoreEngine.run`: same op order, same mark/capture
         semantics, same fault charging, same chaos hook placement.
+        Fused configs only; the others run that reference loop itself.
         """
         engine = self.engine
         n = len(streams)
         total = len(streams[0]) if streams else 0
-        get_op = Operation.GET
-        if not self.fused:
-            # nothing to fuse: the reference loop shape, reference ops
-            do_get = engine.do_get
-            do_set = engine.do_set
-            for i in range(total):
-                measured = i >= warmup
-                for core_id in range(n):
-                    engine.bind_core(core_id)
-                    state = states[core_id]
-                    if i == warmup:
-                        state.mark()
-                    if faulted or (capture and measured):
-                        before = state.mem.stats.total_cycles
-                    op, key_id = streams[core_id][i]
-                    if op is get_op:
-                        do_get(core_id, key_id)
-                        state.gets += 1
-                    else:
-                        do_set(core_id, key_id, value_size)
-                        state.sets += 1
-                    if faulted:
-                        extra = injector.fault_cycles(
-                            core_id, i,
-                            state.mem.stats.total_cycles - before)
-                        if extra:
-                            state.mem.charge(extra, attr="fault")
-                    if capture and measured:
-                        state.op_cycles.append(
-                            state.mem.stats.total_cycles - before)
-                    if injector is not None:
-                        injector.after_op(core_id, i)
-            return
-
+        get_op = _GET
         views = self._views
         do_get = self.do_get
         do_set = engine.do_set
         flush = self._flush
-        if (n == 1 and injector is None and not capture
-                and 0 <= warmup < total
+        if (n == 1 and injector is None and 0 <= warmup < total
                 and views[0].stu.enabled
                 and views[0].crs.num_rows != 0):
-            # the hot shape (single core, no chaos, closed loop): with
-            # no injector nothing can disable the STU or swap the STLT
-            # object mid-run (the monitor and resizer are standalone
-            # tools, not wired into the engine), so the per-op
-            # eligibility checks, the view unpack, and the deferred
-            # accumulators all hoist out of the loop into one slice
-            # runner per measurement window
+            # the single-core shape (no chaos, closed loop or captured):
+            # with no injector nothing can disable the STU or swap the
+            # STLT object mid-run (the monitor and resizer are
+            # standalone tools, not wired into the engine), so the
+            # per-op eligibility checks, the view unpack, and the
+            # deferred accumulators all hoist out of the loop into one
+            # slice per measurement window
             state = states[0]
             v = views[0]
             stream = streams[0]
+            stamps = [] if capture else None
             try:
-                g, s = self._run_hot_ops(v, stream[:warmup], value_size)
+                g, s = self._run_hot_ops(v, 0, stream[:warmup], value_size)
                 state.gets += g
                 state.sets += s
                 flush(v)
                 state.mark()
-                g, s = self._run_hot_ops(v, stream[warmup:], value_size)
+                g, s = self._run_hot_ops(v, 0, stream[warmup:], value_size,
+                                         stamps)
                 state.gets += g
                 state.sets += s
             finally:
                 flush(v)
+            if capture:
+                # the reference captures total_cycles deltas; the slice
+                # stamps the clock.  They agree here: on one core with
+                # no injector only tick, access and physical_access
+                # move either, and each moves both by the same cycles
+                # (charge, which moves total_cycles alone, is a fault's)
+                state.op_cycles.extend(
+                    b - a for a, b in zip(stamps, stamps[1:]))
             return
         try:
             for i in range(total):
@@ -382,35 +371,34 @@ class BatchedOpExecutor:
             for v in views:
                 flush(v)
 
-    def _run_hot_ops(self, v: _CoreView, ops, value_size: int):
-        """Run a slice of the single core's stream with every kernel
-        reference *and* every deferred accumulator held in function
-        locals.
+    def _run_hot_ops(self, v: _CoreView, core_id: int, ops,
+                     value_size: int, stamps=None):
+        """The fused GET kernel: run a slice of ``core_id``'s stream
+        with every kernel reference *and* every deferred accumulator
+        held in function locals.
 
-        This is the fused GET kernel of :meth:`do_get` verbatim, minus
-        the per-op preamble it no longer needs: with one core, no
-        injector, and no capture, nothing can resync the view or read a
-        counter mid-slice, so the eligibility checks run once in the
-        caller and the accumulators are written back exactly once (in
-        the ``finally``, so an op that raises — e.g. a lost key — still
-        leaves the counters exactly where the reference mode would).
-        Returns ``(gets, sets)`` executed.
+        The caller runs the per-op preamble's eligibility checks (once
+        per window on one core with no injector, or per op in
+        :meth:`do_get`), so nothing can resync the view or read a
+        counter mid-slice, and the accumulators are written back
+        exactly once (in the ``finally``, so an op that raises — e.g. a
+        lost key — still leaves the counters exactly where the
+        reference mode would).  With a ``stamps`` list, the core clock
+        is appended before every op, SETs included, and once after the
+        last.  Returns ``(gets, sets)`` executed.
         """
         engine = self.engine
-        bind = engine.bind_core
-        do_set = engine.do_set
         general = self._general_get
         hot_memo = self._hot
         geo_memo = self._geo
         mapped = self._mapped
         hashf = self._hash
-        get_op = Operation.GET
+        get_op = _GET
         (l1_sets, l1_mask, l1_lat, dtlb_sets, dtlb_nsets, dtlb_lat,
          vas, subints, counters, ptes, ways, base_pa, ipb_buf, by_va,
          stb_buf, stb_cap, va_only, randbelow, pol, pre_ticks,
          mid_ticks, mem, space) = v.ro
         set_mask = v.stlt_set_mask
-        way_range = range(ways)
         grb = v.getrandbits
         g = s = 0
         nf = a_stlt = a_transl = a_rec = a_val = 0
@@ -422,10 +410,12 @@ class BatchedOpExecutor:
         now = mem.now
         try:
             for op, key_id in ops:
+                if stamps is not None:
+                    stamps.append(now)
                 if op is not get_op:
                     mem.now = now
-                    bind(0)
-                    do_set(0, key_id, value_size)
+                    engine.bind_core(core_id)
+                    engine.do_set(core_id, key_id, value_size)
                     now = mem.now
                     s += 1
                     continue
@@ -439,9 +429,11 @@ class BatchedOpExecutor:
                     subint = integer & SUBINT_MASK
                     hot_memo[key_id] = (key, integer, base, subint)
 
-                # ---- shape phase (see do_get; bails are read-only) ---
-                # (bails sync the clock around the general kernel: the
-                # shape phase itself never advances it)
+                # ---- shape phase: prove the op takes the all-hit shape
+                # (read-only, so a bail re-runs the op on the general
+                # kernel from untouched state, with the clock synced
+                # around it; cache/TLB misses are not bails: the execute
+                # phase delegates them line by line)
                 # C-level scan first: when exactly one way holds the
                 # subint and its row is live, that way is the reference
                 # scan's answer; zero matches is a clean miss; anything
@@ -457,7 +449,7 @@ class BatchedOpExecutor:
                     way = -1
                 else:
                     way = -1
-                    for w in way_range:
+                    for w in range(ways):
                         j = base + w
                         if vas[j] != 0 and subints[j] == subint:
                             if way >= 0:
@@ -466,7 +458,7 @@ class BatchedOpExecutor:
                             way = w
                 if way < 0:
                     mem.now = now
-                    general(v, 0, key, integer, key_id)
+                    general(v, core_id, key, integer, key_id)
                     now = mem.now
                     continue
                 j = base + way
@@ -474,7 +466,7 @@ class BatchedOpExecutor:
                 vpn_r = row_va >> PAGE_SHIFT
                 if vpn_r in ipb_buf:
                     mem.now = now
-                    general(v, 0, key, integer, key_id)
+                    general(v, core_id, key, integer, key_id)
                     now = mem.now
                     continue
                 record = by_va.get(row_va)
@@ -493,13 +485,15 @@ class BatchedOpExecutor:
                             or record.key != key
                             or record.external_value_va is not None):
                         mem.now = now
-                        general(v, 0, key, integer, key_id)
+                        general(v, core_id, key, integer, key_id)
                         now = mem.now
                         continue
                     size = record.value_size
                     if size == 0:
+                        # access_value touches no memory for an empty
+                        # value; the execute phase assumes it does
                         mem.now = now
-                        general(v, 0, key, integer, key_id)
+                        general(v, core_id, key, integer, key_id)
                         now = mem.now
                         continue
                     rspan_end = row_va + record.header_bytes + 24 - 1
@@ -508,21 +502,29 @@ class BatchedOpExecutor:
                     vpn_v = value_va >> PAGE_SHIFT
                     if (rspan_end >> PAGE_SHIFT != vpn_r
                             or vspan_end >> PAGE_SHIFT != vpn_v):
+                        # a span straddles a page: the general kernel's
+                        # multi-vpn access
                         mem.now = now
-                        general(v, 0, key, integer, key_id)
+                        general(v, core_id, key, integer, key_id)
                         now = mem.now
                         continue
                     geo_memo[key_id] = (record, row_va, size, rspan_end,
                                         value_va, vspan_end, vpn_v)
+                # the oracle's fast-hit liveness check (untimed)
                 if vpn_r not in mapped:
                     if space.translate(row_va) is None:
+                        # a violation: the general kernel raises it
                         mem.now = now
-                        general(v, 0, key, integer, key_id)
+                        general(v, core_id, key, integer, key_id)
                         now = mem.now
                         continue
                     mapped.add(vpn_r)
 
-                # ---- execute phase (see do_get; locals throughout) ---
+                # ---- execute phase: the reference op, counts deferred:
+                # the hash + loadVA ticks, the physical STLT set load,
+                # the IPB probe + counter store ticks, the counter's one
+                # RNG draw, the STB forward, then the record (header +
+                # key) access, the key compare and the value access
                 now += pre_ticks
                 p0 = base_pa + base * ROW_BYTES
                 ln = p0 >> _LINE_SHIFT
@@ -659,6 +661,8 @@ class BatchedOpExecutor:
                 a_transl += t_rec + t_val
                 a_rec += rec_c
                 a_val += val_c
+            if stamps is not None:
+                stamps.append(now)
         finally:
             # an exception inside a reference-path call can leave
             # ``mem.now`` ahead of the local (the call advanced it after
@@ -684,7 +688,7 @@ class BatchedOpExecutor:
     def _flush(self, v: _CoreView) -> None:
         """Fold the deferred all-hit accumulators into the real
         counters.  Every term below mirrors one ``+= 1`` / tick of the
-        reference path (see the all-hit commit phase in ``do_get``)."""
+        reference path (see the execute phase in ``_run_hot_ops``)."""
         nf = v.n_fast
         if not nf:
             return
@@ -734,17 +738,8 @@ class BatchedOpExecutor:
     # per-op executors
     # ------------------------------------------------------------------
 
-    def do_set(self, core_id: int, key_id: int, value_size: int) -> None:
-        """SETs are rare and mutate the index: reference path, always."""
-        self.engine.bind_core(core_id)
-        self.engine.do_set(core_id, key_id, value_size)
-
     def do_get(self, core_id: int, key_id: int) -> None:
         engine = self.engine
-        if not self.fused:
-            engine.bind_core(core_id)
-            engine.do_get(core_id, key_id)
-            return
         v = self._views[core_id]
         stu = v.stu
         stlt = stu.stlt
@@ -760,182 +755,10 @@ class BatchedOpExecutor:
             self._flush(v)
             self._hot.clear()
             v.sync_stlt(stlt)
-
-        hot = self._hot.get(key_id)
-        if hot is None:
-            key = key_bytes(key_id)
-            integer = self._hash(key)
-            hot = (key, integer,
-                   ((integer >> SUBINT_BITS) & v.stlt_set_mask)
-                   * v.stlt_ways,
-                   integer & SUBINT_MASK)
-            self._hot[key_id] = hot
-        key, integer, base, subint = hot
-
-        (l1_sets, l1_mask, l1_lat, dtlb_sets, dtlb_nsets, dtlb_lat,
-         vas, subints, counters, ptes, ways, base_pa, ipb_buf, by_va,
-         stb_buf, stb_cap, va_only, randbelow, pol, pre_ticks,
-         mid_ticks, mem, space) = v.ro
-
-        # ---- shape phase: prove the op takes the fused-hit shape -----
-        # (read-only — any bail below re-executes the op on the general
-        # kernel from untouched state.  Cache/TLB misses are NOT bails:
-        # the execute phase delegates them line by line.)
-        way = -1
-        for w in range(ways):
-            j = base + w
-            if vas[j] != 0 and subints[j] == subint:
-                if way >= 0:
-                    way = -2  # multi-match: needs the scan's RNG draw
-                    break
-                way = w
-        if way < 0:
-            self._general_get(v, core_id, key, integer, key_id)
-            return
-        j = base + way
-        row_va = vas[j]
-        vpn_r = row_va >> PAGE_SHIFT
-        if vpn_r in ipb_buf:
-            self._general_get(v, core_id, key, integer, key_id)
-            return
-        record = by_va.get(row_va)
-        if (record is None or record.va != row_va or record.key != key
-                or record.external_value_va is not None):
-            self._general_get(v, core_id, key, integer, key_id)
-            return
-        size = record.value_size
-        if size == 0:
-            # access_value short-circuits before touching memory; the
-            # fused bundle assumes the value access exists
-            self._general_get(v, core_id, key, integer, key_id)
-            return
-        rspan_end = row_va + record.header_bytes + 24 - 1
-        value_va = rspan_end + 1
-        vspan_end = value_va + size - 1
-        vpn_v = value_va >> PAGE_SHIFT
-        if (rspan_end >> PAGE_SHIFT != vpn_r
-                or vspan_end >> PAGE_SHIFT != vpn_v):
-            # a page-straddling span: the general kernel's multi-vpn loop
-            self._general_get(v, core_id, key, integer, key_id)
-            return
-        # the oracle's fast-hit liveness check (untimed)
-        mapped = self._mapped
-        if vpn_r not in mapped:
-            if space.translate(row_va) is None:
-                # a violation: the general kernel raises it canonically
-                self._general_get(v, core_id, key, integer, key_id)
-                return
-            mapped.add(vpn_r)
-
-        # ---- execute phase: the reference op with deferred counts ----
-        # ``mem.now`` stays exact at every delegated ``_translate`` /
-        # ``_line_access`` call; only pure event counters are deferred.
-        l1h = 0      # inlined L1 hits this op
-        dtlbh = 0    # inlined D-TLB hits this op
-        # hash + loadVA issue ticks
-        mem.now += pre_ticks
-        # the physical STLT set load
-        p0 = base_pa + base * ROW_BYTES
-        ln = p0 >> _LINE_SHIFT
-        line_end = (p0 + ways * ROW_BYTES - 1) >> _LINE_SHIFT
-        phys = 0
-        while ln <= line_end:
-            ls = l1_sets[ln & l1_mask]
-            if ln in ls:
-                ls.move_to_end(ln)
-                l1h += 1
-                phys += l1_lat
-            else:
-                phys += mem._line_access(ln, at=mem.now + phys)
-            ln += 1
-        mem.now += phys
-        # IPB probe + counter store ticks (no delegation in between)
-        mem.now += mid_ticks
-        # the probabilistic counter update (the op's one RNG draw)
-        cval = counters[j]
-        if randbelow is not None:
-            # inlined ProbabilisticCounterPolicy.update (updates are
-            # deferred into n_fast; counter values are never negative)
-            if randbelow(1 << cval) == 0:
-                pol.increments += 1
-                if cval >= COUNTER_MAX:
-                    pol.overflows += 1
-                    counters[j] = COUNTER_MAX // 2
-                else:
-                    counters[j] = cval + 1
-        else:
-            counters[j] = pol.update(cval)
-            pol.updates -= 1  # the flush re-adds it with n_fast
-        # the STB forward
-        if not va_only:
-            pte = ptes[j]
-            if pte:
-                if vpn_r in stb_buf:
-                    stb_buf[vpn_r] = pte
-                else:
-                    if len(stb_buf) >= stb_cap:
-                        stb_buf.popitem(last=False)
-                    stb_buf[vpn_r] = pte
-                v.acc_stb += 1
-        # the validate dereference (header + key) ...
-        dset = dtlb_sets[vpn_r % dtlb_nsets]
-        pfn = dset.get(vpn_r)
-        if pfn is not None:
-            dset.move_to_end(vpn_r)
-            dtlbh += 1
-            t_rec = dtlb_lat
-        else:
-            pfn, t_rec, _hit, _walked = mem._translate(vpn_r)
-        ln = ((pfn << PAGE_SHIFT) | (row_va & _PAGE_OFF_MASK)) >> _LINE_SHIFT
-        line_end = ln + (rspan_end >> _LINE_SHIFT) - (row_va >> _LINE_SHIFT)
-        rec_c = 0
-        while ln <= line_end:
-            ls = l1_sets[ln & l1_mask]
-            if ln in ls:
-                ls.move_to_end(ln)
-                l1h += 1
-                rec_c += l1_lat
-            else:
-                rec_c += mem._line_access(ln, at=mem.now + t_rec + rec_c)
-            ln += 1
-        mem.now += t_rec + rec_c
-        # ... the key compare ...
-        mem.now += KEY_COMPARE_CYCLES
-        # ... and the value access
-        dset = dtlb_sets[vpn_v % dtlb_nsets]
-        pfn = dset.get(vpn_v)
-        if pfn is not None:
-            dset.move_to_end(vpn_v)
-            dtlbh += 1
-            t_val = dtlb_lat
-        else:
-            pfn, t_val, _hit, _walked = mem._translate(vpn_v)
-        ln = ((pfn << PAGE_SHIFT)
-              | (value_va & _PAGE_OFF_MASK)) >> _LINE_SHIFT
-        line_end = ln + (vspan_end >> _LINE_SHIFT) - (value_va >> _LINE_SHIFT)
-        val_c = 0
-        while ln <= line_end:
-            ls = l1_sets[ln & l1_mask]
-            if ln in ls:
-                ls.move_to_end(ln)
-                l1h += 1
-                val_c += l1_lat
-            else:
-                val_c += mem._line_access(ln, at=mem.now + t_val + val_c)
-            ln += 1
-        mem.now += t_val + val_c
-        # defer the pure event counts (flushed at measurement boundaries;
-        # total cycles are derived from the parts at flush time)
-        v.n_fast += 1
-        v.acc_stlt_c += phys
-        v.acc_transl += t_rec + t_val
-        v.acc_rec_c += rec_c
-        v.acc_val_c += val_c
-        v.acc_dtlb += dtlbh
-        v.acc_l1 += l1h
+        self._run_hot_ops(v, core_id, ((_GET, key_id),), 0)
 
     # ------------------------------------------------------------------
-    # the general fused kernel (any op shape; immediate counters)
+    # the general kernel (any op shape; immediate counters)
     # ------------------------------------------------------------------
 
     def _general_get(self, v: _CoreView, core_id: int, key: bytes,
@@ -988,8 +811,8 @@ class BatchedOpExecutor:
             stlt.hits += 1
 
         # the physical STLT set load through the data caches
-        self._physical(v, v.stlt_base_pa + base * ROW_BYTES,
-                       ways * ROW_BYTES)
+        mem.physical_access(v.stlt_base_pa + base * ROW_BYTES,
+                            ways * ROW_BYTES)
 
         va_hit = 0
         if nmatch:
@@ -1027,13 +850,12 @@ class BatchedOpExecutor:
             record = v.by_va.get(va_hit)
             if record is None or record.va != va_hit:
                 # stale pointer: the load still happens, the compare fails
-                self._access(v, va_hit, RECORD_HEADER_BYTES + len(key),
-                             "record")
+                mem.access(va_hit, RECORD_HEADER_BYTES + len(key),
+                           kind=AccessKind.RECORD)
                 record = None
             else:
-                self._access(v, record.va,
-                             record.header_bytes + len(record.key),
-                             "record")
+                mem.access(record.va, record.header_bytes + len(record.key),
+                           kind=AccessKind.RECORD)
             c = KEY_COMPARE_CYCLES
             mem.now += c
             stats.total_cycles += c
@@ -1078,111 +900,5 @@ class BatchedOpExecutor:
                 engine.bind_core(core_id)
                 v.records.access_value(record)
             else:
-                self._access(
-                    v,
-                    record.va + record.header_bytes + len(record.key),
-                    size, "value")
-
-    # ------------------------------------------------------------------
-    # fused memory primitives (bit-identical to MemorySystem.access /
-    # physical_access: hit cases inlined, miss cases delegated with the
-    # reference timestamps)
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _access(v: _CoreView, vaddr: int, size: int, kind: str) -> None:
-        """Virtually addressed read, mirroring ``MemorySystem.access``."""
-        stats = v.stats
-        stats.accesses += 1
-        stats.reads += 1
-        mem = v.mem
-        first_line = vaddr >> _LINE_SHIFT
-        last_line = (vaddr + size - 1) >> _LINE_SHIFT
-        if first_line == last_line:
-            vpn = vaddr >> PAGE_SHIFT
-            s = v.dtlb_sets[vpn % v.dtlb_nsets]
-            pfn = s.get(vpn)
-            if pfn is not None:
-                s.move_to_end(vpn)
-                v.dtlb.hits += 1
-                stats.dtlb_hits += 1
-                t_cycles = v.dtlb_latency
-            else:
-                pfn, t_cycles, _hit, _walked = mem._translate(vpn)
-            paddr_line = ((pfn << PAGE_SHIFT)
-                          | (vaddr & _PAGE_OFF_MASK)) >> _LINE_SHIFT
-            ls = v.l1_sets[paddr_line & v.l1_mask]
-            if paddr_line in ls:
-                ls.move_to_end(paddr_line)
-                v.l1.hits += 1
-                stats.l1_hits += 1
-                cycles = t_cycles + v.l1_latency
-            else:
-                cycles = t_cycles + mem._line_access(
-                    paddr_line, at=mem.now + t_cycles)
-            mem.now += cycles
-            stats.total_cycles += cycles
-            attr = v.attr
-            attr["translation"] = attr.get("translation", 0) + t_cycles
-            attr[kind] = attr.get(kind, 0) + (cycles - t_cycles)
-            return
-        cycles = 0
-        translation_cycles = 0
-        last_vpn = -1
-        pfn = 0
-        for line in range(first_line, last_line + 1):
-            line_va = line << _LINE_SHIFT
-            vpn = line_va >> PAGE_SHIFT
-            if vpn != last_vpn:
-                s = v.dtlb_sets[vpn % v.dtlb_nsets]
-                p = s.get(vpn)
-                if p is not None:
-                    s.move_to_end(vpn)
-                    v.dtlb.hits += 1
-                    stats.dtlb_hits += 1
-                    pfn = p
-                    t_cycles = v.dtlb_latency
-                else:
-                    pfn, t_cycles, _hit, _walked = mem._translate(vpn)
-                cycles += t_cycles
-                translation_cycles += t_cycles
-                last_vpn = vpn
-            paddr_line = ((pfn << PAGE_SHIFT)
-                          | (line_va & _PAGE_OFF_MASK)) >> _LINE_SHIFT
-            ls = v.l1_sets[paddr_line & v.l1_mask]
-            if paddr_line in ls:
-                ls.move_to_end(paddr_line)
-                v.l1.hits += 1
-                stats.l1_hits += 1
-                cycles += v.l1_latency
-            else:
-                cycles += mem._line_access(paddr_line, at=mem.now + cycles)
-        mem.now += cycles
-        stats.total_cycles += cycles
-        attr = v.attr
-        attr["translation"] = attr.get("translation", 0) + translation_cycles
-        attr[kind] = attr.get(kind, 0) + (cycles - translation_cycles)
-
-    @staticmethod
-    def _physical(v: _CoreView, paddr: int, size: int) -> None:
-        """Physically addressed read, mirroring ``physical_access``."""
-        stats = v.stats
-        stats.accesses += 1
-        stats.reads += 1
-        mem = v.mem
-        cycles = 0
-        line = paddr >> _LINE_SHIFT
-        last_line = (paddr + size - 1) >> _LINE_SHIFT
-        while line <= last_line:
-            ls = v.l1_sets[line & v.l1_mask]
-            if line in ls:
-                ls.move_to_end(line)
-                v.l1.hits += 1
-                stats.l1_hits += 1
-                cycles += v.l1_latency
-            else:
-                cycles += mem._line_access(line, at=mem.now + cycles)
-            line += 1
-        mem.now += cycles
-        stats.total_cycles += cycles
-        v.attr["stlt"] = v.attr.get("stlt", 0) + cycles
+                mem.access(record.va + record.header_bytes + len(record.key),
+                           size, kind=AccessKind.VALUE)

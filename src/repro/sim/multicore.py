@@ -190,17 +190,19 @@ class MultiCoreEngine:
         injector = self.injector
         faulted = injector is not None and injector.has_faults
 
-        # execution-mode seam: the batched mode hands the interleave to
-        # the fused executor loop (bit-identical by the differential
-        # suite); reference runs the loop below with the engine's own
-        # methods
+        # execution-mode seam: a batched config the fast path fuses
+        # hands the interleave to its loop (bit-identical by the
+        # differential suite); everything else runs the loop below with
+        # the engine's own methods
         if config.exec_mode == "batched":
             from .fastpath import BatchedOpExecutor  # avoid an import cycle
-            BatchedOpExecutor(engine).run_interleave(
-                streams, states, warmup, capture=capture,
-                injector=injector, faulted=faulted,
-                value_size=spec.value_size)
-            return self._fold(states, capture)
+            executor = BatchedOpExecutor(engine)
+            if executor.fused:
+                executor.run_interleave(
+                    streams, states, warmup, capture=capture,
+                    injector=injector, faulted=faulted,
+                    value_size=spec.value_size)
+                return self._fold(states, capture)
 
         do_get = engine.do_get
         do_set = engine.do_set
