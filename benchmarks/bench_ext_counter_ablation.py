@@ -35,7 +35,7 @@ def _run(ratio: float, disable_counter: bool) -> dict:
                           stlt_rows=rows_for_ratio(ratio))
     engine = Engine(config)
     if disable_counter:
-        stlt = engine.stu.stlt
+        stlt = engine.osi.stlt
         stlt.counter_policy = _DisabledCounterPolicy()
         stlt.clear()
         engine._prefill_fast_tables()

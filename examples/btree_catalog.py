@@ -50,7 +50,7 @@ def main() -> None:
     print()
     print("2) Record movement protocol (Sec. III-F):")
     ctx = stlt_engine.ctx
-    frontend = stlt_engine.frontend
+    frontend = stlt_engine.frontends[0]
     record = stlt_engine.records[7]
     key = record.key
     frontend.get(key)                      # row is hot

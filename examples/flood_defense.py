@@ -34,7 +34,7 @@ STORE = dict(
 
 def main() -> None:
     engine = Engine(RunConfig(frontend="stlt", **STORE))
-    ctx, frontend, stu = engine.ctx, engine.frontend, engine.stu
+    ctx, frontend, stu = engine.ctx, engine.frontends[0], engine.stus[0]
 
     print("1) Honest traffic: warm the fast path")
     for i in range(2_000):

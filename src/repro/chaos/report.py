@@ -33,7 +33,7 @@ def build_chaos_report(engine, injector) -> dict:
 
     osi = engine.osi
     if osi is not None:
-        ipb = osi.stu.ipb  # shared across cores
+        ipb = osi.stus[0].ipb  # shared across cores
         report["ipb"] = {
             "inserts": ipb.inserts,
             "probes": ipb.probes,

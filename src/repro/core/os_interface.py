@@ -47,8 +47,6 @@ class OSInterface:
             list(stu) if isinstance(stu, (list, tuple)) else [stu])
         if not self.stus:
             raise STLTError("OSInterface needs at least one STU")
-        #: compatibility alias: the first (or only) core's STU
-        self.stu = self.stus[0]
         self.stlt: Optional[STLT] = None
         self._stlt_kernel_va: Optional[int] = None
         #: per-process kernel array of invalidated vpns (program context)
@@ -117,7 +115,7 @@ class OSInterface:
             stu.stb.invalidate(vpn)
         if self.stlt is None:
             return
-        ipb = self.stu.ipb  # shared across cores when the engine wired it so
+        ipb = self.stus[0].ipb  # shared across cores when the engine wires it
         if ipb.is_full():
             # rare slow path: clear the IPB and scrub the STLT of every
             # page invalidated since the last scrub
@@ -134,9 +132,9 @@ class OSInterface:
 
     def context_switch_out(self) -> None:
         """On switch-out the IPB is cleared without updating the STLT."""
-        self.stu.ipb.clear()
+        self.stus[0].ipb.clear()
 
     def context_switch_in(self) -> None:
         """On switch-in the kernel array is replayed into the IPB."""
         for vpn in self._invalidated_vpns:
-            self.stu.ipb.insert(vpn)
+            self.stus[0].ipb.insert(vpn)

@@ -86,9 +86,6 @@ class Engine:
         #: config.accel == "none"; set by _build_frontends
         self.accel = None
         self.frontends: List[LookupFrontend] = self._build_frontends()
-        #: compatibility aliases: core 0's view
-        self.frontend = self.frontends[0]
-        self.stu = self.stus[0]
         #: always-on stale-translation oracle: every GET is cross-checked
         #: against the authoritative record store (untimed — checked and
         #: unchecked runs are cycle-identical); a wrong or torn read
@@ -199,8 +196,8 @@ class Engine:
         behaviour rather than cold-start artifacts.  The tables are
         shared, so one prefill serves every core.
         """
-        stlt = self.stu.stlt if self.stu is not None else None
-        table = getattr(self.frontend, "table", None)
+        stlt = self.osi.stlt if self.osi is not None else None
+        table = getattr(self.frontends[0], "table", None)
         if stlt is None and table is None and self.slb is None:
             return  # baseline or a rival accel: no fast-path table
         fast_hash = get_hash(self.config.fast_hash)
@@ -217,7 +214,7 @@ class Engine:
                 if record.va >> 12 != vpn:
                     vpn = record.va >> 12
                     pfn = page_table.lookup(vpn)
-                    pte = 0 if self.stu.va_only or pfn is None \
+                    pte = 0 if self.stus[0].va_only or pfn is None \
                         else make_pte(pfn)
                 stlt.insert(integer, record.va, pte)
             elif table is not None:  # stlt_sw: VAs only
@@ -336,19 +333,19 @@ class Engine:
     # ------------------------------------------------------------------
 
     def fast_occupancy(self) -> Optional[int]:
-        if self.stu is not None and self.stu.stlt is not None:
-            return self.stu.stlt.occupancy
-        table = getattr(self.frontend, "table", None)
+        if self.osi is not None and self.osi.stlt is not None:
+            return self.osi.stlt.occupancy
+        table = getattr(self.frontends[0], "table", None)
         if table is not None:
             return table.occupancy
         return None
 
     def fast_table_bytes(self) -> Optional[int]:
-        if self.stu is not None and self.stu.stlt is not None:
-            return self.stu.stlt.size_bytes
+        if self.osi is not None and self.osi.stlt is not None:
+            return self.osi.stlt.size_bytes
         if self.slb is not None:
             return self.slb.size_bytes
-        table = getattr(self.frontend, "table", None)
+        table = getattr(self.frontends[0], "table", None)
         if table is not None:
             return table.size_bytes
         return None
@@ -363,9 +360,9 @@ class Engine:
         (``_prefill_fast_tables`` runs before the mode split, so any
         divergence is a bug in the mode itself).
         """
-        if self.stu is not None and self.stu.stlt is not None:
-            return self.stu.stlt.state_digest()
-        table = getattr(self.frontend, "table", None)
+        if self.osi is not None and self.osi.stlt is not None:
+            return self.osi.stlt.state_digest()
+        table = getattr(self.frontends[0], "table", None)
         if table is not None:
             return table.state_digest()
         if self.slb is not None:

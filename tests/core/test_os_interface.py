@@ -194,7 +194,6 @@ class TestMultiCoreBroadcast:
         stu = STU(mem)
         osi = OSInterface(space, mem, stu)
         assert osi.stus == [stu]
-        assert osi.stu is stu
 
 
 class TestCoherenceInvariants:

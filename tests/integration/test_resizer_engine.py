@@ -18,7 +18,7 @@ class TestResizerOnLiveStore:
                                   grow_above=0.10, min_rows=1024)
         rows_before = resizer.rows
         for i in range(4_000):
-            engine.frontend.get(key_bytes(i % 8_000))
+            engine.frontends[0].get(key_bytes(i % 8_000))
             resizer.record_op()
         assert resizer.grows >= 1
         assert resizer.rows > rows_before
@@ -31,14 +31,14 @@ class TestResizerOnLiveStore:
                                   grow_above=0.05, min_rows=512)
         for round_no in range(6):
             for i in range(2_000):
-                engine.frontend.get(key_bytes((i * 7) % 4_000))
+                engine.frontends[0].get(key_bytes((i * 7) % 4_000))
                 resizer.record_op()
         stlt = engine.osi.stlt
         assert stlt.num_rows >= 4096  # grew enough to hold the key set
         # measure a final window's hit rate
         lookups0, hits0 = stlt.lookups, stlt.hits
         for i in range(2_000):
-            engine.frontend.get(key_bytes((i * 7) % 4_000))
+            engine.frontends[0].get(key_bytes((i * 7) % 4_000))
         window_hit = (stlt.hits - hits0) / (stlt.lookups - lookups0)
         assert window_hit > 0.9
 
@@ -52,7 +52,7 @@ class TestResizerOnLiveStore:
         # hot, tiny working set: almost all hits after the first pass
         for _ in range(4):
             for i in range(1_000):
-                engine.frontend.get(key_bytes(i % 100))
+                engine.frontends[0].get(key_bytes(i % 100))
                 resizer.record_op()
         assert resizer.shrinks >= 1
         assert engine.osi.stlt.num_rows < (1 << 15)
