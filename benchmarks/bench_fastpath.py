@@ -30,6 +30,7 @@ from typing import List
 
 from repro.sim.config import RunConfig
 from repro.sim.engine import Engine
+from repro.sim.fastpath import BatchedOpExecutor
 from repro.sim.multicore import MultiCoreEngine
 from repro.workloads.ycsb import WorkloadSpec
 
@@ -49,10 +50,23 @@ SIZES = (
 )
 
 
+def check_fused(name: str, engine: Engine) -> None:
+    """Precondition: the batched mode must fuse the config.  One it
+    does not fuse runs ``MultiCoreEngine``'s reference loop in both
+    modes, so its ratio would time reference against reference."""
+    if not BatchedOpExecutor(engine).fused:
+        raise AssertionError(
+            f"precondition failed: the {name} config is not fused "
+            "(BatchedOpExecutor.fused is False), so both modes run the "
+            "reference loop; bench a config the fast path fuses "
+            "(frontend stlt/stlt_va on a kernel program)")
+
+
 def measure_size(name: str, size: dict, reps: int) -> dict:
     config = RunConfig(frontend="stlt", **size)
     spec = WorkloadSpec(distribution=config.distribution,
                         value_size=config.value_size)
+    check_fused(name, Engine(config))
     # one pre-generated op array set, shared by both modes (generation
     # is deterministic per config; run() validates the shape)
     streams = MultiCoreEngine(Engine(config))._streams(spec)
@@ -119,11 +133,11 @@ def test_fastpath_speedup_floor():
 
 def main(argv: List[str]) -> int:
     smoke_only = "--smoke" in argv
-    payload = run_bench(smoke_only=smoke_only)
-    if not smoke_only:
-        OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {OUT_PATH}")
     try:
+        payload = run_bench(smoke_only=smoke_only)
+        if not smoke_only:
+            OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+            print(f"wrote {OUT_PATH}")
         check_floor(payload)
     except AssertionError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
