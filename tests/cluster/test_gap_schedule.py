@@ -7,6 +7,11 @@ scans.  Over arbitrary claim sequences — out of order, zero-length,
 touching, exactly filling a gap — it must produce the same start times
 and the same interval list as the reference below, which is the
 scheduler both call sites carried before they were merged.
+
+``release(horizon)`` trims the intervals that ended by a horizon no
+later claim starts before; against the same reference, which never
+releases, it must change no start time and no ``tail``, and leave a
+suffix of the reference's intervals.
 """
 
 import bisect
@@ -71,6 +76,55 @@ class TestMatchesReference:
                   st.floats(min_value=0.0, max_value=1e3)), max_size=40))
     def test_arbitrary_float_times(self, claims):
         assert_same_as_reference(claims)
+
+
+#: one step of a released run: ("release", rise, _) raises the horizon
+#: by ``rise`` and releases it; ("claim", offset, duration) claims at
+#: ``horizon + offset``, so no claim starts before the horizon
+RELEASE_STEP = st.one_of(
+    st.tuples(st.just("release"),
+              st.integers(min_value=0, max_value=60).map(lambda x: x / 2),
+              st.just(0.0)),
+    st.tuples(st.just("claim"),
+              st.integers(min_value=0, max_value=200).map(lambda x: x / 2),
+              st.integers(min_value=0, max_value=40).map(lambda x: x / 2)))
+
+
+class TestRelease:
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(RELEASE_STEP, max_size=80))
+    def test_release_changes_no_claim(self, steps):
+        schedule = GapSchedule()
+        intervals = []  # the reference never releases
+        horizon = 0.0
+        for kind, a, b in steps:
+            if kind == "release":
+                horizon += a
+                schedule.release(horizon)
+                # exactly the intervals that ended by the horizon left
+                assert schedule.intervals == [
+                    iv for iv in intervals if iv[1] > horizon]
+            else:
+                at = horizon + a
+                assert schedule.claim(at, b) == \
+                    reference_claim(intervals, at, b)
+            kept = schedule.intervals
+            assert kept == intervals[len(intervals) - len(kept):]
+            if intervals:
+                assert schedule.tail == intervals[-1][1]
+
+    def test_release_keeps_tail_and_unfinished_intervals(self):
+        schedule = GapSchedule()
+        for at, duration in [(0.0, 10.0), (10.0, 10.0), (30.0, 10.0)]:
+            schedule.claim(at, duration)
+        schedule.release(25.0)
+        assert schedule.intervals == [(30.0, 40.0)]
+        schedule.release(35.0)  # busy until 40: kept
+        assert schedule.intervals == [(30.0, 40.0)]
+        schedule.release(40.0)
+        assert schedule.intervals == []
+        assert schedule.tail == 40.0
+        assert schedule.claim(40.0, 5.0) == 40.0
 
 
 class TestEdgeCases:

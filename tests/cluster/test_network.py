@@ -19,7 +19,7 @@ class TestQuietNetwork:
         net = ClusterNetwork(0.0)
         assert net.quiet
         assert net.one_way("a", "b", 10_000, at=42.0) == 42.0
-        assert net.round_trip("a", "b", 64, 128, at=7.0) == 7.0
+        assert net.one_way("b", "a", 128, at=7.0) == 7.0
         # and untracked: the quiet network is the bit-identity anchor
         report = net.report()
         assert report["transfers"] == 0
@@ -47,7 +47,8 @@ class TestLatencyMath:
 
     def test_round_trip_pays_both_directions(self):
         net = ClusterNetwork(RTT, bytes_per_cycle=8.0)
-        delivery = net.round_trip("a", "b", 64, 128, at=0.0)
+        arrive = net.one_way("a", "b", 64, at=0.0)
+        delivery = net.one_way("b", "a", 128, at=arrive)
         assert delivery == pytest.approx(64 / 8.0 + 128 / 8.0 + RTT)
 
 
@@ -131,7 +132,6 @@ class TestPartition:
         assert not net.reachable("n1", "c0")
         assert math.isinf(net.one_way("c0", "n1", 64, at=0.0))
         assert math.isinf(net.one_way("n1", "c0", 64, at=0.0))
-        assert math.isinf(net.round_trip("c0", "n1", 64, 128, at=0.0))
 
     def test_drops_reserve_nothing_and_are_counted_per_link(self):
         net = ClusterNetwork(RTT, bytes_per_cycle=8.0)
