@@ -39,7 +39,7 @@ correctness event).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..core.hwcost import HardwareCostReport
 
@@ -85,35 +85,33 @@ class SetAssocTable:
     """A small LRU set-associative (vpn -> pfn) table.
 
     The shared building block of the victima and pcax resolvers; the
-    same move-to-end OrderedDict idiom as :class:`repro.mem.tlb.TLB`,
-    kept separate because these tables are backend state, not part of
-    the TLB hierarchy (they must not count TLB statistics).
+    same plain-dict LRU idiom as :class:`repro.mem.tlb.TLB` (a hit
+    re-inserts the vpn, the victim is the first key), kept separate
+    because these tables are backend state, not part of the TLB
+    hierarchy (they must not count TLB statistics).
     """
 
     def __init__(self, num_sets: int, ways: int) -> None:
-        from collections import OrderedDict
         self.num_sets = num_sets
         self.ways = ways
-        self._sets = [OrderedDict() for _ in range(num_sets)]
+        self._sets: List[Dict[int, int]] = [{} for _ in range(num_sets)]
         self.evictions = 0
 
     def probe(self, vpn: int) -> Optional[int]:
         s = self._sets[vpn % self.num_sets]
-        pfn = s.get(vpn)
+        pfn = s.pop(vpn, None)
         if pfn is not None:
-            s.move_to_end(vpn)
+            s[vpn] = pfn
         return pfn
 
     def insert(self, vpn: int, pfn: int) -> bool:
         """Insert; returns True when a victim was evicted."""
         s = self._sets[vpn % self.num_sets]
-        if vpn in s:
-            s[vpn] = pfn
-            s.move_to_end(vpn)
-            return False
         evicted = False
-        if len(s) >= self.ways:
-            s.popitem(last=False)
+        if vpn in s:
+            del s[vpn]
+        elif len(s) >= self.ways:
+            del s[next(iter(s))]
             self.evictions += 1
             evicted = True
         s[vpn] = pfn

@@ -13,7 +13,7 @@ insert a vpn, clear the buffer, and check whether it is full.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from typing import Dict
 
 from ..errors import ConfigError
 
@@ -27,7 +27,8 @@ class IPB:
         if entries <= 0:
             raise ConfigError("IPB must have at least one entry")
         self.entries = entries
-        self._buf: "OrderedDict[int, None]" = OrderedDict()
+        #: vpn -> None in insertion order, oldest first
+        self._buf: Dict[int, None] = {}
         self.inserts = 0
         self.probes = 0
         self.hits = 0
@@ -42,7 +43,7 @@ class IPB:
         if len(self._buf) >= self.entries:
             # The kernel checks is_full() first, so hardware replacement
             # is a safety net; FIFO per the paper's CAM design.
-            self._buf.popitem(last=False)
+            del self._buf[next(iter(self._buf))]
         self._buf[vpn] = None
 
     def clear(self) -> None:

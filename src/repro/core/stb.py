@@ -12,8 +12,7 @@ follows it needs the translation.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Optional
+from typing import Dict, Optional
 
 from ..errors import ConfigError
 from .row import pte_pfn, pte_present
@@ -28,7 +27,8 @@ class STB:
         if entries <= 0:
             raise ConfigError("STB must have at least one entry")
         self.entries = entries
-        self._buf: "OrderedDict[int, int]" = OrderedDict()
+        #: vpn -> PTE in insertion order, oldest first
+        self._buf: Dict[int, int] = {}
         self.inserts = 0
         self.probes = 0
         self.hits = 0
@@ -36,13 +36,11 @@ class STB:
     def insert(self, vpn: int, pte: int) -> None:
         """FIFO-insert a translation; refreshing a vpn keeps its slot."""
         self.inserts += 1
-        if vpn in self._buf:
-            # same page re-inserted: update in place, FIFO order unchanged
-            self._buf[vpn] = pte
-            return
-        if len(self._buf) >= self.entries:
-            self._buf.popitem(last=False)
-        self._buf[vpn] = pte
+        buf = self._buf
+        # a re-inserted page is updated in place: FIFO order unchanged
+        if vpn not in buf and len(buf) >= self.entries:
+            del buf[next(iter(buf))]
+        buf[vpn] = pte
 
     def probe(self, vpn: int) -> Optional[int]:
         """Return the pfn for ``vpn`` or None; FIFO order is unaffected."""

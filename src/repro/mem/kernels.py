@@ -80,10 +80,12 @@ def occupancy_count(values: Sequence[int]) -> int:
 def flatten_sets(sets: Iterable, ways: int) -> List[int]:
     """Export dict-of-sets state (Cache/TLB) as one flat tag array.
 
-    Each set contributes exactly ``ways`` slots in residency order
-    (oldest first), padded with ``-1``; the result is the flat
-    set-major layout the batched kernels and the state digests consume.
-    Purely an export — the OrderedDicts remain the source of truth.
+    Each set is a plain dict kept in LRU order by its owner (a hit
+    re-inserts the key), so iterating it lists the tags least recently
+    used first.  Each set contributes exactly ``ways`` slots in that
+    order, padded with ``-1``; the result is the flat set-major layout
+    the batched kernels and the state digests consume.  Purely an
+    export — the dicts remain the source of truth.
     """
     flat: List[int] = []
     for s in sets:

@@ -18,7 +18,6 @@ mechanisms, and the low accuracy on pointer-chasing key-value workloads
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, List, Tuple
 
 from ..params import CACHE_LINE_BYTES, PAGE_BYTES
@@ -35,17 +34,19 @@ class StreamPrefetcher:
 
     def __init__(self, degree: int = 4, streams: int = 16) -> None:
         self.degree = degree
-        self._streams: "OrderedDict[int, int]" = OrderedDict()
+        #: stream head line -> 1, least recently extended first
+        self._streams: Dict[int, int] = {}
         self._max_streams = streams
 
     def observe(self, line_addr: int, was_miss: bool) -> List[int]:
         if not was_miss:
             return []
-        prev = self._streams.get(line_addr - 1)
-        self._streams[line_addr] = 1
-        self._streams.move_to_end(line_addr)
-        while len(self._streams) > self._max_streams:
-            self._streams.popitem(last=False)
+        streams = self._streams
+        prev = streams.get(line_addr - 1)
+        streams.pop(line_addr, None)
+        streams[line_addr] = 1
+        while len(streams) > self._max_streams:
+            del streams[next(iter(streams))]
         if prev is None:
             return []
         return [line_addr + i for i in range(1, self.degree + 1)]
@@ -63,7 +64,8 @@ class VLDPPrefetcher:
 
     def __init__(self, degree: int = 4, pages: int = 64, table_size: int = 512):
         self.degree = degree
-        self._pages: "OrderedDict[int, Tuple[int, int]]" = OrderedDict()
+        #: page -> (last offset, last delta), least recently used first
+        self._pages: Dict[int, Tuple[int, int]] = {}
         self._max_pages = pages
         self._delta_table: Dict[int, int] = {}
         self._max_table = table_size
@@ -73,7 +75,7 @@ class VLDPPrefetcher:
             return []
         page = line_addr // _LINES_PER_PAGE
         offset = line_addr % _LINES_PER_PAGE
-        state = self._pages.get(page)
+        state = self._pages.pop(page, None)
         preds: List[int] = []
         if state is not None:
             last_offset, last_delta = state
@@ -100,9 +102,8 @@ class VLDPPrefetcher:
                 self._pages[page] = (offset, last_delta)
         else:
             self._pages[page] = (offset, 0)
-        self._pages.move_to_end(page)
         while len(self._pages) > self._max_pages:
-            self._pages.popitem(last=False)
+            del self._pages[next(iter(self._pages))]
         return preds
 
 

@@ -532,7 +532,8 @@ class BatchedOpExecutor:
                 if ln == line_end:  # one line: skip the loop frame
                     ls = l1_sets[ln & l1_mask]
                     if ln in ls:
-                        ls.move_to_end(ln)
+                        del ls[ln]
+                        ls[ln] = None
                         a_l1 += 1
                         phys = l1_lat
                     else:
@@ -542,7 +543,8 @@ class BatchedOpExecutor:
                     while ln <= line_end:
                         ls = l1_sets[ln & l1_mask]
                         if ln in ls:
-                            ls.move_to_end(ln)
+                            del ls[ln]
+                            ls[ln] = None
                             a_l1 += 1
                             phys += l1_lat
                         else:
@@ -580,17 +582,15 @@ class BatchedOpExecutor:
                 if not va_only:
                     pte = ptes[j]
                     if pte:
-                        if vpn_r in stb_buf:
-                            stb_buf[vpn_r] = pte
-                        else:
-                            if len(stb_buf) >= stb_cap:
-                                stb_buf.popitem(last=False)
-                            stb_buf[vpn_r] = pte
+                        if (vpn_r not in stb_buf
+                                and len(stb_buf) >= stb_cap):
+                            del stb_buf[next(iter(stb_buf))]
+                        stb_buf[vpn_r] = pte
                         a_stb += 1
                 dset = dtlb_sets[vpn_r % dtlb_nsets]
-                pfn = dset.get(vpn_r)
+                pfn = dset.pop(vpn_r, None)
                 if pfn is not None:
-                    dset.move_to_end(vpn_r)
+                    dset[vpn_r] = pfn
                     a_dtlb += 1
                     t_rec = dtlb_lat
                 else:
@@ -603,7 +603,8 @@ class BatchedOpExecutor:
                 if ln == line_end:
                     ls = l1_sets[ln & l1_mask]
                     if ln in ls:
-                        ls.move_to_end(ln)
+                        del ls[ln]
+                        ls[ln] = None
                         a_l1 += 1
                         rec_c = l1_lat
                     else:
@@ -613,7 +614,8 @@ class BatchedOpExecutor:
                     while ln <= line_end:
                         ls = l1_sets[ln & l1_mask]
                         if ln in ls:
-                            ls.move_to_end(ln)
+                            del ls[ln]
+                            ls[ln] = None
                             a_l1 += 1
                             rec_c += l1_lat
                         else:
@@ -624,9 +626,9 @@ class BatchedOpExecutor:
                 # see no delegation in between: one combined advance
                 now += t_rec + rec_c + KEY_COMPARE_CYCLES
                 dset = dtlb_sets[vpn_v % dtlb_nsets]
-                pfn = dset.get(vpn_v)
+                pfn = dset.pop(vpn_v, None)
                 if pfn is not None:
-                    dset.move_to_end(vpn_v)
+                    dset[vpn_v] = pfn
                     a_dtlb += 1
                     t_val = dtlb_lat
                 else:
@@ -639,7 +641,8 @@ class BatchedOpExecutor:
                 if ln == line_end:
                     ls = l1_sets[ln & l1_mask]
                     if ln in ls:
-                        ls.move_to_end(ln)
+                        del ls[ln]
+                        ls[ln] = None
                         a_l1 += 1
                         val_c = l1_lat
                     else:
@@ -649,7 +652,8 @@ class BatchedOpExecutor:
                     while ln <= line_end:
                         ls = l1_sets[ln & l1_mask]
                         if ln in ls:
-                            ls.move_to_end(ln)
+                            del ls[ln]
+                            ls[ln] = None
                             a_l1 += 1
                             val_c += l1_lat
                         else:
