@@ -35,9 +35,6 @@ class _TableNode:
         self.pfn = pfn
         self.entries: Dict[int, object] = {}
 
-    def pte_paddr(self, index: int) -> int:
-        return self.pfn * PAGE_BYTES + index * PTE_BYTES
-
 
 class PageTable:
     """Radix page table mapping vpn -> pfn.
@@ -113,20 +110,32 @@ class PageTable:
 
         Returns ``(pfn_or_None, pte_paddrs)``.  A walk that finds a
         non-present entry at some level stops there, exactly as the
-        hardware walker would.
+        hardware walker would.  Every timed page walk runs this, so the
+        four levels (PML4, PDPT, PD, PT) are unrolled; the PTE at
+        ``index`` of a node sits at ``pfn * PAGE_BYTES + index *
+        PTE_BYTES``.
         """
-        self._check_vpn(vpn)
-        idx = self._indices(vpn)
+        if not 0 <= vpn <= MAX_VPN:
+            raise AddressError(f"vpn {vpn:#x} outside the 48-bit address space")
         node = self.root
-        paddrs: List[int] = []
-        for level in range(NUM_LEVELS - 1):
-            paddrs.append(node.pte_paddr(idx[level]))
-            child = node.entries.get(idx[level])
-            if child is None:
-                return None, paddrs
-            node = child
-        paddrs.append(node.pte_paddr(idx[-1]))
-        return node.entries.get(idx[-1]), paddrs
+        index = (vpn >> (3 * LEVEL_BITS)) & (ENTRIES_PER_TABLE - 1)
+        paddrs = [node.pfn * PAGE_BYTES + index * PTE_BYTES]
+        node = node.entries.get(index)
+        if node is None:
+            return None, paddrs
+        index = (vpn >> (2 * LEVEL_BITS)) & (ENTRIES_PER_TABLE - 1)
+        paddrs.append(node.pfn * PAGE_BYTES + index * PTE_BYTES)
+        node = node.entries.get(index)
+        if node is None:
+            return None, paddrs
+        index = (vpn >> LEVEL_BITS) & (ENTRIES_PER_TABLE - 1)
+        paddrs.append(node.pfn * PAGE_BYTES + index * PTE_BYTES)
+        node = node.entries.get(index)
+        if node is None:
+            return None, paddrs
+        index = vpn & (ENTRIES_PER_TABLE - 1)
+        paddrs.append(node.pfn * PAGE_BYTES + index * PTE_BYTES)
+        return node.entries.get(index), paddrs
 
 
 class PageTableWalker:
