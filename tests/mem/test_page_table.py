@@ -53,6 +53,10 @@ class TestMapping:
             table.map(MAX_VPN + 1, 1)
         with pytest.raises(AddressError):
             table.lookup(-1)
+        with pytest.raises(AddressError):
+            table.walk_path(MAX_VPN + 1)
+        with pytest.raises(AddressError):
+            table.walk_path(-1)
 
     def test_max_vpn_is_mappable(self, table):
         table.map(MAX_VPN, 42)
