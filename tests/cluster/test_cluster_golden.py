@@ -1,14 +1,16 @@
-"""Frozen cluster goldens: four overlay configs pinned bit-identically.
+"""Frozen cluster goldens: five overlay configs pinned bit-identically.
 
 ``tests/data/golden_cluster.json`` holds ``RunResult.to_dict()`` (the
-cluster payload included) for four smoke configs that together cross
+cluster payload included) for five smoke configs that together cross
 every route-invalidation path of the overlay: migration commits and
 ASK redirects (``scale``), promotion, restart, partition drops,
 degraded links, hedges and eager repair (``failover``), seeded fault
-churn (``storm``) and capability dispatch with migrations off
-accelerator slots (``hetero``).  Any change to the overlay's routing
-state, resource schedules or oracles must reproduce these records
-exactly.
+churn (``storm``), capability dispatch with migrations off
+accelerator slots (``hetero``), and a mixed fleet under faults
+(``hetero_failover``): an accelerator crash and restart, promotions
+over the full nodes only, and re-syncs of accelerator-owned slots.
+Any change to the overlay's routing state, resource schedules or
+oracles must reproduce these records exactly.
 
 Regenerate (only for a deliberate, documented change of simulated
 results)::
@@ -46,6 +48,15 @@ CONFIGS = {
                   cluster_hedge=2.0),
     "hetero": dict(node_types="6full+2accel", offered_load=0.15,
                    hetero_big_key_fraction=0.25, migrate_rate=0.01),
+    "hetero_failover": dict(
+        node_types="6full+2accel", offered_load=0.15,
+        hetero_big_key_fraction=0.25, migrate_rate=0.01,
+        node_fault_plan=("crash:node=1,at=0.3",
+                         "restart:node=1,at=0.6",
+                         "crash:node=7,at=0.4",
+                         "restart:node=7,at=0.7",
+                         "partition:node=2,start=0.4,stop=0.5"),
+        repair_policy="eager", cluster_hedge=2.0, cluster_timeout=8.0),
 }
 
 
@@ -94,6 +105,21 @@ def test_goldens_exercise_every_invalidation_path(golden):
     assert hetero["hetero"]["accel_hits"] > 0
     assert hetero["hetero"]["fallbacks"]["capacity"] > 0
     assert hetero["migration"]["committed"] > 0
+    mixed = golden["hetero_failover"]["cluster"]
+    events = mixed["failover"]["events"]
+    assert events["node_crash"] == 2
+    assert events["node_restart"] == 2
+    assert events["link_partition"] == 1
+    assert mixed["failover"]["promotions"] >= 1
+    # one of the two crashes takes down an accelerator node
+    assert mixed["hetero"]["node_classes"][7] == "accel"
+    assert any(acc["node"] == 7 for acc in mixed["hetero"]["per_accel"])
+    assert mixed["migration"]["committed"] > 0
+    assert mixed["ask_redirects"] > 0
+    assert mixed["resilience"]["hedges"] > 0
+    assert mixed["eager_repairs"] > 0
+    assert all(n > 0 for n in mixed["hetero"]["fallbacks"].values())
+    assert mixed["acked_write_losses"] == 0
 
 
 if __name__ == "__main__":
