@@ -108,7 +108,7 @@ class ClusterClient:
         #: per-request attempts that timed out against this client
         self.timeouts = 0
         #: requests locally rerouted off an accelerator node by the
-        #: capability pre-route (heterogeneous fleets only)
+        #: capability pre-route (always 0 on an all-full fleet)
         self.cap_reroutes = 0
 
     # ------------------------------------------------------------------
@@ -154,7 +154,7 @@ class ClusterClient:
     def capability_route(self, slot: int, target: int,
                          topology: ClusterTopology, is_write: bool,
                          oversized: bool) -> int:
-        """Capability-aware pre-route (heterogeneous fleets only).
+        """Capability-aware pre-route; a full-node target passes through.
 
         Clients know every node's capability descriptor from the
         cluster bus, so when the judged target is an accelerator and
@@ -166,7 +166,7 @@ class ClusterClient:
         here (residency is the accelerator's secret) and fall back at
         serve time instead.
         """
-        if not topology.hetero or not topology.is_accel(target):
+        if not topology.is_accel(target):
             return target
         if is_write:
             self.cap_reroutes += 1

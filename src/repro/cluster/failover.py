@@ -278,10 +278,6 @@ class FailoverScheduler:
         #: the service layer re-syncs its replication bookkeeping
         self.on_membership_change: Optional[Callable[[], None]] = None
 
-    @property
-    def active(self) -> bool:
-        return bool(self._script) or self._storm is not None
-
     # ------------------------------------------------------------------
     # event application
     # ------------------------------------------------------------------
@@ -295,7 +291,7 @@ class FailoverScheduler:
         demote every full node and leave an all-accelerator ring that
         cannot serve writes, so the fault is infeasible: the mixed-fleet
         twin of the ``len(ring) < 2`` guard."""
-        if not self.topology.hetero:
+        if not self.topology.accel_nodes:
             return False
         gone = self.crashed | self.isolated
         return all(n == node or n in gone

@@ -23,9 +23,10 @@ The pipeline (``repro cluster``, the ``scale``/``failover`` sweeps):
    histograms merge into the fleet-wide distribution at the end —
    the same mergeable-histogram machinery :mod:`repro.svc` uses.
 
-Under a ``node_fault_plan`` (DESIGN.md section 13) the loop threads a
-:class:`~repro.cluster.failover.FailoverScheduler` through the same
-per-request cadence as migration: crashed/partitioned nodes drop
+The loop threads a :class:`~repro.cluster.failover.FailoverScheduler`
+through the same per-request cadence as migration; an empty
+``node_fault_plan`` leaves it idle.  Under a plan (DESIGN.md section
+13) crashed/partitioned nodes drop
 messages, clients survive on per-attempt timeouts with bounded
 exponential-backoff retries and (optionally) cross-node hedged reads
 against replicas — the :class:`~repro.svc.service.Mitigation`
@@ -68,7 +69,8 @@ from ..hetero.accel_node import (
     lookup_interval_cycles,
     lookup_latency_cycles,
 )
-from ..hetero.fleet import NODE_CLASS_ACCEL, fleet_cost, format_node_types
+from ..hetero.fleet import (NODE_CLASS_ACCEL, NODE_CLASS_FULL, fleet_cost,
+                            format_node_types)
 from ..params import derive_seed
 from ..svc.arrival import make_arrivals
 from ..svc.histogram import DEFAULT_PRECISION, LatencyHistogram
@@ -118,6 +120,17 @@ BIG_KEY_BYTES = 512
 #: mixer over the key id, deterministic and deliberately decorrelated
 #: from the zipf popularity ranking (low ids are the hot keys)
 _BIG_KEY_MIX = 0x9E3779B1
+
+#: RunConfig fields only the cluster overlay reads.  Each node engine
+#: runs with all of them at their defaults: one quiet node under a
+#: closed loop, with no fleet, faults or accelerators of its own
+OVERLAY_FIELDS = (
+    "nodes", "replicas", "route_cache", "client_batch", "cluster_clients",
+    "replica_reads", "migrate_rate", "net_rtt_cycles", "arrival_process",
+    "service_requests", "node_fault_plan", "failover_detect_cycles",
+    "repair_policy", "cluster_timeout", "cluster_retries",
+    "cluster_hedge", "node_types", "hetero_accel_keys",
+    "hetero_big_key_fraction")
 
 #: requests between two trims of the link and pipeline schedules to the
 #: current arrival (:meth:`~repro.cluster.network.GapSchedule.release`):
@@ -201,8 +214,8 @@ class ClusterResult:
     #: heterogeneous-fleet telemetry (node classes, fleet cost,
     #: accelerator hit fraction, fallback counts by class, capability
     #: oracle verdict, cost-normalized throughput, per-accelerator
-    #: pipeline stats); None on a homogeneous fleet — all-full runs
-    #: carry the exact payload the plain cluster path produces
+    #: pipeline stats); None on a fleet without accelerators, with or
+    #: without an all-full ``node_types`` spec
     hetero: Optional[dict] = None
 
     @property
@@ -430,6 +443,14 @@ def simulate_cluster(
     arrivals, key stream, read/write mix, client choices, migration
     and fault schedules — derives from ``config.seed`` through
     namespaced streams.
+
+    Every run takes one request path.  The fleet is
+    ``config.node_classes`` as given: without accelerators (no
+    ``node_types``, or an all-full one) every capability check is a
+    membership test in an empty set.  The failover scheduler is always
+    built, and an empty fault plan leaves it idle.  Fleet and plan only
+    choose the payload: the ``hetero`` block on a mixed fleet, the
+    ``failover`` block under a fault plan.
     """
     nodes = config.nodes
     if len(node_capacities) != nodes or len(node_op_cycles) != nodes:
@@ -440,29 +461,26 @@ def simulate_cluster(
     if total_capacity <= 0.0:
         raise ClusterError("aggregate capacity must be positive")
 
-    # -- heterogeneous fleet? -----------------------------------------
-    # all gating below keys off this one flag: a homogeneous fleet
-    # (node_types absent *or* all-full) takes the exact pre-hetero
-    # code paths, pinned bit-identical by the golden hetero tests
-    hetero = bool(getattr(config, "hetero_enabled", False))
-    node_classes = config.node_classes if hetero else None
-    accel_keys = config.effective_accel_keys if hetero else None
-    big_fraction = config.hetero_big_key_fraction if hetero else 0.0
-
+    # -- the fleet ----------------------------------------------------
+    # one request path for every fleet: an all-full fleet is a mixed
+    # fleet whose accelerator set is empty, so each accelerator check
+    # below is a membership test that simply never fires
+    node_classes = config.node_classes
+    accel_keys = config.effective_accel_keys
+    big_fraction = config.hetero_big_key_fraction
     topology = ClusterTopology(nodes, config.replicas,
                                node_classes=node_classes,
                                accel_keys=accel_keys)
+    accel_nodes = topology.accel_nodes
+    # chooses the result payload only: mixed fleets report a hetero block
+    hetero = bool(accel_nodes)
     network = ClusterNetwork(config.net_rtt_cycles)
-    if hetero:
-        servers = [
-            _AccelServer(i, accel_keys, config.value_size, precision)
-            if node_classes[i] == NODE_CLASS_ACCEL
-            else _NodeServer(i, node_op_cycles[i], precision)
-            for i in range(nodes)
-        ]
-    else:
-        servers = [_NodeServer(i, node_op_cycles[i], precision)
-                   for i in range(nodes)]
+    servers = [
+        _AccelServer(i, accel_keys, config.value_size, precision)
+        if topology.is_accel(i)
+        else _NodeServer(i, node_op_cycles[i], precision)
+        for i in range(nodes)
+    ]
     clients = [
         ClusterClient(
             i, nodes,
@@ -505,27 +523,27 @@ def simulate_cluster(
     # and post-commit stale routes on slots that carry traffic
     migration = MigrationScheduler(
         topology, config.migrate_rate, config.seed,
-        slot_source=lambda rng: slot_for(rng.randrange(config.num_keys)),
-        dst_candidates=topology.full_nodes if hetero else None)
+        slot_source=lambda rng: slot_for(rng.randrange(config.num_keys)))
 
     def _oversized(key_id: int) -> bool:
         """Whether ``key_id`` is modeled oversized on the wire (above
         the accelerator's 255-byte key limit).  A fixed multiplicative
         hash marks the configured fraction deterministically per key
         id — part of the workload definition, independent of the run
-        seed and decorrelated from zipf popularity."""
+        seed and decorrelated from zipf popularity.  Only accelerators
+        care: every reader sits behind an accelerator check."""
         if big_fraction <= 0.0:
             return False
         return ((key_id * _BIG_KEY_MIX) & 0xFFFFFFFF) \
             < big_fraction * 4294967296.0
 
     # -- failover machinery -------------------------------------------
+    # always built: an empty plan leaves the scheduler idle (no node is
+    # ever crashed or isolated, no callback fires)
     plan = tuple(parse_node_fault(s) for s in config.node_fault_plan)
-    failover: Optional[FailoverScheduler] = None
-    if plan:
-        failover = FailoverScheduler(
-            topology, network, plan, config.seed, count,
-            detect_cycles=config.failover_detect_cycles)
+    failover = FailoverScheduler(
+        topology, network, plan, config.seed, count,
+        detect_cycles=config.failover_detect_cycles)
 
     # per-attempt client resilience, the svc Mitigation vocabulary one
     # level up.  Budgets are multiples of one healthy exchange (mean
@@ -573,8 +591,6 @@ def simulate_cluster(
     def _can_sync_from(node: int) -> bool:
         # a graceful handover ships the slot's data with it — possible
         # only while the previous owner is alive and reachable
-        if failover is None:
-            return True
         return (node not in failover.crashed
                 and node not in failover.isolated)
 
@@ -587,8 +603,7 @@ def simulate_cluster(
         # process is gone, and _node_crashed already dropped it from
         # every holder set.  A partitioned member keeps its place: a
         # partition wipes no copy, the same rule _node_crashed applies.
-        durable = topology.durable_set(slot)
-        return durable if failover is None else durable - failover.crashed
+        return topology.durable_set(slot) - failover.crashed
 
     def _owner_changed(slot: int, old: int, new: int) -> None:
         # data: re-replicate the slot's acked keys onto the new regime
@@ -627,62 +642,61 @@ def simulate_cluster(
 
     topology.on_owner_change = _owner_changed
 
-    if failover is not None:
-        def _node_crashed(node: int) -> None:
-            # the process died: every copy it held is gone; keys whose
-            # last copy just vanished are lost (telemetry + window)
-            lost = 0
-            for rec in acked.values():
-                if node in rec.holders:
-                    rec.holders.discard(node)
-                    if not rec.holders:
-                        lost += 1
-            _mark_loss(lost)
-            # a crashed accelerator loses its on-chip memory: it
-            # restarts cold and re-fills through capacity fallbacks
-            server = servers[node]
-            if isinstance(server, _AccelServer):
-                server.reset()
+    def _node_crashed(node: int) -> None:
+        # the process died: every copy it held is gone; keys whose
+        # last copy just vanished are lost (telemetry + window)
+        lost = 0
+        for rec in acked.values():
+            if node in rec.holders:
+                rec.holders.discard(node)
+                if not rec.holders:
+                    lost += 1
+        _mark_loss(lost)
+        # a crashed accelerator loses its on-chip memory: it
+        # restarts cold and re-fills through capacity fallbacks
+        server = servers[node]
+        if isinstance(server, _AccelServer):
+            server.reset()
 
-        def _promotion(node: int, slots: List[int]) -> None:
-            # slots whose new owner has no copy serve fenced/empty data
-            # from here on: the loss becomes visible now
-            fenced = 0
-            for slot in slots:
-                owner = topology.owner(slot)
-                for key in slot_keys.get(slot, ()):
-                    holders = acked[key].holders
-                    if holders and owner not in holders:
-                        fenced += 1
-            _mark_loss(fenced)
+    def _promotion(node: int, slots: List[int]) -> None:
+        # slots whose new owner has no copy serve fenced/empty data
+        # from here on: the loss becomes visible now
+        fenced = 0
+        for slot in slots:
+            owner = topology.owner(slot)
+            for key in slot_keys.get(slot, ()):
+                holders = acked[key].holders
+                if holders and owner not in holders:
+                    fenced += 1
+        _mark_loss(fenced)
 
-        def _membership_changed() -> None:
-            # ring membership moved: replica sets of slots whose owner
-            # stayed put may have changed — the replication daemon
-            # re-syncs every key whose primary still holds a copy
-            for slot, keys in slot_keys.items():
-                durable: Optional[FrozenSet[int]] = None
-                # the node driving the re-sync is the one serving the
-                # slot's writes: the primary, or (mixed fleets) the
-                # accelerator primary's full-class backer.  A backer
-                # is picked over the active full set, so membership
-                # may have moved it: an accelerator-owned slot re-syncs
-                # from any live durable holder
-                authority = topology.write_authority(slot)
-                from_accel = topology.is_accel(topology.owner(slot))
-                for key in keys:
-                    holders = acked[key].holders
-                    if authority in holders or (
-                            from_accel
-                            and any(map(_can_sync_from, holders))):
-                        if durable is None:
-                            durable = _resync_targets(slot)
-                        holders.clear()
-                        holders.update(durable)
+    def _membership_changed() -> None:
+        # ring membership moved: replica sets of slots whose owner
+        # stayed put may have changed — the replication daemon
+        # re-syncs every key whose primary still holds a copy
+        for slot, keys in slot_keys.items():
+            durable: Optional[FrozenSet[int]] = None
+            # the node driving the re-sync is the one serving the
+            # slot's writes: the primary, or (mixed fleets) the
+            # accelerator primary's full-class backer.  A backer
+            # is picked over the active full set, so membership
+            # may have moved it: an accelerator-owned slot re-syncs
+            # from any live durable holder
+            authority = topology.write_authority(slot)
+            from_accel = topology.is_accel(topology.owner(slot))
+            for key in keys:
+                holders = acked[key].holders
+                if authority in holders or (
+                        from_accel
+                        and any(map(_can_sync_from, holders))):
+                    if durable is None:
+                        durable = _resync_targets(slot)
+                    holders.clear()
+                    holders.update(durable)
 
-        failover.on_crash = _node_crashed
-        failover.on_promotion = _promotion
-        failover.on_membership_change = _membership_changed
+    failover.on_crash = _node_crashed
+    failover.on_promotion = _promotion
+    failover.on_membership_change = _membership_changed
 
     # -- the event loop -----------------------------------------------
     accel_schedules = [server._schedule for server in servers
@@ -698,7 +712,8 @@ def simulate_cluster(
     failed_hist = LatencyHistogram(precision=precision)
     hetero_counters = {"accel_gets": 0, "accel_hits": 0,
                        "fallback_capacity": 0, "fallback_set": 0,
-                       "fallback_oversized": 0, "capability_checks": 0}
+                       "fallback_oversized": 0}
+    capability_checks = 0
     capability_violations = 0
 
     def _read_hedge(client: ClusterClient, slot: int, at: float,
@@ -734,7 +749,7 @@ def simulate_cluster(
         serve_node, served_via_ask, hedged) or None if every path
         timed out against unreachable nodes."""
         nonlocal moved_redirects, oracle_violations
-        nonlocal capability_violations
+        nonlocal capability_checks, capability_violations
         if use_cache:
             target, _kind = client.target_for(slot, topology,
                                               is_read=not is_write)
@@ -742,7 +757,7 @@ def simulate_cluster(
             # a retry after a timeout: the stale row is gone, ask any
             # node and let MOVED point at the promoted owner
             target = client.bootstrap_node()
-        if hetero:
+        if target in accel_nodes:
             # capability pre-route: writes and oversized-key GETs
             # never touch an accelerator — the client knows every
             # node's descriptor, so this is local, not an extra hop
@@ -773,8 +788,7 @@ def simulate_cluster(
         authority = (write_target,) if is_write else route.read_set
         if target not in authority:
             moved_redirects += 1
-            if failover is not None and failover.promotions \
-                    and topology.epoch(slot) > 0:
+            if failover.promotions and topology.epoch(slot) > 0:
                 # the lazy-vs-eager A/B's numerator: redirects spent
                 # re-learning slots a promotion (or later churn) has
                 # actually rewired — eager's broadcast pre-heals
@@ -786,7 +800,7 @@ def simulate_cluster(
             owner = topology.owner(slot)
             client.on_moved(slot, owner)
             serve_node = write_target if is_write else owner
-            if hetero and not is_write:
+            if serve_node in accel_nodes:
                 # the MOVED reply named the owner; an ineligible GET
                 # still peels off to the backer before the re-send
                 serve_node = client.capability_route(
@@ -829,8 +843,8 @@ def simulate_cluster(
             oracle_violations += 1
 
         server = servers[serve_node]
-        if hetero and isinstance(server, _AccelServer):
-            hetero_counters["capability_checks"] += 1
+        capability_checks += 1
+        if serve_node in accel_nodes:
             key = key_bytes(key_id)
             if is_write or oversized:
                 # the capability fence: dispatch makes this path
@@ -866,8 +880,6 @@ def simulate_cluster(
                 completion = server.serve(t)
                 accel.install(completion, key)
         else:
-            if hetero:
-                hetero_counters["capability_checks"] += 1
             completion = server.serve(t)
         delivery = network.one_way(server.name, client.name,
                                    resp_bytes, completion,
@@ -894,16 +906,18 @@ def simulate_cluster(
             network.release(arrival)
             for schedule in accel_schedules:
                 schedule.release(arrival)
-        if failover is not None:
-            failover.before_request(index, arrival)
+        failover.before_request(index, arrival)
         migration.before_request(index)
         slot = slot_for(key_id)
+        # only the two schedulers above move a slot, never an attempt:
+        # one owner read serves the whole request
+        owner = topology.owner(slot)
         client = clients[index % len(clients)]
         is_write = write_flags[index]
         if is_write:
             writes += 1
         oversized = _oversized(key_id)
-        if hetero and topology.is_accel(topology.owner(slot)):
+        if owner in accel_nodes:
             # demand-side fallback accounting: requests whose slot an
             # accelerator owns but which only its backer can serve
             if is_write:
@@ -945,15 +959,11 @@ def simulate_cluster(
         delivery, serve_node, served_via_ask, hedged = outcome
         server = servers[serve_node]
         if not served_via_ask and not hedged:
-            learn = serve_node
-            if hetero:
-                owner = topology.owner(slot)
-                if topology.is_accel(owner):
-                    # even when this request fell back to the backer,
-                    # the route to learn is the accelerator: the next
-                    # GET must try the fast path first
-                    learn = owner
-            client.on_served(slot, learn)
+            # even when this request fell back to the backer, the route
+            # to learn for an accelerator-owned slot is the accelerator:
+            # the next GET must try the fast path first
+            client.on_served(
+                slot, owner if owner in accel_nodes else serve_node)
 
         if is_write:
             # the primary acks and synchronously replicates to the
@@ -967,13 +977,10 @@ def simulate_cluster(
                 record.holders = holders
                 record.had_replica = len(holders) > 1
             acked_writes += 1
-            if hetero:
-                owner = topology.owner(slot)
-                srv = servers[owner]
-                if isinstance(srv, _AccelServer):
-                    # write-invalidation: the acked value supersedes
-                    # whatever copy the accelerator still serves
-                    srv.invalidate(delivery, key_bytes(key_id))
+            if owner in accel_nodes:
+                # write-invalidation: the acked value supersedes
+                # whatever copy the accelerator still serves
+                servers[owner].invalidate(delivery, key_bytes(key_id))
         else:
             record = acked.get(key_id)
             if record is not None and serve_node not in record.holders:
@@ -989,8 +996,7 @@ def simulate_cluster(
             last_delivery = delivery
 
     migration.drain(count)
-    if failover is not None:
-        failover.drain(last_delivery)
+    failover.drain(last_delivery)
 
     # -- the failover oracle's verdict --------------------------------
     failover_violations = 0
@@ -1070,7 +1076,7 @@ def simulate_cluster(
             "fallback_rate": (sum(fallbacks.values()) / count
                               if count else 0.0),
             "cap_reroutes": sum(c.cap_reroutes for c in clients),
-            "capability_checks": hetero_counters["capability_checks"],
+            "capability_checks": capability_checks,
             "capability_violations": capability_violations,
             "cost_normalized_throughput": (achieved / cost_units
                                            if cost_units else 0.0),
@@ -1079,7 +1085,7 @@ def simulate_cluster(
         }
 
     failover_report = None
-    if failover is not None:
+    if plan:
         failover_report = {
             **failover.report(),
             "repair_policy": config.repair_policy,
@@ -1152,39 +1158,20 @@ def simulate_cluster(
 def _node_config(config, node: int):
     """The single-node engine config of cluster node ``node``.
 
-    Cluster-only knobs are stripped back to their defaults and the
-    arrival process forced closed (the cluster overlay *is* the open
-    loop).  Node 0 keeps the run seed verbatim — a one-node
-    quiet-network cluster therefore runs the exact engine the plain
-    path runs, bit-identical to the golden numbers; node ``i`` derives
-    the ``node{i}`` stream so fleets stay deterministic per seed.
+    Every :data:`OVERLAY_FIELDS` knob is reset to its ``RunConfig``
+    default, which also forces the arrival process closed (the
+    cluster overlay *is* the open loop).  Node 0 keeps the run seed
+    verbatim — a one-node quiet-network cluster therefore runs the
+    exact engine the plain path runs, bit-identical to the golden
+    numbers; node ``i`` derives the ``node{i}`` stream so fleets stay
+    deterministic per seed.
     """
     seed = config.seed if node == 0 else \
         derive_seed(config.seed, f"node{node}")
     defaults = type(config)()
-    return replace(
-        config,
-        nodes=1,
-        replicas=0,
-        route_cache=True,
-        client_batch=1,
-        cluster_clients=defaults.cluster_clients,
-        replica_reads=False,
-        migrate_rate=0.0,
-        net_rtt_cycles=0.0,
-        arrival_process="closed",
-        service_requests=None,
-        node_fault_plan=(),
-        failover_detect_cycles=defaults.failover_detect_cycles,
-        repair_policy=defaults.repair_policy,
-        cluster_timeout=None,
-        cluster_retries=defaults.cluster_retries,
-        cluster_hedge=None,
-        node_types=None,
-        hetero_accel_keys=None,
-        hetero_big_key_fraction=0.0,
-        seed=seed,
-    )
+    return replace(config, seed=seed,
+                   **{name: getattr(defaults, name)
+                      for name in OVERLAY_FIELDS})
 
 
 def run_cluster(config):
@@ -1206,11 +1193,9 @@ def run_cluster(config):
     per_node_results = []
     capacities: List[float] = []
     captures: List[Sequence[Sequence[int]]] = []
-    hetero_classes = (config.node_classes if config.hetero_enabled
-                      else None)
+    node_classes = config.node_classes or (NODE_CLASS_FULL,) * config.nodes
     for node in range(config.nodes):
-        if hetero_classes is not None \
-                and hetero_classes[node] == NODE_CLASS_ACCEL:
+        if node_classes[node] == NODE_CLASS_ACCEL:
             # accelerator nodes run no software engine: their
             # closed-loop capacity is the lookup pipeline's initiation
             # interval for a canonical resident GET, and they

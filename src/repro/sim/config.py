@@ -457,9 +457,9 @@ class RunConfig:
     @property
     def hetero_enabled(self) -> bool:
         """Whether the run builds a mixed fleet with accelerator
-        nodes.  An all-full ``node_types`` spec stays on the
-        homogeneous code paths (pinned bit-identical by the golden
-        hetero tests)."""
+        nodes.  An all-full ``node_types`` spec builds none, so it
+        runs exactly like no spec at all (one request path for every
+        cluster run; this flag only shapes the run label)."""
         classes = self.node_classes
         return (self.cluster_enabled and classes is not None
                 and has_accel(classes))

@@ -82,7 +82,7 @@ class TestHeteroTopology:
         plain = ClusterTopology(3, num_slots=SLOTS)
         explicit = ClusterTopology(3, num_slots=SLOTS,
                                    node_classes=("full",) * 3)
-        assert not explicit.hetero
+        assert not explicit.accel_nodes
         assert plain.assignment() == explicit.assignment()
 
     def test_accel_owns_a_weighted_share(self):

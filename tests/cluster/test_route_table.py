@@ -40,7 +40,7 @@ def walk_replicas(topo, slot):
     ring = topo.node_ids
     start = ring.index(topo.slot_owner[slot])
     n = len(ring)
-    if not topo.hetero:
+    if not topo.accel_nodes:
         return tuple(ring[(start + k) % n]
                      for k in range(1, min(topo.replicas, n - 1) + 1))
     out = []
@@ -63,7 +63,7 @@ def walk_backer(topo, slot):
 
 def walk_read_set(topo, slot):
     base = (topo.slot_owner[slot],) + walk_replicas(topo, slot)
-    if topo.hetero:
+    if topo.accel_nodes:
         backer = walk_backer(topo, slot)
         if backer not in base:
             base = base + (backer,)
@@ -102,7 +102,7 @@ ROUTE_SCRIPT = st.lists(st.one_of(FAULT_OP, MOVE_OP), max_size=16)
 def _last_full(topo, node):
     """Whether removing ``node`` would leave a mixed fleet without a
     full node (the topology refuses or breaks; no scheduler asks)."""
-    return (topo.hetero and not _is_accel(topo, node)
+    return (bool(topo.accel_nodes) and not _is_accel(topo, node)
             and len(walk_full_nodes(topo)) == 1)
 
 
