@@ -15,7 +15,7 @@ the matching baseline run.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..sim.results import RunResult, format_table
 from ..svc.histogram import LatencyHistogram
@@ -59,96 +59,77 @@ def metrics_from_record(record: dict) -> dict:
         "dram_max_queue_cycles": result.mem.dram_max_queue_cycles,
         # open-loop service layer (PR 3): None for closed-loop runs, so
         # the dict shape stays uniform across sweeps
-        "latency_p50": _service_field(result, "latency", "p50"),
-        "latency_p99": _service_field(result, "latency", "p99"),
-        "latency_p999": _service_field(result, "latency", "p999"),
-        "offered_rate": _service_field(result, "arrival_rate"),
-        "achieved_throughput": _service_field(result,
-                                              "achieved_throughput"),
+        "latency_p50": _field(result.service, "latency", "p50"),
+        "latency_p99": _field(result.service, "latency", "p99"),
+        "latency_p999": _field(result.service, "latency", "p999"),
+        "offered_rate": _field(result.service, "arrival_rate"),
+        "achieved_throughput": _field(result.service,
+                                      "achieved_throughput"),
         # chaos / coherence telemetry (PR 4): None or 0 for quiet runs,
         # so the dict shape stays uniform across sweeps
-        "oracle_checks": _chaos_field(result, "oracle", "checks"),
-        "oracle_violations": _chaos_field(result, "oracle", "violations"),
-        "ipb_overflows": _chaos_field(result, "ipb_overflows"),
-        "stlt_rows_scrubbed": _chaos_field(result, "stlt_rows_scrubbed"),
+        "oracle_checks": _field(result.chaos, "oracle", "checks"),
+        "oracle_violations": _field(result.chaos, "oracle", "violations"),
+        "ipb_overflows": _field(result.chaos, "ipb_overflows"),
+        "stlt_rows_scrubbed": _field(result.chaos, "stlt_rows_scrubbed"),
         "chaos_events": (
             sum(result.chaos.get("events", {}).values())
             if result.chaos else None),
         # mitigation telemetry (service layer, PR 4)
-        "svc_timeouts": _service_field(result, "timeouts"),
-        "svc_hedges": _service_field(result, "hedges"),
-        "svc_fallbacks": _service_field(result, "fallbacks"),
+        "svc_timeouts": _field(result.service, "timeouts"),
+        "svc_hedges": _field(result.service, "hedges"),
+        "svc_fallbacks": _field(result.service, "fallbacks"),
         # cluster overlay (PR 5): None for single-node runs, so the
         # dict shape stays uniform across sweeps
-        "nodes": _cluster_field(result, "nodes") or 1,
-        "cluster_throughput": _cluster_field(result,
-                                             "achieved_throughput"),
-        "cluster_p99": _cluster_field(result, "latency", "p99"),
-        "cluster_p999": _cluster_field(result, "latency", "p999"),
-        "cluster_fairness": _cluster_field(result, "fairness"),
-        "route_hits": _cluster_field(result, "route_hits"),
-        "route_stale_hits": _cluster_field(result, "route_stale_hits"),
-        "route_misses": _cluster_field(result, "route_misses"),
-        "moved_redirects": _cluster_field(result, "moved_redirects"),
-        "ask_redirects": _cluster_field(result, "ask_redirects"),
-        "migrations_committed": _cluster_field(result, "migration",
-                                               "committed"),
-        "route_violations": _cluster_field(result, "oracle_violations"),
+        "nodes": _field(result.cluster, "nodes") or 1,
+        "cluster_throughput": _field(result.cluster,
+                                     "achieved_throughput"),
+        "cluster_p99": _field(result.cluster, "latency", "p99"),
+        "cluster_p999": _field(result.cluster, "latency", "p999"),
+        "cluster_fairness": _field(result.cluster, "fairness"),
+        "route_hits": _field(result.cluster, "route_hits"),
+        "route_stale_hits": _field(result.cluster, "route_stale_hits"),
+        "route_misses": _field(result.cluster, "route_misses"),
+        "moved_redirects": _field(result.cluster, "moved_redirects"),
+        "ask_redirects": _field(result.cluster, "ask_redirects"),
+        "migrations_committed": _field(result.cluster, "migration",
+                                       "committed"),
+        "route_violations": _field(result.cluster, "oracle_violations"),
         # failover overlay (PR 9): None for single-node runs; zero for
         # fault-free cluster runs, so the dict shape stays uniform
-        "cluster_writes": _cluster_field(result, "writes"),
-        "acked_writes": _cluster_field(result, "acked_writes"),
-        "acked_write_losses": _cluster_field(result, "acked_write_losses"),
-        "failover_violations": _cluster_field(result,
-                                              "failover_violations"),
-        "cluster_failed_requests": _cluster_field(result,
-                                                  "failed_requests"),
-        "failover_promotions": _cluster_field(result, "failover",
-                                              "promotions"),
-        "post_promotion_moved": _cluster_field(result, "failover",
-                                               "post_promotion_moved"),
+        "cluster_writes": _field(result.cluster, "writes"),
+        "acked_writes": _field(result.cluster, "acked_writes"),
+        "acked_write_losses": _field(result.cluster, "acked_write_losses"),
+        "failover_violations": _field(result.cluster,
+                                      "failover_violations"),
+        "cluster_failed_requests": _field(result.cluster,
+                                          "failed_requests"),
+        "failover_promotions": _field(result.cluster, "failover",
+                                      "promotions"),
+        "post_promotion_moved": _field(result.cluster, "failover",
+                                       "post_promotion_moved"),
         # heterogeneous fleets (repro.hetero): None for homogeneous
         # runs, so the dict shape stays uniform across sweeps
-        "node_types": _cluster_field(result, "hetero", "node_types"),
-        "fleet_cost_units": _cluster_field(result, "hetero",
-                                           "fleet_cost_units"),
-        "accel_hit_fraction": _cluster_field(result, "hetero",
-                                             "accel_hit_fraction"),
-        "hetero_fallback_rate": _cluster_field(result, "hetero",
-                                               "fallback_rate"),
-        "cost_normalized_throughput": _cluster_field(
-            result, "hetero", "cost_normalized_throughput"),
-        "capability_violations": _cluster_field(result, "hetero",
-                                                "capability_violations"),
+        "node_types": _field(result.cluster, "hetero", "node_types"),
+        "fleet_cost_units": _field(result.cluster, "hetero",
+                                   "fleet_cost_units"),
+        "accel_hit_fraction": _field(result.cluster, "hetero",
+                                     "accel_hit_fraction"),
+        "hetero_fallback_rate": _field(result.cluster, "hetero",
+                                       "fallback_rate"),
+        "cost_normalized_throughput": _field(
+            result.cluster, "hetero", "cost_normalized_throughput"),
+        "capability_violations": _field(result.cluster, "hetero",
+                                        "capability_violations"),
         # translation-accel lab (repro.accel): the backend's telemetry
         # dict, or None for unaccelerated runs
         "accel": result.accel,
     }
 
 
-def _service_field(result: RunResult, *path):
-    """Walk into ``result.service`` (None-safe for closed-loop runs)."""
-    node = result.service
-    for key in path:
-        if not isinstance(node, dict):
-            return None
-        node = node.get(key)
-    return node
-
-
-def _chaos_field(result: RunResult, *path):
-    """Walk into ``result.chaos`` (None-safe for quiet runs)."""
-    node = result.chaos
-    for key in path:
-        if not isinstance(node, dict):
-            return None
-        node = node.get(key)
-    return node
-
-
-def _cluster_field(result: RunResult, *path):
-    """Walk into ``result.cluster`` (None-safe for single-node runs)."""
-    node = result.cluster
+def _field(block: Optional[dict], *path):
+    """Walk ``path`` into one of a result's dict blocks (``service``,
+    ``chaos`` or ``cluster``); None-safe for runs without the block."""
+    node = block
     for key in path:
         if not isinstance(node, dict):
             return None
