@@ -319,6 +319,24 @@ class TestFailoverRuns:
         assert slow["resilience"]["timeouts"] >= \
             fast["resilience"]["timeouts"]
 
+    def test_migration_to_a_demoted_importer_aborts(self):
+        """A crash's promotion can demote a migration's importer while
+        its ASK window is open.  The window aborts at its end (the slot
+        stays with its owner) instead of killing the run."""
+        config = RunConfig(
+            program="unordered_map", frontend="stlt", num_keys=2_000,
+            warmup_ops=300, measure_ops=300, exec_mode="batched",
+            nodes=3, replicas=1, net_rtt_cycles=300.0,
+            arrival_process="poisson", service_requests=4_000,
+            offered_load=0.5, migrate_rate=0.01, node_fault_plan=PLAN,
+            seed=1)
+        cluster = run_experiment(config).cluster
+        migration = cluster["migration"]
+        assert migration["in_flight"] == 0
+        assert migration["started"] > migration["committed"]
+        assert cluster["failover_violations"] == 0
+        assert cluster["oracle_violations"] == 0
+
     def test_fault_plan_changes_the_label(self):
         config = _config(node_fault_plan=PLAN)
         assert "nfault1" in config.label

@@ -1,5 +1,7 @@
 """Unit tests for live slot migration (`repro.cluster.migration`)."""
 
+import itertools
+
 from repro.cluster.migration import ASK_WINDOW_SCALE, MigrationScheduler
 from repro.cluster.topology import ClusterTopology
 
@@ -59,6 +61,37 @@ class TestScheduling:
                 break
         assert topo.owner(slot) == dst
         assert sched.committed >= 1
+
+    def test_window_aborts_when_its_importer_is_demoted(self):
+        """A crash's promotion removes the importer from the ring while
+        its window is open: at the window's end the slot stays with its
+        owner instead of moving to a node that left the cluster."""
+        slots = itertools.count()  # every event draws a fresh slot
+        topo, sched = _scheduler(rate=1.0,
+                                 slot_source=lambda rng: next(slots))
+        sched.before_request(0)
+        (slot, (dst, end)), = list(sched._in_flight.items())
+        owner, epoch = topo.owner(slot), topo.epoch(slot)
+        topo.crash_node(dst)
+        for index in range(1, end + 1):
+            sched.before_request(index)
+        assert slot not in sched._in_flight
+        assert topo.owner(slot) == owner != dst
+        assert topo.epoch(slot) == epoch
+        # every later window targets a live node: only the first aborts
+        sched.drain(end + 1)
+        assert sched.started - sched.committed == 1
+
+    def test_drain_aborts_a_window_to_a_demoted_importer(self):
+        topo, sched = _scheduler(rate=1.0)
+        sched.before_request(0)
+        (slot, (dst, _)), = list(sched._in_flight.items())
+        owner = topo.owner(slot)
+        topo.crash_node(dst)
+        sched.drain(1)
+        assert topo.owner(slot) == owner
+        assert (sched.started, sched.committed) == (1, 0)
+        assert sched.report()["in_flight"] == 0
 
 
 class TestAskRedirects:
