@@ -1,10 +1,11 @@
 """CLI tests (``python -m repro``)."""
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _config_from_args, build_parser, main
 from repro.sim.config import RunConfig, config_hash
 
 
@@ -34,6 +35,33 @@ class TestParser:
         args = build_parser().parse_args(
             ["run", "--prefetchers", "vldp", "stream"])
         assert args.prefetchers == ["vldp", "stream"]
+
+
+#: the CLI's own defaults, shared by every config-building subcommand
+CLI_DEFAULTS = {"frontend": "stlt", "num_keys": 30_000, "measure_ops": 5_000}
+
+
+class TestConfigDefaults:
+    """A subcommand parsed with no flags builds ``RunConfig()`` except
+    for the defaults the CLI sets on purpose: ``_config_from_args``
+    restates many RunConfig defaults, and none of them may drift."""
+
+    @pytest.mark.parametrize("command, expected", [
+        ("run", CLI_DEFAULTS),
+        ("breakdown", CLI_DEFAULTS),
+        ("serve", {**CLI_DEFAULTS, "arrival_process": "poisson"}),
+        ("chaos", {**CLI_DEFAULTS, "churn_rate": 0.05}),
+        ("cluster", {**CLI_DEFAULTS, "arrival_process": "poisson",
+                     "nodes": 3}),
+    ])
+    def test_flagless_config_differs_only_where_intended(self, command,
+                                                         expected):
+        config = _config_from_args(build_parser().parse_args([command]))
+        default = RunConfig()
+        differs = {f.name: getattr(config, f.name)
+                   for f in dataclasses.fields(RunConfig)
+                   if getattr(config, f.name) != getattr(default, f.name)}
+        assert differs == expected
 
 
 class TestCommands:
