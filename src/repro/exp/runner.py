@@ -13,10 +13,12 @@
   time, worker pid, attempt count) may differ.
 * **Crash isolation.**  A worker that *raises* returns a structured
   failure payload (exceptions never cross the pool boundary); a worker
-  that *dies* (segfault, ``os._exit``) breaks the pool, which the
-  runner rebuilds, re-queueing affected runs.  Either way the offending
-  run is retried up to ``retries`` times with exponential backoff and
-  then marked ``failed`` — the sweep always completes.
+  that *dies* (segfault, ``os._exit``) breaks the pool for every run in
+  flight.  None of them is charged for that; after the round each
+  re-runs alone in a one-worker pool, where a crash is its own.  Either
+  way only the offending run is retried up to ``retries`` times with
+  exponential backoff and then marked ``failed`` — the sweep always
+  completes.
 * **Per-run timeout** enforced *inside* the worker via ``SIGALRM``
   (sub-second resolution through ``setitimer``), so a hung simulation
   frees its pool slot instead of wedging the campaign.
@@ -117,6 +119,20 @@ def _worker(key: str, config: RunConfig,
             "worker_pid": os.getpid(),
         }
     return key, payload
+
+
+def _payload(future) -> dict:
+    """A pool future's worker payload, or a failure payload when the
+    future itself failed (``crashed`` marks a dead worker)."""
+    try:
+        return future.result()[1]
+    except BrokenProcessPool:
+        return {"ok": False,
+                "error": "worker process died (BrokenProcessPool)",
+                "crashed": True, "wall_time": 0.0}
+    except Exception as exc:  # future-layer failure
+        return {"ok": False, "error": f"{type(exc).__name__}: {exc}",
+                "wall_time": 0.0}
 
 
 # ----------------------------------------------------------------------
@@ -292,6 +308,7 @@ class SweepRunner:
 
     def _parallel_round(self, pending, attempts, outcomes):
         retry: List[SweepPoint] = []
+        broken: List[SweepPoint] = []
         with ProcessPoolExecutor(max_workers=self.jobs) as pool:
             futures = {}
             for point in pending:
@@ -304,27 +321,23 @@ class SweepRunner:
                                       return_when=FIRST_COMPLETED)
                 for future in done:
                     point = futures[future]
-                    try:
-                        _, payload = future.result()
-                    except BrokenProcessPool:
-                        # this worker died (or was collateral damage of
-                        # one that did); the pool is gone — re-queue or
-                        # fail, then leave the round
-                        payload = {
-                            "ok": False,
-                            "error": "worker process died "
-                                     "(BrokenProcessPool)",
-                            "crashed": True,
-                            "wall_time": 0.0,
-                        }
-                    except Exception as exc:  # future-layer failure
-                        payload = {
-                            "ok": False,
-                            "error": f"{type(exc).__name__}: {exc}",
-                            "wall_time": 0.0,
-                        }
-                    if not self._settle(point, payload, attempts, outcomes):
+                    payload = _payload(future)
+                    if payload.get("crashed"):
+                        # a worker died and took the pool down with every
+                        # run in flight; which run killed it is unknown,
+                        # so each keeps this attempt and replays it alone
+                        broken.append(point)
+                    elif not self._settle(point, payload, attempts,
+                                          outcomes):
                         retry.append(point)
+        for point in broken:
+            with ProcessPoolExecutor(max_workers=1) as pool:
+                # alone in its pool, a crash is this run's own
+                payload = _payload(pool.submit(
+                    _worker, point.key, point.config, self.run_fn,
+                    self.timeout))
+            if not self._settle(point, payload, attempts, outcomes):
+                retry.append(point)
         return retry
 
     def _settle(self, point: SweepPoint, payload: dict,

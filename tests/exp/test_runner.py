@@ -135,6 +135,23 @@ class TestFaultTolerance:
         # completed runs were durably recorded despite the crash
         assert len(store) == 3
 
+    def test_sibling_in_flight_during_crashes_is_not_charged(self,
+                                                             tmp_path):
+        """Seed 4 is in flight each time seed 3 kills the pool; only the
+        run that died is charged, so seed 4 completes on its first
+        attempt and seed 3 fails after its own three."""
+        report = SweepRunner(store=ResultStore(tmp_path / "sib.jsonl"),
+                             jobs=2, retries=2, backoff=0.0,
+                             run_fn=workers.crash_beside_slow_siblings,
+                             ).run(seed_points())
+        outcomes = report.by_label()
+        assert [o.label for o in report.failed] == ["seed-3"]
+        assert outcomes["seed-3"].attempts == 3
+        assert "died" in outcomes["seed-3"].error
+        for label in ("seed-1", "seed-2", "seed-4"):
+            assert outcomes[label].status == STATUS_COMPLETED
+            assert outcomes[label].attempts == 1
+
     def test_timeout_fails_one_run_only(self, tmp_path):
         report = SweepRunner(store=ResultStore(tmp_path / "t.jsonl"),
                              jobs=2, retries=0, backoff=0.0, timeout=0.5,

@@ -79,6 +79,16 @@ def crash_on_fault_seed(config: RunConfig) -> RunResult:
     return fake_run(config)
 
 
+def crash_beside_slow_siblings(config: RunConfig) -> RunResult:
+    """The fault seed dies soon after it starts; every other run is slow
+    enough to still be in flight when that kills the pool."""
+    if config.seed == FAULT_SEED:
+        time.sleep(0.1)
+        os._exit(23)
+    time.sleep(0.5)
+    return fake_run(config)
+
+
 def hang_on_fault_seed(config: RunConfig) -> RunResult:
     if config.seed == FAULT_SEED:
         time.sleep(30.0)
