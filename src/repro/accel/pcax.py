@@ -10,14 +10,14 @@ backend derives **op-site pseudo-PCs** from the engine's access kinds
 (:class:`repro.mem.types.AccessKind`): every index traversal, record
 probe, value read, PTE load, etc. is one static load site — exactly
 the granularity PCAX keys on.  Each pseudo-PC owns a small
-set-associative (vpn -> pfn) partition of ``accel_rows`` sets x
-``accel_ways`` ways, so hot sites with small page working sets (upper
-index levels) hit, while sites that sweep the whole footprint (value
-reads under a uniform distribution) thrash — the design's
-characteristic behaviour.
+set-associative (vpn -> pfn) partition of
+``RunConfig.effective_accel_rows`` sets x ``ACCEL_WAYS`` ways, so hot
+sites with small page working sets (upper index levels) hit, while
+sites that sweep the whole footprint (value reads under a uniform
+distribution) thrash — the design's characteristic behaviour.
 
-Probes cost a small near-core SRAM latency (``accel_probe_cycles``,
-default 2) and invalidations reach every per-PC partition through the
+Probes cost a small near-core SRAM latency (``PROBE_CYCLES``, 2
+cycles) and invalidations reach every per-PC partition through the
 same OS ``flush_tlb_*`` hook as the TLBs, so entries are never stale.
 """
 
@@ -27,13 +27,13 @@ from typing import TYPE_CHECKING, Dict, List
 
 from ..core.hwcost import HardwareCostReport, pcax_cost
 from ..mem.types import AccessKind
-from .base import SetAssocTable, TranslationAccel, charged_walk
+from .base import ACCEL_WAYS, SetAssocTable, TranslationAccel, charged_walk
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..sim.frontend import LookupFrontend
 
-#: default probe latency of the dedicated PC-indexed SRAM
-DEFAULT_PROBE_CYCLES = 2
+#: probe latency of the dedicated PC-indexed SRAM
+PROBE_CYCLES = 2
 
 
 class _PCAXResolver:
@@ -102,14 +102,11 @@ class PCAXAccel(TranslationAccel):
         from ..sim.frontend import make_frontend  # avoid an import cycle
         config = self.config
         ctx = self.engine.ctx
-        probe = config.accel_probe_cycles
-        if probe is None:
-            probe = DEFAULT_PROBE_CYCLES
         frontends = []
         for core in ctx.cores:
             resolver = _PCAXResolver(
-                config.effective_accel_rows, config.accel_ways,
-                probe_cycles=probe)
+                config.effective_accel_rows, ACCEL_WAYS,
+                probe_cycles=PROBE_CYCLES)
             core.mem.attach_accel(resolver)
             self.resolvers.append(resolver)
             frontends.append(
@@ -129,5 +126,4 @@ class PCAXAccel(TranslationAccel):
         }
 
     def hardware_cost(self) -> HardwareCostReport:
-        return pcax_cost(self.config.effective_accel_rows,
-                         ways=self.config.accel_ways)
+        return pcax_cost(self.config.effective_accel_rows, ways=ACCEL_WAYS)

@@ -16,10 +16,10 @@ Model:
   completion;
 * it is **deliberately not invalidated** on OS page churn: staleness
   is the design's whole hazard, and a stale guess is a *charged
-  misspeculation* (``spec_mispredict_cycles``), never a wrong answer —
+  misspeculation* (``MISPREDICT_CYCLES``), never a wrong answer —
   the returned translation always comes from the real walk, so the
   CoherenceError oracle stays clean by construction;
-* a correct speculation charges ``spec_validate_cycles`` instead of
+* a correct speculation charges ``VALIDATE_CYCLES`` instead of
   the walk latency (the walk still runs — its PTE loads occupy the
   caches and DRAM exactly as in the reference path — it is just off
   the critical path).
@@ -34,6 +34,14 @@ from .base import TranslationAccel, charged_walk
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..sim.frontend import LookupFrontend
+
+#: validation cost charged on a *correct* speculation (the walk itself
+#: is overlapped with the speculative data fetch)
+VALIDATE_CYCLES = 4
+
+#: penalty charged on a misspeculation (squash + refetch) on top of the
+#: fully exposed walk
+MISPREDICT_CYCLES = 24
 
 
 class _RevelatorResolver:
@@ -93,13 +101,12 @@ class RevelatorAccel(TranslationAccel):
 
     def build_frontends(self) -> "List[LookupFrontend]":
         from ..sim.frontend import make_frontend  # avoid an import cycle
-        config = self.config
         ctx = self.engine.ctx
         frontends = []
         for core in ctx.cores:
             resolver = _RevelatorResolver(
-                validate_cycles=config.spec_validate_cycles,
-                mispredict_cycles=config.spec_mispredict_cycles)
+                validate_cycles=VALIDATE_CYCLES,
+                mispredict_cycles=MISPREDICT_CYCLES)
             core.mem.attach_accel(resolver)
             self.resolvers.append(resolver)
             frontends.append(

@@ -9,12 +9,12 @@ evicting a data line if the set is full.
 The model here keeps the design's timing shape without re-plumbing the
 data caches themselves:
 
-* the parked-translation store is a set-associative table sized by
-  ``accel_rows`` x ``accel_ways`` (capacity borrowed from L2/L3, so
-  its *hardware* cost is per-line metadata only — see
-  :func:`repro.core.hwcost.victima_cost`);
+* the parked-translation store is a set-associative table of
+  ``RunConfig.effective_accel_rows`` sets x ``ACCEL_WAYS`` ways
+  (capacity borrowed from L2/L3, so its *hardware* cost is per-line
+  metadata only — see :func:`repro.core.hwcost.victima_cost`);
 * a probe costs L2 latency (the translations live in the cache, not in
-  a near-core SRAM) — override with ``accel_probe_cycles``;
+  a near-core SRAM);
 * a PTW fill charges one L2-latency placement and counts an eviction
   when it displaces a parked line (the cost model for the data line it
   would push out);
@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional
 
 from ..core.hwcost import HardwareCostReport, victima_cost
-from .base import SetAssocTable, TranslationAccel, charged_walk
+from .base import ACCEL_WAYS, SetAssocTable, TranslationAccel, charged_walk
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..sim.frontend import LookupFrontend
@@ -83,15 +83,12 @@ class VictimaAccel(TranslationAccel):
         from ..sim.frontend import make_frontend  # avoid an import cycle
         config = self.config
         ctx = self.engine.ctx
-        probe = config.accel_probe_cycles
-        if probe is None:
-            probe = config.machine.l2.latency
-        fill = config.machine.l2.latency
+        l2_latency = config.machine.l2.latency
         frontends = []
         for core in ctx.cores:
             resolver = _VictimaResolver(
-                config.effective_accel_rows, config.accel_ways,
-                probe_cycles=probe, fill_cycles=fill)
+                config.effective_accel_rows, ACCEL_WAYS,
+                probe_cycles=l2_latency, fill_cycles=l2_latency)
             core.mem.attach_accel(resolver)
             self.resolvers.append(resolver)
             frontends.append(
@@ -113,5 +110,5 @@ class VictimaAccel(TranslationAccel):
         return victima_cost(
             l2_lines=machine.l2.num_lines,
             l3_lines=machine.l3.num_lines,
-            ways=self.config.accel_ways,
+            ways=ACCEL_WAYS,
         )

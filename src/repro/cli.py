@@ -53,7 +53,7 @@ Examples::
     python -m repro cluster --nodes 4 --replicas 1 --migrate-rate 0.01
     python -m repro cluster --nodes 8 --no-route-cache --net-rtt 300
     python -m repro cluster --nodes 3 --replicas 1 --net-rtt 300 \
-        --node-fault-plan crash:node=1,at=0.4 --timeout 8 --retries 2
+        --node-fault-plan crash:node=1,at=0.4 --timeout 8
     python -m repro cluster --nodes 3 --replicas 1 --net-rtt 300 \
         --node-fault-plan storm:rate=0.001 --eager-repair --hedge 4
     python -m repro cluster --node-types 2full+1accel --replicas 1 \
@@ -165,16 +165,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                         help="translation-acceleration backend "
                              "(repro.accel); requires --frontend "
                              "baseline for non-'none' values")
-    parser.add_argument("--accel-rows", type=int, default=None,
-                        help="accel table sets (victima/pcax); default "
-                             "sized to the workload's page footprint")
-    parser.add_argument("--accel-ways", type=int, default=4)
-    parser.add_argument("--accel-probe-cycles", type=int, default=None,
-                        help="accel probe latency; default per backend")
-    parser.add_argument("--spec-validate-cycles", type=int, default=4,
-                        help="revelator: cost of a correct speculation")
-    parser.add_argument("--spec-mispredict-cycles", type=int, default=24,
-                        help="revelator: misspeculation penalty")
     parser.add_argument("--distribution", choices=DISTRIBUTIONS,
                         default="zipf")
     parser.add_argument("--value-size", type=int, default=64)
@@ -187,7 +177,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fast-hash", default="xxh3")
     parser.add_argument("--prefetchers", nargs="*", default=(),
                         choices=("stream", "vldp", "tlb_distance"))
-    parser.add_argument("--no-prefill", action="store_true")
     parser.add_argument("--cores", type=int, default=1,
                         help="simulated cores, each streaming its own "
                              "workload over the shared store")
@@ -226,17 +215,11 @@ def _config_from_args(args: argparse.Namespace, frontend=None) -> RunConfig:
         stlt_rows=args.stlt_rows,
         stlt_ways=args.stlt_ways,
         fast_hash=args.fast_hash,
-        # translation-accel knobs; forced to "none" when a comparison
-        # baseline config is being derived (frontend="baseline")
+        # forced to "none" when a comparison baseline config is being
+        # derived (frontend="baseline")
         accel=(getattr(args, "accel", "none")
                if frontend is None else "none"),
-        accel_rows=getattr(args, "accel_rows", None),
-        accel_ways=getattr(args, "accel_ways", 4),
-        accel_probe_cycles=getattr(args, "accel_probe_cycles", None),
-        spec_validate_cycles=getattr(args, "spec_validate_cycles", 4),
-        spec_mispredict_cycles=getattr(args, "spec_mispredict_cycles", 24),
         prefetchers=tuple(args.prefetchers),
-        prefill=not args.no_prefill,
         num_cores=args.cores,
         # open-loop service knobs, present only on the serve parser
         arrival_process=getattr(args, "arrival", "closed"),
@@ -256,24 +239,21 @@ def _config_from_args(args: argparse.Namespace, frontend=None) -> RunConfig:
         replicas=getattr(args, "replicas", 0),
         route_cache=not getattr(args, "no_route_cache", False),
         client_batch=getattr(args, "batch", 1),
-        cluster_clients=getattr(args, "clients", 8),
         replica_reads=getattr(args, "replica_reads", False),
         migrate_rate=getattr(args, "migrate_rate", 0.0),
         net_rtt_cycles=getattr(args, "net_rtt", 0.0),
         # failover knobs, present only on the cluster parser (its
-        # --timeout/--retries/--hedge use cluster_* dests so they never
-        # collide with the serve parser's svc mitigation flags)
+        # --timeout/--hedge use cluster_* dests so they never collide
+        # with the serve parser's svc mitigation flags)
         node_fault_plan=tuple(getattr(args, "node_fault_plan", None)
                               or ()),
         failover_detect_cycles=getattr(args, "failover_detect_cycles",
                                        4000.0),
         repair_policy=getattr(args, "repair_policy", "lazy"),
         cluster_timeout=getattr(args, "cluster_timeout", None),
-        cluster_retries=getattr(args, "cluster_retries", 2),
         cluster_hedge=getattr(args, "cluster_hedge", None),
         # heterogeneous fleet knobs, present only on the cluster parser
         node_types=node_types,
-        hetero_accel_keys=getattr(args, "accel_keys", None),
         hetero_big_key_fraction=getattr(args, "big_key_fraction", 0.0),
         exec_mode=getattr(args, "exec_mode", "reference"),
         seed=args.seed,
@@ -676,7 +656,7 @@ def cmd_hwcost(args: argparse.Namespace) -> int:
         print(f"  {component:<22} {bits:>5} bits")
     print(f"  total bytes: {report.total_bytes}")
     if getattr(args, "kv_accel", False):
-        node = kv_accel_cost(getattr(args, "accel_keys", None) or 4096)
+        node = kv_accel_cost()
         print()
         print("kv-accel node (repro.hetero)")
         for component, bits in node.rows():
@@ -789,10 +769,6 @@ def build_parser() -> argparse.ArgumentParser:
              "at least one full node); fixes the node count, "
              "overriding --nodes")
     cluster_parser.add_argument(
-        "--accel-keys", type=int, default=None,
-        help="on-chip key capacity of each accelerator node "
-             "(power of two; default: 4096)")
-    cluster_parser.add_argument(
         "--big-key-fraction", type=float, default=0.0,
         help="fraction of the keyspace marked oversized (> 255-byte "
              "wire keys), ineligible for accelerator dispatch "
@@ -804,9 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_parser.add_argument(
         "--batch", type=int, default=1,
         help="requests a client pipelines per batch window (default: 1)")
-    cluster_parser.add_argument(
-        "--clients", type=int, default=8,
-        help="clients generating the request stream (default: 8)")
     cluster_parser.add_argument(
         "--replica-reads", action="store_true",
         help="serve GETs from slot replicas, rotating over the read set")
@@ -843,9 +816,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout", type=float, default=None, dest="cluster_timeout",
         help="per-attempt client timeout in multiples of one healthy "
              "exchange (default: none; fault-plan runs default to 8)")
-    cluster_parser.add_argument(
-        "--retries", type=int, default=2, dest="cluster_retries",
-        help="bounded retries after a timed-out attempt (default: 2)")
     cluster_parser.add_argument(
         "--hedge", type=float, default=None, dest="cluster_hedge",
         help="read hedge delay in multiples of one healthy exchange; "
@@ -911,10 +881,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--kv-accel", action="store_true",
         help="also print the KV-lookup accelerator node budget "
              "(repro.hetero)")
-    hwcost_parser.add_argument(
-        "--accel-keys", type=int, default=None,
-        help="key capacity the --kv-accel budget is sized for "
-             "(default: 4096)")
     hwcost_parser.set_defaults(func=cmd_hwcost)
     return parser
 

@@ -61,6 +61,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ClusterError, FailoverError, HeteroError, ReproError
 from ..hetero.accel_node import (
+    DEFAULT_ACCEL_KEYS,
     LOOKUP_BASE_CYCLES,
     MODE_SWITCH_DRAIN_CYCLES,
     AccelNodeModel,
@@ -121,15 +122,22 @@ BIG_KEY_BYTES = 512
 #: from the zipf popularity ranking (low ids are the hot keys)
 _BIG_KEY_MIX = 0x9E3779B1
 
+#: clients generating the open-loop request stream
+CLUSTER_CLIENTS = 8
+
+#: bounded retries after a timed-out attempt (each retry re-resolves
+#: through a bootstrap node with exponential ``svc_backoff``); no-op
+#: unless a timeout is armed
+CLUSTER_RETRIES = 2
+
 #: RunConfig fields only the cluster overlay reads.  Each node engine
 #: runs with all of them at their defaults: one quiet node under a
 #: closed loop, with no fleet, faults or accelerators of its own
 OVERLAY_FIELDS = (
-    "nodes", "replicas", "route_cache", "client_batch", "cluster_clients",
-    "replica_reads", "migrate_rate", "net_rtt_cycles", "arrival_process",
+    "nodes", "replicas", "route_cache", "client_batch", "replica_reads",
+    "migrate_rate", "net_rtt_cycles", "arrival_process",
     "service_requests", "node_fault_plan", "failover_detect_cycles",
-    "repair_policy", "cluster_timeout", "cluster_retries",
-    "cluster_hedge", "node_types", "hetero_accel_keys",
+    "repair_policy", "cluster_timeout", "cluster_hedge", "node_types",
     "hetero_big_key_fraction")
 
 #: requests between two trims of the link and pipeline schedules to the
@@ -466,17 +474,15 @@ def simulate_cluster(
     # fleet whose accelerator set is empty, so each accelerator check
     # below is a membership test that simply never fires
     node_classes = config.node_classes
-    accel_keys = config.effective_accel_keys
     big_fraction = config.hetero_big_key_fraction
     topology = ClusterTopology(nodes, config.replicas,
-                               node_classes=node_classes,
-                               accel_keys=accel_keys)
+                               node_classes=node_classes)
     accel_nodes = topology.accel_nodes
     # chooses the result payload only: mixed fleets report a hetero block
     hetero = bool(accel_nodes)
     network = ClusterNetwork(config.net_rtt_cycles)
     servers = [
-        _AccelServer(i, accel_keys, config.value_size, precision)
+        _AccelServer(i, DEFAULT_ACCEL_KEYS, config.value_size, precision)
         if topology.is_accel(i)
         else _NodeServer(i, node_op_cycles[i], precision)
         for i in range(nodes)
@@ -489,7 +495,7 @@ def simulate_cluster(
             replica_reads=config.replica_reads,
             seed=derive_seed(config.seed, f"client{i}"),
         )
-        for i in range(config.cluster_clients)
+        for i in range(CLUSTER_CLIENTS)
     ]
 
     # -- the seeded request stream ------------------------------------
@@ -559,7 +565,7 @@ def simulate_cluster(
     mitigation = Mitigation(
         timeout_cycles=(timeout_mult * base_cycles
                         if timeout_mult is not None else None),
-        retries=config.cluster_retries,
+        retries=CLUSTER_RETRIES,
         backoff=config.svc_backoff,
         hedge_cycles=(config.cluster_hedge * base_cycles
                       if config.cluster_hedge is not None else None),
@@ -1066,7 +1072,7 @@ def simulate_cluster(
             "node_types": format_node_types(node_classes),
             "node_classes": list(node_classes),
             "fleet_cost_units": cost_units,
-            "accel_keys": accel_keys,
+            "accel_keys": DEFAULT_ACCEL_KEYS,
             "big_key_fraction": big_fraction,
             "accel_gets": accel_gets,
             "accel_hits": hetero_counters["accel_hits"],

@@ -109,8 +109,7 @@ class ClusterTopology:
 
     def __init__(self, num_nodes: int, replicas: int = 0,
                  num_slots: int = NUM_SLOTS,
-                 node_classes: Optional[Sequence[str]] = None,
-                 accel_keys: Optional[int] = None) -> None:
+                 node_classes: Optional[Sequence[str]] = None) -> None:
         if num_nodes < 1:
             raise ClusterError("a cluster needs at least one node")
         if not 0 <= replicas < num_nodes:
@@ -124,7 +123,6 @@ class ClusterTopology:
         #: node id -> node class; nodes absent from the dict (joiners)
         #: are full
         self.node_class: Dict[int, str] = {}
-        self._accel_keys = accel_keys
         if node_classes is not None:
             if len(node_classes) != num_nodes:
                 raise HeteroError(
@@ -232,8 +230,6 @@ class ClusterTopology:
     def capability_of(self, node: int) -> NodeCapability:
         """The capability descriptor ``node`` advertises to dispatch."""
         if self.is_accel(node):
-            if self._accel_keys is not None:
-                return accel_capability(self._accel_keys)
             return accel_capability()
         return full_capability()
 

@@ -17,7 +17,6 @@ from typing import Optional, Tuple
 from ..chaos.schedule import parse_fault
 from ..cluster.failover import parse_node_fault
 from ..errors import ConfigError, FaultInjectionError, HeteroError
-from ..hetero.accel_node import DEFAULT_ACCEL_KEYS
 from ..hetero.fleet import class_counts, has_accel, parse_node_types
 from ..params import SCALED_MACHINE, MachineParams, machine_from_dict
 
@@ -77,14 +76,7 @@ class RunConfig:
     stlt_rows: Optional[int] = None
     stlt_ways: int = 4
     fast_hash: str = "xxh3"
-    #: SLB cache-table entries; None -> same as stlt_rows (paper's
-    #: same-entry comparison)
-    slb_entries: Optional[int] = None
     prefetchers: Tuple[str, ...] = ()
-    #: untimed prefill of the fast-path tables at build time: stands in
-    #: for the paper's 80 M-operation warm-up, which a scaled run cannot
-    #: afford to replay (EXPERIMENTS.md, methodology)
-    prefill: bool = True
     #: simulated cores, each streaming its own workload against the
     #: shared store; ``measure_ops`` counts *per core*, so the aggregate
     #: measures num_cores x measure_ops operations
@@ -144,8 +136,6 @@ class RunConfig:
     #: cluster: requests a client pipelines per batch window (followers
     #: share the batch head's propagation delay)
     client_batch: int = 1
-    #: cluster: clients generating the open-loop request stream
-    cluster_clients: int = 8
     #: cluster: serve GETs from slot replicas (rotating over the
     #: primary + replicas) instead of the primary only
     replica_reads: bool = False
@@ -181,10 +171,6 @@ class RunConfig:
     #: (fault-plan runs then default to a generous multiple, quiet runs
     #: to none at all)
     cluster_timeout: Optional[float] = None
-    #: cluster: bounded retries after a timed-out attempt (each retry
-    #: re-resolves through a bootstrap node with exponential
-    #: ``svc_backoff``); no-op unless a timeout is armed
-    cluster_retries: int = 2
     #: cluster: hedge delay for reads, as a multiple of one healthy
     #: exchange — a second copy fires against a reachable replica when
     #: the primary path is dead or slower than this; None disables
@@ -197,9 +183,6 @@ class RunConfig:
     #: time.  On a run that builds a fleet the spec's node count must
     #: equal ``nodes``
     node_types: Optional[str] = None
-    #: hetero: accelerator key-memory capacity in entries (a power of
-    #: two — the dual Pearson hash masks); None -> the model default
-    hetero_accel_keys: Optional[int] = None
     #: hetero: fraction of the keyspace modeled as *oversized on the
     #: wire* (above the accelerator's 255-byte key limit), marked
     #: deterministically per key id; such GETs always fall back to the
@@ -210,22 +193,6 @@ class RunConfig:
     #: non-"none" backends replace (not stack on) the key-level fast
     #: paths, so combining them is rejected at config time
     accel: str = "none"
-    #: accel table sets (victima parked-translation sets, pcax per-PC
-    #: sets); None -> sized to the workload's page footprint
-    accel_rows: Optional[int] = None
-    #: accel table associativity (victima / pcax)
-    accel_ways: int = 4
-    #: cycles to probe the accel structure on an L2-TLB miss; None ->
-    #: per-backend default (victima probes at L2 latency — the
-    #: translations live in the cache hierarchy — pcax at a small
-    #: near-core SRAM latency)
-    accel_probe_cycles: Optional[int] = None
-    #: revelator: validation cost charged on a *correct* speculation
-    #: (the walk itself is overlapped with the speculative data fetch)
-    spec_validate_cycles: int = 4
-    #: revelator: penalty charged on a misspeculation (squash + refetch)
-    #: on top of the fully exposed walk
-    spec_mispredict_cycles: int = 24
     #: how the engine loop executes (see EXEC_MODES): the two modes are
     #: bit-identical by contract.  Content-hashed like every other
     #: field, but deliberately absent from ``label`` — the label names
@@ -289,8 +256,6 @@ class RunConfig:
                 f"{self.replicas + 1} nodes (got {self.nodes})")
         if self.client_batch < 1:
             raise ConfigError("client batch must be >= 1")
-        if self.cluster_clients < 1:
-            raise ConfigError("need at least one cluster client")
         if not 0.0 <= self.migrate_rate <= 1.0:
             raise ConfigError("migration rate must be within [0, 1]")
         if self.net_rtt_cycles < 0:
@@ -317,8 +282,6 @@ class RunConfig:
                 f"choose 'lazy' or 'eager'")
         if self.cluster_timeout is not None and self.cluster_timeout <= 0:
             raise ConfigError("cluster timeout must be positive")
-        if self.cluster_retries < 0:
-            raise ConfigError("cluster retries cannot be negative")
         if self.cluster_hedge is not None and self.cluster_hedge <= 0:
             raise ConfigError("cluster hedge delay must be positive")
         if self.node_types is not None:
@@ -338,12 +301,6 @@ class RunConfig:
                         f"least {self.replicas + 1} full nodes (only "
                         f"full nodes hold durable copies); "
                         f"{self.node_types!r} has {num_full}")
-        if self.hetero_accel_keys is not None and (
-                self.hetero_accel_keys < 2
-                or self.hetero_accel_keys & (self.hetero_accel_keys - 1)):
-            raise ConfigError(
-                f"accelerator key capacity must be a power of two "
-                f">= 2, got {self.hetero_accel_keys}")
         if not 0.0 <= self.hetero_big_key_fraction <= 1.0:
             raise ConfigError(
                 "oversized-key fraction must be within [0, 1]")
@@ -357,18 +314,6 @@ class RunConfig:
             raise ConfigError(
                 f"accel={self.accel!r} requires frontend='baseline' "
                 f"(got {self.frontend!r})")
-        if self.accel_rows is not None and self.accel_rows <= 0:
-            raise ConfigError("accel rows must be positive")
-        if self.accel_ways < 1:
-            raise ConfigError("accel ways must be >= 1")
-        if self.accel_probe_cycles is not None \
-                and self.accel_probe_cycles < 0:
-            raise ConfigError("accel probe cycles cannot be negative")
-        if self.spec_validate_cycles < 0:
-            raise ConfigError("speculation validation cost cannot be "
-                              "negative")
-        if self.spec_mispredict_cycles < 0:
-            raise ConfigError("misspeculation penalty cannot be negative")
         if self.exec_mode not in EXEC_MODES:
             raise ConfigError(
                 f"unknown exec mode {self.exec_mode!r}; "
@@ -393,23 +338,15 @@ class RunConfig:
         return _nearest_pow2(int(self.num_keys * DEFAULT_ROWS_PER_KEY))
 
     @property
-    def effective_slb_entries(self) -> int:
-        if self.slb_entries is not None:
-            return self.slb_entries
-        return self.effective_stlt_rows
-
-    @property
     def effective_accel_rows(self) -> int:
-        """Accel table sets: explicit, or sized to the page footprint.
+        """Accel table sets (victima, pcax), sized to the page footprint.
 
         A scaled workload touches roughly ``num_keys / 8`` distinct data
         pages (records plus index nodes at the default value sizes), so
-        the default gives the victima/pcax structures TLB-reach headroom
+        this gives the victima/pcax structures TLB-reach headroom
         comparable to the STLT's 3.2-rows-per-key regime without handing
         them unlimited capacity.
         """
-        if self.accel_rows is not None:
-            return self.accel_rows
         return _nearest_pow2(max(16, self.num_keys // 8))
 
     @property
@@ -463,14 +400,6 @@ class RunConfig:
         classes = self.node_classes
         return (self.cluster_enabled and classes is not None
                 and has_accel(classes))
-
-    @property
-    def effective_accel_keys(self) -> int:
-        """Accelerator key-memory entries: explicit, or the model
-        default."""
-        if self.hetero_accel_keys is not None:
-            return self.hetero_accel_keys
-        return DEFAULT_ACCEL_KEYS
 
     @property
     def mitigation_enabled(self) -> bool:

@@ -92,8 +92,7 @@ class Engine:
         #: raises CoherenceError instead of skewing numbers
         self.oracle = StaleTranslationOracle(self.ctx.records,
                                              self.ctx.space)
-        if config.prefill:
-            self._prefill_fast_tables()
+        self._prefill_fast_tables()
 
     # ------------------------------------------------------------------
     # construction
@@ -139,7 +138,9 @@ class Engine:
         if kind == "slb":
             self.slb = SLBCache(
                 ctx.space, ctx.cores[0].mem,
-                num_entries=config.effective_slb_entries,
+                # as many entries as the STLT has rows: the paper's
+                # same-entry comparison
+                num_entries=config.effective_stlt_rows,
                 fast_hash=fast_hash,
             )
             return [make_frontend("slb", ctx, self.index, slb=self.slb)

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import service
 from repro.cluster.failover import FailoverScheduler, parse_node_fault
 from repro.cluster.network import ClusterNetwork
 from repro.cluster.service import run_cluster
@@ -247,11 +248,11 @@ class TestHeteroRuns:
         assert hetero["fallbacks"]["set"] > 0
         assert cluster["acked_writes"] > 0
 
-    def test_capacity_misses_fall_back_and_install(self):
+    def test_capacity_misses_fall_back_and_install(self, monkeypatch):
         """A tiny key memory forces capacity misses: the backer serves,
         the accelerator installs, evictions appear."""
-        cluster = run_cluster(
-            _mixed(measure_ops=200, hetero_accel_keys=16)).cluster
+        monkeypatch.setattr(service, "DEFAULT_ACCEL_KEYS", 16)
+        cluster = run_cluster(_mixed(measure_ops=200)).cluster
         hetero = cluster["hetero"]
         assert hetero["fallbacks"]["capacity"] > 0
         assert hetero["capability_violations"] == 0

@@ -98,7 +98,7 @@ class TestFleetRuns:
     def test_route_cache_on_learns_the_hot_set(self):
         # long enough that warmed caches dominate the cold misses
         config = _config(nodes=4, distribution="zipf",
-                         measure_ops=250, cluster_clients=4)
+                         measure_ops=250)
         cluster = run_experiment(config).cluster
         assert cluster["route_hits"] > cluster["route_misses"]
 
@@ -123,12 +123,10 @@ class TestFleetRuns:
 ENGINE_FIELDS = frozenset({
     "program", "frontend", "distribution", "value_size", "num_keys",
     "measure_ops", "warmup_ops", "stlt_rows", "stlt_ways", "fast_hash",
-    "slb_entries", "prefetchers", "prefill", "num_cores", "offered_load",
-    "dispatch_policy", "churn_rate", "fault_plan", "svc_timeout",
-    "svc_retries", "svc_backoff", "svc_hedge", "svc_fallback", "accel",
-    "accel_rows", "accel_ways", "accel_probe_cycles",
-    "spec_validate_cycles", "spec_mispredict_cycles", "exec_mode", "seed",
-    "machine",
+    "prefetchers", "num_cores", "offered_load", "dispatch_policy",
+    "churn_rate", "fault_plan", "svc_timeout", "svc_retries",
+    "svc_backoff", "svc_hedge", "svc_fallback", "accel", "exec_mode",
+    "seed", "machine",
 })
 
 

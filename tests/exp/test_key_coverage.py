@@ -28,9 +28,7 @@ ALTERNATES = {
     "stlt_rows": 4096,
     "stlt_ways": 8,
     "fast_hash": "xxh64",
-    "slb_entries": 2048,
     "prefetchers": ("stream",),
-    "prefill": False,
     "num_cores": 4,
     "arrival_process": "poisson",
     "offered_load": 0.5,
@@ -47,7 +45,6 @@ ALTERNATES = {
     "replicas": 1,
     "route_cache": False,
     "client_batch": 4,
-    "cluster_clients": 16,
     "replica_reads": True,
     "migrate_rate": 0.01,
     "net_rtt_cycles": 250.0,
@@ -55,17 +52,10 @@ ALTERNATES = {
     "failover_detect_cycles": 2000.0,
     "repair_policy": "eager",
     "cluster_timeout": 10.0,
-    "cluster_retries": 4,
     "cluster_hedge": 3.0,
     "node_types": "1full",
-    "hetero_accel_keys": 2048,
     "hetero_big_key_fraction": 0.25,
     "accel": "stlt",
-    "accel_rows": 4096,
-    "accel_ways": 8,
-    "accel_probe_cycles": 7,
-    "spec_validate_cycles": 9,
-    "spec_mispredict_cycles": 50,
     "exec_mode": "batched",
     "seed": 99,
     "machine": dataclasses.replace(SCALED_MACHINE, line_bytes=128),

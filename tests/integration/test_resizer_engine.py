@@ -13,7 +13,8 @@ class TestResizerOnLiveStore:
         # start with a deliberately tiny STLT: conflicts everywhere
         engine = Engine(RunConfig(program="unordered_map", frontend="stlt",
                                   num_keys=8_000, measure_ops=1_000,
-                                  stlt_rows=1024, prefill=False))
+                                  stlt_rows=1024))
+        engine.osi.stlt.clear()  # start cold
         resizer = AdaptiveResizer(engine.osi, window_ops=1_000,
                                   grow_above=0.10, min_rows=1024)
         rows_before = resizer.rows
@@ -26,7 +27,8 @@ class TestResizerOnLiveStore:
     def test_growth_eventually_restores_hit_rate(self):
         engine = Engine(RunConfig(program="unordered_map", frontend="stlt",
                                   num_keys=4_000, measure_ops=1_000,
-                                  stlt_rows=512, prefill=False))
+                                  stlt_rows=512))
+        engine.osi.stlt.clear()  # start cold
         resizer = AdaptiveResizer(engine.osi, window_ops=2_000,
                                   grow_above=0.05, min_rows=512)
         for round_no in range(6):

@@ -62,10 +62,6 @@ class TestDerivedDefaults:
     def test_explicit_rows_respected(self):
         assert RunConfig(stlt_rows=4096).effective_stlt_rows == 4096
 
-    def test_slb_entries_default_to_stlt_rows(self):
-        cfg = RunConfig(stlt_rows=8192)
-        assert cfg.effective_slb_entries == 8192
-
     def test_slow_hash_per_program(self):
         assert RunConfig(program="redis").slow_hash == "siphash"
         assert RunConfig(program="btree").slow_hash == "murmur"
@@ -119,9 +115,7 @@ class TestSerialisationAndHash:
             RunConfig(stlt_rows=2048),
             RunConfig(stlt_ways=8),
             RunConfig(fast_hash="djb2"),
-            RunConfig(slb_entries=512),
             RunConfig(prefetchers=("stream",)),
-            RunConfig(prefill=False),
             RunConfig(seed=2),
         ]
         hashes = {v.content_hash for v in variants}

@@ -77,13 +77,6 @@ class TestPrefill:
         result = run_experiment(RunConfig(frontend="stlt", **SMALL))
         assert result.fast_miss_rate < 0.10
 
-    def test_no_prefill_starts_cold(self):
-        warm = run_experiment(RunConfig(frontend="stlt", **SMALL))
-        cold = run_experiment(RunConfig(frontend="stlt", prefill=False,
-                                        num_keys=3000, measure_ops=800,
-                                        warmup_ops=0))
-        assert cold.fast_miss_rate > warm.fast_miss_rate
-
     def test_prefill_applies_to_slb(self):
         result = run_experiment(RunConfig(frontend="slb", **SMALL))
         assert result.fast_miss_rate < 0.10

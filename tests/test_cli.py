@@ -519,7 +519,6 @@ class TestClusterCommand:
         assert args.replicas == 0
         assert args.no_route_cache is False
         assert args.batch == 1
-        assert args.clients == 8
         assert args.migrate_rate == 0.0
         assert args.net_rtt == 0.0
         assert args.arrival == "poisson"
@@ -642,16 +641,15 @@ class TestHeteroCommand:
 
     def test_mixed_fleet_json_carries_hetero_payload(self, capsys):
         rc = main(["cluster", "--json", "--node-types", "2full+1accel",
-                   "--accel-keys", "1024", "--big-key-fraction", "0.2",
+                   "--big-key-fraction", "0.2",
                    "--cores", "2"] + CLUSTER_ARGS)
         assert rc == 0
         record = json.loads(capsys.readouterr().out)
         config = RunConfig.from_dict(record["config"])
         assert config.node_types == "2full+1accel"
-        assert config.hetero_accel_keys == 1024
         hetero = record["result"]["cluster"]["hetero"]
         assert hetero["node_types"] == "2full+1accel"
-        assert hetero["accel_keys"] == 1024
+        assert hetero["accel_keys"] == 4096
         assert hetero["big_key_fraction"] == 0.2
         assert hetero["capability_violations"] == 0
 
