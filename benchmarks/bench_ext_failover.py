@@ -27,7 +27,10 @@ meaningful against one fixed workload.
 
 Emits ``BENCH_failover.json`` at the repo root and **fails** (exit 1 /
 assertion) if availability drops below the floor or the oracle records
-a violation.  CI runs the single-seed form as the failover-smoke job.
+a violation.  It checks first that every seed and policy promoted at
+least one replica: a run that never fails a primary over measures no
+failover, whatever its availability.  CI runs the single-seed form as
+the failover-smoke job.
 
 Usage::
 
@@ -134,6 +137,15 @@ def run_bench(smoke_only: bool = False) -> dict:
 
 
 def check_floor(payload: dict) -> None:
+    for row in payload["seeds"]:
+        for policy in ("lazy", "eager"):
+            if row[policy]["promotions"] < 1:
+                raise AssertionError(
+                    f"precondition failed: seed {row['seed']} {policy} "
+                    f"promoted no replica, so the run never failed a "
+                    f"primary over and its availability says nothing "
+                    f"about failover; script a crash that outlasts "
+                    f"the detection window")
     worst = payload["worst_availability"]
     if worst < payload["floor"]:
         raise AssertionError(

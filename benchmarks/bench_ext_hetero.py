@@ -28,8 +28,10 @@ meaningful against one fixed workload.
 
 Emits ``BENCH_hetero.json`` at the repo root and **fails** (exit 1 /
 assertion) if the cost-normalized ratio drops below the floor or the
-oracle records a violation.  CI runs the single-seed form as the
-hetero-smoke job.
+oracle records a violation.  It checks first that every seed's
+accelerator hit (``accel_hit_fraction > 0``): a fleet whose
+accelerator never serves a lookup says nothing about it.  CI runs the
+single-seed form as the hetero-smoke job.
 
 Usage::
 
@@ -128,6 +130,13 @@ def run_bench(smoke_only: bool = False) -> dict:
 
 
 def check_floor(payload: dict) -> None:
+    for row in payload["seeds"]:
+        if row["accel_hit_fraction"] <= 0:
+            raise AssertionError(
+                f"precondition failed: seed {row['seed']}'s accelerator "
+                f"served no GET hit, so the cost ratio would credit a "
+                f"node that never accelerated a lookup; give the mixed "
+                f"fleet an accelerator that owns hot slots")
     worst = payload["worst_cost_normalized_speedup"]
     if worst < payload["floor"]:
         raise AssertionError(
