@@ -141,28 +141,27 @@ class STLT:
         insertion-buffer initialisation of Section III-D2.
         """
         self.inserts += 1
-        set_index = self.set_index(integer)
-        subint = self.sub_integer(integer)
-        base = set_index * self.ways
+        set_index = (integer >> SUBINT_BITS) & self._set_mask
+        subint = integer & SUBINT_MASK
+        ways = self.ways
+        base = set_index * ways
+        vas = self._vas[base:base + ways]
 
         victim = None
-        for way in range(self.ways):
-            if self._vas[base + way] != 0 and self._subints[base + way] == subint:
-                victim = way
-                break
-        if victim is None:
-            for way in range(self.ways):
-                if self._vas[base + way] == 0:
+        subints = self._subints[base:base + ways]
+        if subint in subints:
+            # an invalid row (VA 0) can hold the sub-integer too (0
+            # after a clear or a scrub), so a match must be valid
+            for way in range(ways):
+                if subints[way] == subint and vas[way] != 0:
                     victim = way
                     break
+        if victim is None and 0 in vas:
+            victim = vas.index(0)
         if victim is None:
-            counters = self._counters
-            victim = 0
-            best = counters[base]
-            for way in range(1, self.ways):
-                if counters[base + way] < best:
-                    best = counters[base + way]
-                    victim = way
+            # least frequently used: the first way with the lowest counter
+            counters = self._counters[base:base + ways]
+            victim = counters.index(min(counters))
             self.replacements += 1
 
         i = base + victim

@@ -17,7 +17,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..errors import ConfigError
 from .djb2 import djb2
-from .murmur import murmur64a
+from .murmur import murmur64a, murmur64a_many
 from .siphash import HAVE_NUMPY, siphash24, siphash24_many
 from .xxhash import xxh3_64, xxh3_64_many, xxh64
 
@@ -61,8 +61,9 @@ class HashSpec:
             self._cache[data] = value
         return value
 
-    def prime(self, keys: Iterable[bytes]) -> None:
-        """Fill the memo for every key in ``keys`` not in it yet.
+    def prime(self, keys: Iterable[bytes]) -> Dict[bytes, int]:
+        """Fill the memo for every key in ``keys`` not in it yet; returns
+        the memo, so a caller can read every key's hash without a call.
 
         Unseen keys are grouped by length.  A group goes through
         ``bulk`` when the hash has one, numpy is present and the group
@@ -83,6 +84,7 @@ class HashSpec:
                 for key in group:
                     if key not in cache:
                         cache[key] = func(key)
+        return cache
 
 
 HASH_FUNCTIONS: Dict[str, HashSpec] = {
@@ -102,6 +104,7 @@ HASH_FUNCTIONS: Dict[str, HashSpec] = {
             base_cycles=12,
             per_byte_cycles=0.8,
             description="default of kernel benchmarks, C++ and Java",
+            bulk=murmur64a_many,
         ),
         HashSpec(
             "xxh64",

@@ -37,8 +37,9 @@ from ..mem.prefetch import (
     StreamPrefetcher,
     VLDPPrefetcher,
 )
+from ..params import PAGE_SHIFT
 from ..slb.slb import SLBCache
-from ..workloads.keys import key_bytes
+from ..workloads.keys import key_bytes, key_range
 from .config import RunConfig
 from .frontend import LookupFrontend, make_frontend
 from .results import RunResult
@@ -99,17 +100,22 @@ class Engine:
     # ------------------------------------------------------------------
 
     def _populate(self) -> None:
-        config = self.config
-        keys = [key_bytes(key_id) for key_id in range(config.num_keys)]
+        keys = key_range(self.config.num_keys)
         if self.index.hashes_keys:
             self.ctx.slow_hash.prime(keys)
+        value_size = self.config.value_size
+        append = self.records.append
+        if self.redis is not None:
+            populate = self.redis.populate
+            for key in keys:
+                append(populate(key, value_size))
+            return
+        create = self.ctx.records.create
+        build_insert = self.index.build_insert
         for key in keys:
-            if self.redis is not None:
-                record = self.redis.populate(key, config.value_size)
-            else:
-                record = self.ctx.records.create(key, config.value_size)
-                self.index.build_insert(key, record)
-            self.records.append(record)
+            record = create(key, value_size)
+            build_insert(key, record)
+            append(record)
 
     def _build_frontends(self) -> List[LookupFrontend]:
         """One front-end per core over the shared fast-path tables.
@@ -201,31 +207,35 @@ class Engine:
         table = getattr(self.frontends[0], "table", None)
         if stlt is None and table is None and self.slb is None:
             return  # baseline or a rival accel: no fast-path table
-        fast_hash = get_hash(self.config.fast_hash)
-        fast_hash.prime(record.key for record in self.records)
-        from ..core.row import make_pte  # local import avoids a cycle
+        records = self.records
+        memo = get_hash(self.config.fast_hash).prime(
+            [record.key for record in records])
+        if stlt is not None:
+            from ..core.row import make_pte  # local import avoids a cycle
 
-        page_table = self.ctx.space.page_table
-        vpn = pte = None
-        for record in self.records:
-            integer = fast_hash(record.key)
-            if stlt is not None:
+            page_table = self.ctx.space.page_table
+            va_only = self.stus[0].va_only
+            insert = stlt.insert
+            vpn = pte = None
+            for record in records:
+                va = record.va
                 # records are packed densely, so neighbours share a page
                 # and its PTE; the page table does not change here
-                if record.va >> 12 != vpn:
-                    vpn = record.va >> 12
+                if va >> PAGE_SHIFT != vpn:
+                    vpn = va >> PAGE_SHIFT
                     pfn = page_table.lookup(vpn)
-                    pte = 0 if self.stus[0].va_only or pfn is None \
-                        else make_pte(pfn)
-                stlt.insert(integer, record.va, pte)
-            elif table is not None:  # stlt_sw: VAs only
-                table.insert(integer, record.va, 0)
-            elif self.slb is not None:
-                self.slb.prefill(integer, record.va)
-        if stlt is not None:
+                    pte = 0 if va_only or pfn is None else make_pte(pfn)
+                insert(memo[record.key], va, pte)
             stlt.reset_stats()
-        if table is not None:
+        elif table is not None:  # stlt_sw: VAs only
+            insert = table.insert
+            for record in records:
+                insert(memo[record.key], record.va, 0)
             table.reset_stats()
+        else:
+            prefill = self.slb.prefill
+            for record in records:
+                prefill(memo[record.key], record.va)
 
     # ------------------------------------------------------------------
     # core binding

@@ -3,9 +3,9 @@
 ``prime`` must leave the memo exactly as scalar calls key by key would,
 whichever path it takes: the numpy kernel (forced on here regardless of
 batch size) or the scalar function (forced off).  That holds for every
-registered hash with a kernel: SipHash, and XXH3 under both of its
-names.  One CI leg runs without numpy, where the kernel tests skip and
-the fallback still runs.
+registered hash with a kernel: SipHash, MurmurHash64A, and XXH3 under
+both of its names.  One CI leg runs without numpy, where the kernel
+tests skip and the fallback still runs.
 """
 
 import dataclasses
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hashes import registry
-from repro.hashes.murmur import murmur64a
+from repro.hashes.murmur import murmur64a, murmur64a_many
 from repro.hashes.registry import HashSpec
 from repro.hashes.siphash import HAVE_NUMPY, siphash24, siphash24_many
 from repro.hashes.xxhash import _CHUNK, xxh3_64, xxh3_64_many
@@ -26,7 +26,7 @@ from .test_siphash import REFERENCE_KEY, VECTORS
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
 
 #: every registered hash that has a bulk kernel
-BULK_HASHES = ("siphash", "xxh3", "hw_hash")
+BULK_HASHES = ("siphash", "murmur", "xxh3", "hw_hash")
 
 
 def fresh(name: str = "siphash", **changes) -> HashSpec:
@@ -159,3 +159,27 @@ class TestXXH3Kernel:
         assert xxh3_64_many([]) == []
         with pytest.raises(ValueError):
             xxh3_64_many([b"a" * 24, b"a" * 25])
+
+
+@needs_numpy
+class TestMurmurKernel:
+    @pytest.mark.parametrize("seed", [0, 1, (1 << 64) - 1])
+    def test_every_tail_length_matches_the_scalar(self, seed):
+        # lengths 1-40 cover every tail length (0-7 bytes) over 0-5
+        # whole words
+        for n in range(1, 41):
+            msgs = [bytes((i * 31 + j * 7 + n) & 0xFF for j in range(n))
+                    for i in range(5)]
+            msgs.append(b"\xff" * n)
+            assert murmur64a_many(msgs, seed) == \
+                [murmur64a(m, seed) for m in msgs], n
+
+    def test_batch_longer_than_one_chunk(self):
+        msgs = [b"user%020d" % i for i in range(5000)]
+        assert murmur64a_many(msgs) == [murmur64a(m) for m in msgs]
+
+    def test_empty_message_batch_and_mixed_lengths(self):
+        assert murmur64a_many([b""] * 3) == [murmur64a(b"")] * 3
+        assert murmur64a_many([]) == []
+        with pytest.raises(ValueError):
+            murmur64a_many([b"a" * 24, b"a" * 25])

@@ -1,9 +1,12 @@
 """Unit tests for the size-class heap allocator."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import AllocationError, ConfigError
-from repro.mem.allocator import _BASE_CLASSES, BumpAllocator
+from repro.mem.address_space import AddressSpace
+from repro.mem.allocator import _BASE_CLASSES, _RUN_PAGES, BumpAllocator
 from repro.params import PAGE_BYTES
 
 
@@ -86,3 +89,99 @@ class TestAllocFree:
     def test_many_allocations_stay_distinct(self, alloc):
         vas = [alloc.alloc(24) for _ in range(1000)]
         assert len(set(vas)) == 1000
+
+
+class ReferenceAllocator:
+    """The allocator as a class scan plus a separate bump step: the
+    rule :meth:`BumpAllocator.alloc` computes in one step."""
+
+    def __init__(self, space: AddressSpace) -> None:
+        self.space = space
+        self._cursor = {}
+        self._limit = {}
+        self._free = {}
+        self._size_of = {}
+        self.bytes_allocated = 0
+        self.objects_live = 0
+
+    def alloc(self, size: int) -> int:
+        cls = linear_scan_class(size)
+        free = self._free.get(cls)
+        if free:
+            va = free.pop()
+        else:
+            va = self._bump(cls)
+        self._size_of[va] = cls
+        self.bytes_allocated += cls
+        self.objects_live += 1
+        return va
+
+    def free(self, va: int) -> None:
+        cls = self._size_of.pop(va)
+        self._free.setdefault(cls, []).append(va)
+        self.bytes_allocated -= cls
+        self.objects_live -= 1
+
+    def _bump(self, cls: int) -> int:
+        cursor = self._cursor.get(cls, 0)
+        limit = self._limit.get(cls, 0)
+        if cursor + cls > limit:
+            run_bytes = max(_RUN_PAGES * PAGE_BYTES, cls)
+            base = self.space.alloc_region(run_bytes)
+            cursor = base
+            limit = base + run_bytes
+            self._limit[cls] = limit
+        va = cursor
+        self._cursor[cls] = cursor + cls
+        return va
+
+
+#: request sizes over several classes: small ones (many per run), and
+#: sizes whose class fills a 16-page run in 16, 8, 4, 2 or 1 objects
+#: (page multiples above 4,096 bytes, one larger than a run), so runs
+#: are filled to their last byte
+alloc_sizes = st.one_of(
+    st.integers(1, 130),
+    st.sampled_from([4095, 4096, 4097, 2 * PAGE_BYTES, 3 * PAGE_BYTES + 1,
+                     8 * PAGE_BYTES, _RUN_PAGES * PAGE_BYTES,
+                     _RUN_PAGES * PAGE_BYTES + 1]),
+)
+#: ("alloc", size, n): n allocations of one size in a row, as a store
+#: build makes them; ("free", i, 1): free the i-th live object (mod count)
+steps = st.lists(
+    st.one_of(st.tuples(st.just("alloc"), alloc_sizes, st.integers(1, 20)),
+              st.tuples(st.just("free"), st.integers(0, 10**6), st.just(1))),
+    max_size=60)
+
+
+class TestAgainstReference:
+    @settings(max_examples=80, deadline=None)
+    @given(steps)
+    def test_interleaved_alloc_and_free_match(self, script):
+        fast = BumpAllocator(AddressSpace())
+        ref = ReferenceAllocator(AddressSpace())
+        live = []
+        for op, arg, count in script:
+            for _ in range(count):
+                if op == "alloc":
+                    va = fast.alloc(arg)
+                    assert va == ref.alloc(arg)
+                    live.append(va)
+                elif live:
+                    va = live.pop(arg % len(live))
+                    fast.free(va)
+                    ref.free(va)
+                assert fast._size_of == ref._size_of
+                assert fast.bytes_allocated == ref.bytes_allocated
+                assert fast.objects_live == ref.objects_live
+                assert fast.space._next_user_va == ref.space._next_user_va
+
+    def test_a_run_filled_exactly_is_not_refilled_early(self):
+        # 1,024 objects of 64 bytes fill one 16-page run to its last
+        # byte; the next one starts a new run
+        fast = BumpAllocator(AddressSpace())
+        ref = ReferenceAllocator(AddressSpace())
+        per_run = _RUN_PAGES * PAGE_BYTES // 64
+        for _ in range(per_run + 1):
+            assert fast.alloc(64) == ref.alloc(64)
+            assert fast.space._next_user_va == ref.space._next_user_va
