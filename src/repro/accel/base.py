@@ -47,10 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..sim.engine import Engine
     from ..sim.frontend import LookupFrontend
 
-#: associativity of the victima and pcax tables (their set count is
-#: ``RunConfig.effective_accel_rows``)
-ACCEL_WAYS = 4
-
 
 class TranslationAccel:
     """One pluggable translation-acceleration design."""

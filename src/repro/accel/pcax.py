@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List
 
-from ..core.hwcost import HardwareCostReport, pcax_cost
+from ..core.hwcost import ACCEL_WAYS, HardwareCostReport, pcax_cost
 from ..mem.types import AccessKind
-from .base import ACCEL_WAYS, SetAssocTable, TranslationAccel, charged_walk
+from .base import SetAssocTable, TranslationAccel, charged_walk
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..sim.frontend import LookupFrontend
@@ -126,4 +126,4 @@ class PCAXAccel(TranslationAccel):
         }
 
     def hardware_cost(self) -> HardwareCostReport:
-        return pcax_cost(self.config.effective_accel_rows, ways=ACCEL_WAYS)
+        return pcax_cost(self.config.effective_accel_rows)

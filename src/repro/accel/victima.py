@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
-from ..core.hwcost import HardwareCostReport, victima_cost
-from .base import ACCEL_WAYS, SetAssocTable, TranslationAccel, charged_walk
+from ..core.hwcost import ACCEL_WAYS, HardwareCostReport, victima_cost
+from .base import SetAssocTable, TranslationAccel, charged_walk
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..sim.frontend import LookupFrontend
@@ -110,5 +110,4 @@ class VictimaAccel(TranslationAccel):
         return victima_cost(
             l2_lines=machine.l2.num_lines,
             l3_lines=machine.l3.num_lines,
-            ways=ACCEL_WAYS,
         )

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+from ..params import DEFAULT_MACHINE
+
 VA_BITS = 48
 PAGE_OFFSET_BITS = 12
 VPN_BITS = VA_BITS - PAGE_OFFSET_BITS  # 36
@@ -68,10 +70,19 @@ def hardware_cost(
 
 PFN_BITS = PA_BITS - PAGE_OFFSET_BITS  # 32
 
+#: associativity of the victima and pcax tables (their set count is
+#: ``RunConfig.effective_accel_rows``); here rather than in
+#: :mod:`repro.accel`, which imports this module
+ACCEL_WAYS = 4
+
+#: sets of the pcax table whose budget :func:`accel_hardware_cost`
+#: quotes (``RunConfig.effective_accel_rows`` at 32k keys)
+PCAX_BUDGET_SETS = 4096
+
 
 def victima_cost(l2_lines: int, l3_lines: int,
                  fill_buffer_entries: int = 4,
-                 ways: int = 4) -> HardwareCostReport:
+                 ways: int = ACCEL_WAYS) -> HardwareCostReport:
     """Victima parks translations in *existing* L2/L3 data capacity, so
     its dedicated budget is per-line metadata plus control:
 
@@ -88,7 +99,8 @@ def victima_cost(l2_lines: int, l3_lines: int,
     )
 
 
-def pcax_cost(sets: int, ways: int = 4, pc_bits: int = 8) -> HardwareCostReport:
+def pcax_cost(sets: int, ways: int = ACCEL_WAYS,
+              pc_bits: int = 8) -> HardwareCostReport:
     """PCAX keeps a dedicated PC-indexed translation table: every entry
     stores a vpn tag, the pfn, a valid bit, and the (hashed) PC tag of
     the op site that trained it."""
@@ -140,17 +152,16 @@ def kv_accel_cost(capacity_keys: int = 4096,
     )
 
 
-def accel_hardware_cost(accel: str, *, accel_rows: int = 4096,
-                        accel_ways: int = 4,
-                        l2_lines: int = 4096,
-                        l3_lines: int = 32768) -> HardwareCostReport:
-    """Per-backend hardware budget for the repro.accel head-to-head."""
+def accel_hardware_cost(accel: str) -> HardwareCostReport:
+    """Per-backend hardware budget for the repro.accel head-to-head, on
+    the Table III machine."""
     if accel == "stlt":
         return hardware_cost()
     if accel == "victima":
-        return victima_cost(l2_lines, l3_lines, ways=accel_ways)
+        return victima_cost(DEFAULT_MACHINE.l2.num_lines,
+                            DEFAULT_MACHINE.l3.num_lines)
     if accel == "pcax":
-        return pcax_cost(accel_rows, ways=accel_ways)
+        return pcax_cost(PCAX_BUDGET_SETS)
     if accel == "revelator":
         return revelator_cost()
     if accel == "none":
