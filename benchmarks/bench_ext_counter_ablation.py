@@ -40,10 +40,34 @@ def _run(ratio: float, disable_counter: bool) -> dict:
         stlt.clear()
         engine._prefill_fast_tables()
     result = engine.run()
+    stlt = engine.osi.stlt
     return {
         "cycles_per_op": result.cycles_per_op,
         "fast_miss_rate": result.fast_miss_rate,
+        "replacements": stlt.replacements,
+        "increments": stlt.counter_policy.increments,
     }
+
+
+def check_preconditions(runs: dict) -> None:
+    """The LFU runs must evict by counter and move counters, and the
+    blind runs must move none; otherwise the comparison credits a
+    counter that never decided anything (or never was disabled)."""
+    for (ratio, mode), run in runs.items():
+        if mode == "lfu" and (run["replacements"] < 1
+                              or run["increments"] < 1):
+            raise AssertionError(
+                f"precondition failed: the LFU run at {ratio:.2f} "
+                f"rows/key made {run['replacements']} STLT "
+                f"replacement(s) and {run['increments']} counter "
+                f"increment(s), so no victim was chosen by counter; "
+                f"size the table below the key set")
+        if mode == "blind" and run["increments"] != 0:
+            raise AssertionError(
+                f"precondition failed: the blind run at {ratio:.2f} "
+                f"rows/key incremented counters {run['increments']} "
+                f"time(s), so the live STLT's counter was never "
+                f"disabled")
 
 
 def test_ext_counter_ablation(benchmark):
@@ -57,6 +81,7 @@ def test_ext_counter_ablation(benchmark):
         return out
 
     runs = run_once(benchmark, sweep)
+    check_preconditions(runs)
     rows = []
     for ratio in ratios:
         lfu = runs[(ratio, "lfu")]

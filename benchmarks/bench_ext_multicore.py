@@ -43,8 +43,27 @@ def _sweep():
     return dict(zip(keys, metrics))
 
 
+def check_preconditions(runs: dict) -> None:
+    """Every multi-core run must queue deeper on the shared DRAM channel
+    than its frontend's 1-core run, or the sweep never made the cores
+    contend.  ``dram_max_queue_cycles`` is a run-lifetime gauge
+    (``mem/stats.py``), so it is compared with the 1-core run, not 0."""
+    for frontend in FRONTENDS:
+        single = runs[(frontend, 1)]["dram_max_queue_cycles"]
+        for cores in CORE_COUNTS[1:]:
+            queue = runs[(frontend, cores)]["dram_max_queue_cycles"]
+            if queue <= single:
+                raise AssertionError(
+                    f"precondition failed: {frontend} x{cores} queued at "
+                    f"most {queue} cycles on the DRAM channel, no more "
+                    f"than its 1-core run ({single}), so the cores never "
+                    f"contended; run enough keys and ops to miss the "
+                    f"shared L3")
+
+
 def test_ext_multicore_scalability(benchmark):
     runs = run_once(benchmark, _sweep)
+    check_preconditions(runs)
     rows = []
     for frontend in FRONTENDS:
         single = runs[(frontend, 1)]
