@@ -26,14 +26,17 @@ from repro.workloads.keys import key_bytes
 NUM_KEYS = 4_000
 
 
-def build_store(ctx, tag: bytes):
-    """A store whose records carry a tag so aliasing is observable."""
+def build_store(ctx):
+    """A store of ``NUM_KEYS`` records keyed ``key_bytes(0..NUM_KEYS-1)``.
+
+    Both stores use the same key bytes, so aliasing shows as a lookup that
+    returns the other store's record object.
+    """
     index = make_index("unordered_map", ctx, expected_keys=NUM_KEYS)
     records = {}
     for i in range(NUM_KEYS):
         key = key_bytes(i)
         rec = ctx.records.create(key, 32)
-        rec.tag = tag  # type: ignore[attr-defined]
         index.build_insert(key, rec)
         records[i] = rec
     return index, records
@@ -45,8 +48,8 @@ def run(with_ids: bool) -> int:
     OSInterface(ctx.space, ctx.mem, stu).stlt_alloc(1 << 14)
     fast = get_hash("xxh3")
 
-    users_index, users = build_store(ctx, b"user-table")
-    sessions_index, sessions = build_store(ctx, b"session-table")
+    users_index, _ = build_store(ctx)
+    sessions_index, sessions = build_store(ctx)
 
     if with_ids:
         ns = SharedSTLTNamespace(id_bits=1)
