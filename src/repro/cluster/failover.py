@@ -40,6 +40,7 @@ demoted, exactly like a real failure detector's grace period.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
@@ -255,6 +256,12 @@ class FailoverScheduler:
         self.demoted: Set[int] = set()
         #: node -> simulated time its promotion commits
         self._pending: Dict[int, float] = {}
+        #: the due test: :meth:`before_request` changes nothing for a
+        #: request index below ``next_due``, so the loop skips those
+        #: calls.  Scripted events and storm windows are indexed; a
+        #: pending promotion's deadline is a time, so while one is
+        #: pending every request is due
+        self.next_due: float = self._due_after(-1)
         # -- telemetry ------------------------------------------------
         self.events: Dict[str, int] = {
             "node_crash": 0, "node_restart": 0, "link_partition": 0,
@@ -399,8 +406,22 @@ class FailoverScheduler:
 
     # ------------------------------------------------------------------
 
+    def _due_after(self, index: int) -> float:
+        """The first request index after ``index`` whose
+        :meth:`before_request` can change state (``math.inf``: none)."""
+        if self._pending:
+            return index + 1
+        due = (self._script[self._cursor][0]
+               if self._cursor < len(self._script) else math.inf)
+        lo, hi = self._storm_window
+        if index + 1 < hi:
+            due = min(due, max(lo, index + 1))
+        return due
+
     def before_request(self, index: int, now: float) -> None:
-        """Advance fault state for the request arriving at ``now``."""
+        """Advance fault state for the request arriving at ``now``.
+
+        A call for an index below :attr:`next_due` is a no-op."""
         while self._cursor < len(self._script) \
                 and self._script[self._cursor][0] <= index:
             _, _, action, fault = self._script[self._cursor]
@@ -424,6 +445,7 @@ class FailoverScheduler:
                               "restore": "degrade_stop"}[kind]
                     self._fire(action, node, self._storm, now)
         self._commit_due_promotions(now)
+        self.next_due = self._due_after(index)
 
     def _fire(self, action: str, node: int, fault: NodeFaultSpec,
               now: float) -> None:

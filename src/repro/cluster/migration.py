@@ -36,6 +36,7 @@ fired-but-inapplicable accounting).
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Callable, Dict, Optional, Tuple
 
@@ -81,6 +82,11 @@ class MigrationScheduler:
             lambda rng: rng.randrange(self.topology.num_slots))
         #: slot -> (destination node, request index the window closes)
         self._in_flight: Dict[int, Tuple[int, int]] = {}
+        #: the due test: :meth:`before_request` changes nothing for a
+        #: request index below ``next_due``.  An armed scheduler draws
+        #: from its schedule on every request, so every index is due;
+        #: an unarmed one never is
+        self.next_due: float = 0 if self.active else math.inf
         # -- telemetry ------------------------------------------------
         self.started = 0
         self.committed = 0

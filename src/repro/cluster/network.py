@@ -185,15 +185,13 @@ class ClusterNetwork:
         self._partitioned: Set[str] = set()
         #: endpoint -> (latency multiplier, bandwidth divisor)
         self._degraded: Dict[str, Tuple[float, float]] = {}
+        #: propagation delay of a healthy transfer
+        self._half_rtt = self.rtt_cycles / 2.0
         # -- telemetry ------------------------------------------------
-        self.transfers = 0
-        self.bytes_moved = 0
-        #: cycles transfers spent waiting for a busy link
+        #: cycles transfers spent waiting for a busy link, summed in
+        #: transfer order (the other totals are sums of the per-link
+        #: counters, see :meth:`report`)
         self.link_wait_cycles = 0.0
-        #: messages dropped at a partitioned endpoint
-        self.drops = 0
-        #: delivered transfers that crossed a degraded endpoint
-        self.degraded_transfers = 0
 
     @property
     def quiet(self) -> bool:
@@ -262,36 +260,40 @@ class ClusterNetwork:
         ``propagate=False`` models a pipelined batch follower: it still
         occupies the link for its serialization time but rides the
         batch head's propagation window instead of paying its own
-        RTT/2.
+        RTT/2.  A negative byte count is rejected before anything else,
+        on every network and link state.
         """
+        if nbytes < 0:
+            raise ClusterError("cannot transfer a negative byte count")
         partitioned = self._partitioned
         if partitioned and (src in partitioned or dst in partitioned):
-            self.drops += 1
             self._link(src, dst).drops += 1
             return math.inf
         if not self.rtt_cycles:
             return at  # the quiet network
-        if nbytes < 0:
-            raise ClusterError("cannot transfer a negative byte count")
-        lat_mult = bw_div = 1.0
+        link = self._links.get((src, dst))
+        if link is None:
+            link = self._links[(src, dst)] = _Link()
         degraded = self._degraded
         if degraded and (src in degraded or dst in degraded):
             lat_mult, bw_div = self._factors(src, dst)
-        serialization = nbytes * bw_div / self.bytes_per_cycle
-        link = self._link(src, dst)
+            serialization = nbytes * bw_div / self.bytes_per_cycle
+            propagation = self.rtt_cycles * lat_mult / 2.0
+            if lat_mult > 1.0 or bw_div > 1.0:
+                link.degraded += 1
+        else:
+            # the healthy link: no factor lookups, a precomputed half-RTT
+            serialization = nbytes / self.bytes_per_cycle
+            propagation = self._half_rtt
         start = link.schedule.claim(at, serialization)
-        self.transfers += 1
-        self.bytes_moved += nbytes
-        self.link_wait_cycles += start - at
+        wait = start - at
+        self.link_wait_cycles += wait
         link.reservations += 1
         link.bytes += nbytes
-        link.wait_cycles += start - at
-        if lat_mult > 1.0 or bw_div > 1.0:
-            self.degraded_transfers += 1
-            link.degraded += 1
+        link.wait_cycles += wait
         delivery = start + serialization
         if propagate:
-            delivery += self.rtt_cycles * lat_mult / 2.0
+            delivery += propagation
         return delivery
 
     def release(self, horizon: float) -> None:
@@ -301,14 +303,15 @@ class ClusterNetwork:
             link.schedule.release(horizon)
 
     def report(self) -> dict:
+        links = self._links.values()
         return {
             "rtt_cycles": self.rtt_cycles,
             "bytes_per_cycle": self.bytes_per_cycle,
-            "transfers": self.transfers,
-            "bytes_moved": self.bytes_moved,
+            "transfers": sum(link.reservations for link in links),
+            "bytes_moved": sum(link.bytes for link in links),
             "link_wait_cycles": self.link_wait_cycles,
-            "drops": self.drops,
-            "degraded_transfers": self.degraded_transfers,
+            "drops": sum(link.drops for link in links),
+            "degraded_transfers": sum(link.degraded for link in links),
             "links": dict(sorted(
                 (f"{src}->{dst}", link.report())
                 for (src, dst), link in self._links.items())),

@@ -335,8 +335,8 @@ class _AccelServer:
     """
 
     __slots__ = ("name", "node_id", "model", "value_bytes", "_schedule",
-                 "served", "busy", "histogram", "latency_sum",
-                 "lookups", "hits", "misses", "installs",
+                 "_lookup_costs", "served", "busy", "histogram",
+                 "latency_sum", "lookups", "hits", "misses", "installs",
                  "invalidations", "mode_switches", "mgmt_cycles")
 
     def __init__(self, node_id: int, capacity_keys: int,
@@ -346,6 +346,9 @@ class _AccelServer:
         self.model = AccelNodeModel(capacity_keys)
         self.value_bytes = value_bytes
         self._schedule = GapSchedule()
+        #: key length -> (lookup latency, initiation interval): both are
+        #: pure functions of the key length at a fixed value size
+        self._lookup_costs: Dict[int, Tuple[int, float]] = {}
         self.served = 0
         self.busy = 0.0
         self.histogram = LatencyHistogram(precision=precision)
@@ -366,9 +369,13 @@ class _AccelServer:
 
     def serve_lookup(self, at: float, key_len: int) -> float:
         """Serve one *resident* lookup; returns the completion time."""
-        latency = lookup_latency_cycles(key_len, self.value_bytes)
-        interval = lookup_interval_cycles(key_len, self.value_bytes)
-        start = self._claim(at, float(interval))
+        costs = self._lookup_costs.get(key_len)
+        if costs is None:
+            costs = self._lookup_costs[key_len] = (
+                lookup_latency_cycles(key_len, self.value_bytes),
+                float(lookup_interval_cycles(key_len, self.value_bytes)))
+        latency, interval = costs
+        start = self._claim(at, interval)
         self.served += 1
         self.lookups += 1
         self.hits += 1
@@ -514,13 +521,13 @@ def simulate_cluster(
     # changing any payload policy never shifts which requests write
     rw_rng = random.Random(derive_seed(config.seed, "cluster_rw"))
     write_flags = [rw_rng.random() < WRITE_FRACTION for _ in range(count)]
-    slot_of: Dict[int, int] = {}
+    slot_of = [-1] * config.num_keys  # key id -> slot, -1 until first use
 
     def slot_for(key_id: int) -> int:
-        slot = slot_of.get(key_id)
-        if slot is None:
-            slot = slot_for_key(key_bytes(key_id), config.fast_hash)
-            slot_of[key_id] = slot
+        slot = slot_of[key_id]
+        if slot < 0:
+            slot = slot_of[key_id] = slot_for_key(key_bytes(key_id),
+                                                  config.fast_hash)
         return slot
 
     # migration payloads target the *populated* keyspace: a migration
@@ -538,8 +545,6 @@ def simulate_cluster(
         id — part of the workload definition, independent of the run
         seed and decorrelated from zipf popularity.  Only accelerators
         care: every reader sits behind an accelerator check."""
-        if big_fraction <= 0.0:
-            return False
         return ((key_id * _BIG_KEY_MIX) & 0xFFFFFFFF) \
             < big_fraction * 4294967296.0
 
@@ -748,8 +753,7 @@ def simulate_cluster(
 
     def _attempt(client: ClusterClient, slot: int, start: float,
                  is_write: bool, use_cache: bool, req_bytes: int,
-                 resp_bytes: int, key_id: int = -1,
-                 oversized: bool = False
+                 resp_bytes: int, key_id: int, oversized: bool
                  ) -> Optional[Tuple[float, int, bool, bool]]:
         """One request attempt from ``start``.  Returns (delivery,
         serve_node, served_via_ask, hedged) or None if every path
@@ -757,8 +761,7 @@ def simulate_cluster(
         nonlocal moved_redirects, oracle_violations
         nonlocal capability_checks, capability_violations
         if use_cache:
-            target, _kind = client.target_for(slot, topology,
-                                              is_read=not is_write)
+            target, _kind = client.target_for(slot, topology, not is_write)
         else:
             # a retry after a timeout: the stale row is gone, ask any
             # node and let MOVED point at the promoted owner
@@ -771,7 +774,7 @@ def simulate_cluster(
                                              is_write, oversized)
         head = client.begin_request(target)
         t = network.one_way(client.name, servers[target].name,
-                            req_bytes, start, propagate=head)
+                            req_bytes, start, head)
         if math.isinf(t):
             if hedge_cycles is not None and not is_write:
                 alt = _read_hedge(client, slot, start + hedge_cycles,
@@ -888,8 +891,7 @@ def simulate_cluster(
         else:
             completion = server.serve(t)
         delivery = network.one_way(server.name, client.name,
-                                   resp_bytes, completion,
-                                   propagate=head)
+                                   resp_bytes, completion, head)
         hedged = False
         if hedge_cycles is not None and not is_write \
                 and delivery - start > hedge_cycles:
@@ -912,17 +914,20 @@ def simulate_cluster(
             network.release(arrival)
             for schedule in accel_schedules:
                 schedule.release(arrival)
-        failover.before_request(index, arrival)
-        migration.before_request(index)
+        # each scheduler's due test skips a no-op before_request
+        if index >= failover.next_due:
+            failover.before_request(index, arrival)
+        if index >= migration.next_due:
+            migration.before_request(index)
         slot = slot_for(key_id)
         # only the two schedulers above move a slot, never an attempt:
         # one owner read serves the whole request
         owner = topology.owner(slot)
-        client = clients[index % len(clients)]
+        client = clients[index % CLUSTER_CLIENTS]
         is_write = write_flags[index]
         if is_write:
             writes += 1
-        oversized = _oversized(key_id)
+        oversized = big_fraction > 0.0 and _oversized(key_id)
         if owner in accel_nodes:
             # demand-side fallback accounting: requests whose slot an
             # accelerator owns but which only its backer can serve
@@ -939,7 +944,7 @@ def simulate_cluster(
         for attempt in range(attempts):
             outcome = _attempt(client, slot, attempt_start, is_write,
                                attempt == 0, req_bytes, resp_bytes,
-                               key_id=key_id, oversized=oversized)
+                               key_id, oversized)
             if outcome is not None:
                 break
             # the attempt died against an unreachable node: the client

@@ -21,6 +21,7 @@ through JSON, which is how latency distributions persist in the
 from __future__ import annotations
 
 import math
+from math import frexp
 from typing import Dict, Iterable, Mapping, Optional
 
 from ..errors import ConfigError, ReproError
@@ -91,13 +92,28 @@ class LatencyHistogram:
     # -- recording ---------------------------------------------------------
 
     def record(self, value: float, count: int = 1) -> None:
-        """Record ``count`` observations of ``value``."""
+        """Record ``count`` observations of ``value``.
+
+        The bucket is :meth:`bucket_index`'s, computed inline: this is
+        the per-request call of every service and cluster loop.
+        """
         if count < 0:
             raise ConfigError("cannot record a negative count")
         if count == 0:
             return
-        index = self.bucket_index(value)
-        self.counts[index] = self.counts.get(index, 0) + count
+        if value < 1.0:
+            if value < 0:
+                raise ConfigError("latencies cannot be negative")
+            index = 0
+        else:
+            mantissa, exponent = frexp(value)
+            sub_buckets = self._sub
+            sub = int((mantissa * 2.0 - 1.0) * sub_buckets)
+            if sub >= sub_buckets:
+                sub = sub_buckets - 1
+            index = 1 + (exponent - 1) * sub_buckets + sub
+        counts = self.counts
+        counts[index] = counts.get(index, 0) + count
         self.count += count
         self.total += value * count
         if self.min_value is None or value < self.min_value:

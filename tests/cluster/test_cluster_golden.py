@@ -122,6 +122,23 @@ def test_goldens_exercise_every_invalidation_path(golden):
     assert mixed["acked_write_losses"] == 0
 
 
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_network_totals_are_the_link_sums(golden, name):
+    """The frozen records were written with running network totals;
+    the report now sums the per-link counters, and both must agree
+    (``failover`` drops at a partition and crosses a degraded link)."""
+    network = golden[name]["cluster"]["network"]
+    links = network["links"].values()
+
+    def total(counter):
+        return sum(link[counter] for link in links)
+
+    assert network["transfers"] == total("reservations")
+    assert network["bytes_moved"] == total("bytes")
+    assert network["drops"] == total("drops")
+    assert network["degraded_transfers"] == total("degraded")
+
+
 if __name__ == "__main__":
     GOLDEN_PATH.write_text(json.dumps(
         {name: capture(name) for name in sorted(CONFIGS)},

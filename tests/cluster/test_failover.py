@@ -13,6 +13,7 @@ Three layers:
 """
 
 import dataclasses
+import math
 
 import pytest
 
@@ -239,6 +240,71 @@ class TestFailoverScheduler:
 # ----------------------------------------------------------------------
 # end-to-end: the overlay under a fault plan
 # ----------------------------------------------------------------------
+
+class TestDueTest:
+    """The cluster loop calls ``before_request`` only at indexes at or
+    past ``next_due``.  Every event must still fire at the request (and
+    with the arrival time) where calling on every request fires it."""
+
+    TOTAL = 200
+    #: a crash at request 0 and its restart at the last request, a
+    #: partition window, and a storm window
+    PLAN = ["crash:node=1,at=0", "restart:node=1,at=1",
+            "partition:node=2,start=0.3,stop=0.35",
+            "storm:rate=0.2,start=0.6,stop=0.7"]
+    #: the crash at time 0 is detected at 250, between the arrivals of
+    #: requests 6 (222) and 7 (264)
+    DETECT = 250.0
+
+    @staticmethod
+    def _now(index):
+        return 37.0 * index + 5.0 * (index % 3)
+
+    @staticmethod
+    def _state(scheduler, topology, network):
+        # the stream states catch a skipped storm draw that fired no
+        # event
+        return (scheduler.report(), sorted(scheduler.demoted),
+                tuple(topology.assignment()),
+                [network.reachable("client0", f"node{n}")
+                 for n in range(4)],
+                scheduler.schedule.rng.getstate(),
+                scheduler.payload_rng.getstate())
+
+    def test_skipping_undue_requests_changes_nothing(self):
+        every, every_topo, every_net = _scheduler(
+            self.PLAN, nodes=4, total=self.TOTAL, detect=self.DETECT)
+        due, due_topo, due_net = _scheduler(
+            self.PLAN, nodes=4, total=self.TOTAL, detect=self.DETECT)
+        called = []
+        promoted_at = None
+        for index in range(self.TOTAL):
+            now = self._now(index)
+            every.before_request(index, now)
+            if index >= due.next_due:
+                due.before_request(index, now)
+                called.append(index)
+            assert self._state(due, due_topo, due_net) \
+                == self._state(every, every_topo, every_net), index
+            if promoted_at is None and every.promotions:
+                promoted_at = index
+        # the events fired where the plan puts them ...
+        assert called[0] == 0
+        assert called[-1] == self.TOTAL - 1
+        assert every.events["node_crash"] == 1
+        assert every.events["node_restart"] == 1
+        assert every.events["link_partition"] >= 1
+        assert every.storm_draws > 0
+        assert promoted_at == 7
+        # ... every storm-window request was due ...
+        assert set(range(120, 140)) <= set(called)
+        # ... and the test skipped most requests, so it checks a skip
+        assert len(called) < self.TOTAL // 2
+
+    def test_an_empty_plan_is_never_due(self):
+        scheduler, _, _ = _scheduler([])
+        assert scheduler.next_due == math.inf
+
 
 PLAN = ("crash:node=1,at=0.4",)
 

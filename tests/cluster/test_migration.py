@@ -1,6 +1,7 @@
 """Unit tests for live slot migration (`repro.cluster.migration`)."""
 
 import itertools
+import math
 
 from repro.cluster.migration import ASK_WINDOW_SCALE, MigrationScheduler
 from repro.cluster.topology import ClusterTopology
@@ -139,3 +140,13 @@ class TestDeterminism:
         _drive(a, 1_000)
         _drive(b, 1_000)
         assert a.started + a.skipped == b.started + b.skipped
+
+
+class TestDueTest:
+    def test_an_armed_scheduler_is_due_on_every_request(self):
+        _, sched = _scheduler(rate=0.2)
+        assert sched.next_due == 0
+
+    def test_an_unarmed_scheduler_is_never_due(self):
+        _, sched = _scheduler(rate=0.0)
+        assert sched.next_due == math.inf

@@ -3,11 +3,14 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.network import (
     DEFAULT_BYTES_PER_CYCLE,
     REQUEST_HEADER_BYTES,
     ClusterNetwork,
+    GapSchedule,
 )
 from repro.errors import ClusterError
 
@@ -32,6 +35,30 @@ class TestQuietNetwork:
             ClusterNetwork(100.0, bytes_per_cycle=0.0)
         with pytest.raises(ClusterError):
             ClusterNetwork(100.0).one_way("a", "b", -1, 0.0)
+
+
+class TestNegativeBytes:
+    """A negative byte count is rejected before any other check, on
+    every network and link state."""
+
+    def test_rejected_on_a_quiet_network(self):
+        with pytest.raises(ClusterError):
+            ClusterNetwork(0.0).one_way("c0", "n1", -5, 10.0)
+
+    def test_rejected_on_a_partitioned_link_without_a_drop(self):
+        net = ClusterNetwork(300.0)
+        net.partition("n1")
+        with pytest.raises(ClusterError):
+            net.one_way("c0", "n1", -5, 10.0)
+        report = net.report()
+        assert report["drops"] == 0
+        assert report["links"] == {}
+
+    def test_rejected_on_a_healthy_network(self):
+        net = ClusterNetwork(300.0)
+        with pytest.raises(ClusterError):
+            net.one_way("c0", "n1", -5, 10.0)
+        assert net.report()["transfers"] == 0
 
 
 class TestLatencyMath:
@@ -200,3 +227,91 @@ class TestDegrade:
             net.degrade("n1", latency_mult=0.5)
         with pytest.raises(ClusterError):
             net.degrade("n1", bandwidth_div=0.9)
+
+
+# ----------------------------------------------------------------------
+# the transfer path against a reference model
+# ----------------------------------------------------------------------
+
+ENDPOINTS = ("c0", "c1", "n0", "n1", "n2")
+
+#: one step of a network script: a transfer, or a fault-state change
+steps = st.one_of(
+    st.tuples(st.just("send"), st.sampled_from(ENDPOINTS),
+              st.sampled_from(ENDPOINTS),
+              st.integers(min_value=0, max_value=4096),
+              st.floats(min_value=0.0, max_value=5_000.0),
+              st.booleans()),
+    st.tuples(st.just("partition"), st.sampled_from(ENDPOINTS)),
+    st.tuples(st.just("heal"), st.sampled_from(ENDPOINTS)),
+    st.tuples(st.just("degrade"), st.sampled_from(ENDPOINTS),
+              st.sampled_from((1.0, 1.5, 2.0, 3.0)),
+              st.sampled_from((1.0, 2.0, 4.0))),
+    st.tuples(st.just("restore"), st.sampled_from(ENDPOINTS)),
+)
+
+
+class TestAgainstReference:
+    """Every delivery time and every report total of a scripted run
+    equals a reference model kept in this test: the transfer
+    arithmetic on one schedule per link, with running totals counted
+    by the test itself."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(script=st.lists(steps, min_size=1, max_size=60),
+           rtt=st.sampled_from((0.0, 200.0, 300.0)))
+    def test_deliveries_and_totals_match(self, script, rtt):
+        net = ClusterNetwork(rtt, bytes_per_cycle=8.0)
+        partitioned, degraded, schedules = set(), {}, {}
+        totals = dict(transfers=0, bytes_moved=0, drops=0,
+                      degraded_transfers=0)
+        wait = 0.0
+        for step in script:
+            kind = step[0]
+            if kind == "partition":
+                net.partition(step[1])
+                partitioned.add(step[1])
+            elif kind == "heal":
+                net.heal(step[1])
+                partitioned.discard(step[1])
+            elif kind == "degrade":
+                net.degrade(step[1], step[2], step[3])
+                degraded[step[1]] = (step[2], step[3])
+            elif kind == "restore":
+                net.restore(step[1])
+                degraded.pop(step[1], None)
+            else:
+                _, src, dst, nbytes, at, propagate = step
+                got = net.one_way(src, dst, nbytes, at, propagate)
+                if src in partitioned or dst in partitioned:
+                    assert got == math.inf
+                    totals["drops"] += 1
+                    continue
+                if not rtt:
+                    assert got == at
+                    continue
+                lat = max([1.0] + [degraded[e][0] for e in (src, dst)
+                                   if e in degraded])
+                bw = max([1.0] + [degraded[e][1] for e in (src, dst)
+                                  if e in degraded])
+                serialization = nbytes * bw / 8.0
+                start = schedules.setdefault(
+                    (src, dst), GapSchedule()).claim(at, serialization)
+                want = start + serialization
+                if propagate:
+                    want += rtt * lat / 2.0
+                assert got == want
+                wait += start - at
+                totals["transfers"] += 1
+                totals["bytes_moved"] += nbytes
+                if lat > 1.0 or bw > 1.0:
+                    totals["degraded_transfers"] += 1
+        report = net.report()
+        assert {name: report[name] for name in totals} == totals
+        assert report["link_wait_cycles"] == wait
+        links = report["links"].values()
+        assert totals == dict(
+            transfers=sum(link["reservations"] for link in links),
+            bytes_moved=sum(link["bytes"] for link in links),
+            drops=sum(link["drops"] for link in links),
+            degraded_transfers=sum(link["degraded"] for link in links))

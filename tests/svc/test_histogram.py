@@ -62,6 +62,43 @@ class TestBucketing:
             LatencyHistogram(precision=21)
 
 
+#: the values whose bucket is easiest to get wrong: zero, the [0, 1)
+#: floor, 1.0, every power of two and the float one ulp below it, and
+#: large values
+edge_values = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    st.just(1.0),
+    st.integers(min_value=0, max_value=1023).map(lambda k: 2.0 ** k),
+    st.integers(min_value=0, max_value=1023).map(
+        lambda k: math.nextafter(2.0 ** k, 0.0)),
+    st.floats(min_value=1.0, max_value=1e308),
+)
+
+
+class TestRecordBucketing:
+    """``record`` computes its bucket inline; it must be
+    ``bucket_index``'s at every precision."""
+
+    @settings(max_examples=300)
+    @given(value=edge_values, precision=st.integers(1, 20),
+           count=st.integers(1, 3))
+    def test_record_lands_where_bucket_index_says(self, value, precision,
+                                                  count):
+        h = LatencyHistogram(precision=precision)
+        h.record(value, count)
+        assert h.counts == {h.bucket_index(value): count}
+
+    @pytest.mark.parametrize("precision", [1, DEFAULT_PRECISION, 20])
+    def test_every_power_of_two_and_its_predecessor(self, precision):
+        h = LatencyHistogram(precision=precision)
+        for k in range(1024):
+            for value in (2.0 ** k, math.nextafter(2.0 ** k, 0.0)):
+                h.counts.clear()
+                h.record(value)
+                assert h.counts == {h.bucket_index(value): 1}, value
+
+
 class TestCounterSemantics:
     @given(nonempty_latencies)
     def test_count_min_max_total_are_exact(self, values):
