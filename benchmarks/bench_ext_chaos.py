@@ -53,8 +53,27 @@ def _sweep():
     return dict(zip(keys, metrics))
 
 
+def check_preconditions(runs: dict) -> None:
+    """Every churned run must fire chaos events and cross-check GETs
+    against the store; otherwise retention credits churn that never
+    happened and zero violations count checks that never ran."""
+    for (frontend, rate), m in runs.items():
+        if rate == 0:
+            continue
+        events = m["chaos_events"] or 0
+        checks = m["oracle_checks"] or 0
+        if events < 1 or checks < 1:
+            raise AssertionError(
+                f"precondition failed: {frontend} at churn {rate:g} "
+                f"fired {events} chaos event(s) and ran {checks} "
+                f"oracle check(s), so its speedup and its zero "
+                f"violations say nothing about churn; arm the chaos "
+                f"schedule and the stale-translation oracle")
+
+
 def test_ext_speedup_retention_under_churn(benchmark):
     runs = run_once(benchmark, _sweep)
+    check_preconditions(runs)
 
     speedups = {}
     rows = []

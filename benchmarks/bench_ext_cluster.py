@@ -137,8 +137,21 @@ def _route_cache_pair():
     return dict(zip(keys, metrics))
 
 
+def check_route_cache_preconditions(runs: dict) -> None:
+    """The cached run must resolve some requests from its route cache;
+    otherwise the tail comparison credits a cache that never answered
+    a lookup."""
+    hits = runs[True]["route_hits"] or 0
+    if hits < 1:
+        raise AssertionError(
+            f"precondition failed: the route-cache run made {hits} "
+            f"route-cache hit(s), so its p99 owes nothing to cached "
+            f"routes; enable the clients' route caches")
+
+
 def test_ext_cluster_route_cache_tail(benchmark):
     runs = run_once(benchmark, _route_cache_pair)
+    check_route_cache_preconditions(runs)
 
     cached, uncached = runs[True], runs[False]
     rows = []

@@ -35,8 +35,33 @@ def _sweep():
     return out
 
 
+def check_preconditions(runs: dict) -> None:
+    """Each STLT run must take its fast path, and the hardware unit
+    must charge fewer hash cycles than software xxh3; otherwise the
+    comparison credits a hash the lookups never used (or a unit that
+    costs what software does)."""
+    for program in PROGRAMS:
+        for fast_hash in ("xxh3", "hw_hash"):
+            miss_rate = runs[(program, fast_hash)]["fast_miss_rate"]
+            if miss_rate is None or miss_rate >= 1.0:
+                raise AssertionError(
+                    f"precondition failed: the {program} STLT run with "
+                    f"{fast_hash} hit its fast path on no GET (miss "
+                    f"rate {miss_rate}), so its hash never shortened a "
+                    f"lookup; run a frontend with a fast table")
+        sw = runs[(program, "xxh3")]["attr"].get("hash", 0)
+        hw = runs[(program, "hw_hash")]["attr"].get("hash", 0)
+        if hw >= sw:
+            raise AssertionError(
+                f"precondition failed: the {program} hw_hash run charged "
+                f"{hw} hash cycles against {sw} for xxh3, so the "
+                f"hardware unit saved nothing; give hw_hash its fixed "
+                f"functional latency")
+
+
 def test_ext_hardware_hash_unit(benchmark):
     runs = run_once(benchmark, _sweep)
+    check_preconditions(runs)
     rows = []
     for program in PROGRAMS:
         base = runs[(program, "baseline")]

@@ -38,8 +38,21 @@ def _sweep():
     return dict(zip(keys, metrics))
 
 
+def check_preconditions(runs: dict) -> None:
+    """Every run must report its open-loop block (an offered rate and
+    a measured p99); otherwise the curves chart closed-loop runs."""
+    for (frontend, load), m in runs.items():
+        if not (m["offered_rate"] or 0) > 0 or m["latency_p99"] is None:
+            raise AssertionError(
+                f"precondition failed: the {frontend} run at load "
+                f"{load:.2f} reported offered rate {m['offered_rate']} "
+                f"and p99 {m['latency_p99']}, so it ran no open loop; "
+                f"give it an arrival process")
+
+
 def test_ext_latency_under_load(benchmark):
     runs = run_once(benchmark, _sweep)
+    check_preconditions(runs)
     rows = []
     for frontend in FRONTENDS:
         for load in LOADS:
