@@ -53,6 +53,10 @@ from .types import AccessKind, AccessResult
 
 _LINE_SHIFT = 6
 assert (1 << _LINE_SHIFT) == CACHE_LINE_BYTES
+#: a line number's page is ``line >> _PAGE_LINE_SHIFT``; its line
+#: within that page is ``line & _PAGE_LINE_MASK``
+_PAGE_LINE_SHIFT = PAGE_SHIFT - _LINE_SHIFT
+_PAGE_LINE_MASK = (1 << _PAGE_LINE_SHIFT) - 1
 
 
 class MemorySystem:
@@ -174,7 +178,8 @@ class MemorySystem:
         internals (DESIGN.md section 11); ``Cache.lookup``/``insert``
         and ``DRAM.access`` stay the object face for every other
         caller.  A line that missed a level is absent from it until
-        this call fills it, so the fills skip the presence check.
+        this call fills it, so each fill is one ``appendleft``, which
+        drops the set's least recently used line off its full deque.
         """
         stats = self.stats
         l1 = self.l1
@@ -185,13 +190,11 @@ class MemorySystem:
         cycles = l1.latency + l2.latency
         s2 = l2._sets[line_addr & l2._set_mask]
         if line_addr in s2:
-            del s2[line_addr]
-            s2[line_addr] = None
+            s2.remove(line_addr)
+            s2.appendleft(line_addr)
             l2.hits += 1
             stats.l2_hits += 1
-            if len(s1) >= l1._ways:
-                del s1[next(iter(s1))]
-            s1[line_addr] = None
+            s1.appendleft(line_addr)
             return cycles
         l2.misses += 1
         stats.l2_misses += 1
@@ -200,8 +203,8 @@ class MemorySystem:
         s3 = l3._sets[line_addr & l3._set_mask]
         llc_hit = line_addr in s3
         if llc_hit:
-            del s3[line_addr]
-            s3[line_addr] = None
+            s3.remove(line_addr)
+            s3.appendleft(line_addr)
             l3.hits += 1
             stats.l3_hits += 1
             if demand and line_addr in self._prefetched_lines:
@@ -232,17 +235,11 @@ class MemorySystem:
             stats.dram_queue_cycles += queued
             if queued > stats.dram_max_queue_cycles:
                 stats.dram_max_queue_cycles = queued
-            if len(s3) >= l3._ways:
-                victim = next(iter(s3))
-                del s3[victim]
-                self._prefetched_lines.discard(victim)
-            s3[line_addr] = None
-        if len(s2) >= l2._ways:
-            del s2[next(iter(s2))]
-        s2[line_addr] = None
-        if len(s1) >= l1._ways:
-            del s1[next(iter(s1))]
-        s1[line_addr] = None
+            if len(s3) == l3._ways:
+                self._prefetched_lines.discard(s3[-1])
+            s3.appendleft(line_addr)
+        s2.appendleft(line_addr)
+        s1.appendleft(line_addr)
         if demand and (self.stream_prefetcher is not None
                        or self.vldp_prefetcher is not None):
             if at < 0:
@@ -288,8 +285,8 @@ class MemorySystem:
         l1 = self.l1
         s = l1._sets[line & l1._set_mask]
         if line in s:
-            del s[line]
-            s[line] = None
+            s.remove(line)
+            s.appendleft(line)
             l1.hits += 1
             self.stats.l1_hits += 1
             return l1.latency
@@ -406,8 +403,10 @@ class MemorySystem:
         """Perform one virtually addressed access of ``size`` bytes.
 
         The D-TLB and L1 hit cases run inline; misses go through
-        ``_translate`` and ``_line_access``.  ``now`` is re-read after
-        every ``_translate`` (accel backends tick inside ``resolve``).
+        ``_translate`` and ``_line_access``.  An access spanning several
+        lines translates once per page it touches, then probes that
+        page's lines.  ``now`` is re-read after every ``_translate``
+        (accel backends tick inside ``resolve``).
         """
         if self.accel is not None:
             # op-site pseudo-PC for PC-indexed backends: the access kind
@@ -443,8 +442,8 @@ class MemorySystem:
                     (vaddr & (PAGE_BYTES - 1))) >> _LINE_SHIFT
             s = l1._sets[line & l1._set_mask]
             if line in s:
-                del s[line]
-                s[line] = None
+                s.remove(line)
+                s.appendleft(line)
                 l1.hits += 1
                 stats.l1_hits += 1
                 cycles = t_cycles + l1.latency
@@ -464,40 +463,41 @@ class MemorySystem:
         tlb_hit = True
         stb_hit = False
         walked = False
-        last_vpn = -1
-        pfn = 0
-        for line in range(first_line, last_line + 1):
-            line_va = line << _LINE_SHIFT
-            vpn = line_va >> PAGE_SHIFT
-            if vpn != last_vpn:
-                s = dtlb._sets[vpn % dtlb._num_sets]
-                pfn = s.pop(vpn, None)
-                if pfn is not None:
-                    s[vpn] = pfn
-                    dtlb.hits += 1
-                    stats.dtlb_hits += 1
-                    t_cycles = dtlb.latency
-                else:
-                    pfn, t_cycles, t_hit, t_walked = self._translate(vpn)
-                    tlb_hit = tlb_hit and t_hit
-                    walked = walked or t_walked
-                    if not t_hit and not t_walked:
-                        stb_hit = True
-                cycles += t_cycles
-                translation_cycles += t_cycles
-                last_vpn = vpn
-            paddr_line = ((pfn << PAGE_SHIFT) | (line_va & (PAGE_BYTES - 1))) \
-                >> _LINE_SHIFT
-            s = l1._sets[paddr_line & l1._set_mask]
-            if paddr_line in s:
-                del s[paddr_line]
-                s[paddr_line] = None
-                l1.hits += 1
-                stats.l1_hits += 1
-                cycles += l1.latency
+        line = first_line
+        while line <= last_line:
+            # one translation per page touched, then that page's lines
+            vpn = line >> _PAGE_LINE_SHIFT
+            s = dtlb._sets[vpn % dtlb._num_sets]
+            pfn = s.pop(vpn, None)
+            if pfn is not None:
+                s[vpn] = pfn
+                dtlb.hits += 1
+                stats.dtlb_hits += 1
+                t_cycles = dtlb.latency
             else:
-                cycles += self._line_access(paddr_line, True,
-                                            self.now + cycles)
+                pfn, t_cycles, t_hit, t_walked = self._translate(vpn)
+                tlb_hit = tlb_hit and t_hit
+                walked = walked or t_walked
+                if not t_hit and not t_walked:
+                    stb_hit = True
+            cycles += t_cycles
+            translation_cycles += t_cycles
+            page_end = (vpn << _PAGE_LINE_SHIFT) | _PAGE_LINE_MASK
+            if page_end > last_line:
+                page_end = last_line
+            first = (pfn << _PAGE_LINE_SHIFT) | (line & _PAGE_LINE_MASK)
+            for paddr_line in range(first, first + page_end - line + 1):
+                s = l1._sets[paddr_line & l1._set_mask]
+                if paddr_line in s:
+                    s.remove(paddr_line)
+                    s.appendleft(paddr_line)
+                    l1.hits += 1
+                    stats.l1_hits += 1
+                    cycles += l1.latency
+                else:
+                    cycles += self._line_access(paddr_line, True,
+                                                self.now + cycles)
+            line = page_end + 1
 
         self.now += cycles
         stats.total_cycles += cycles
@@ -525,8 +525,8 @@ class MemorySystem:
         for line in range(first_line, last_line + 1):
             s = l1._sets[line & l1._set_mask]
             if line in s:
-                del s[line]
-                s[line] = None
+                s.remove(line)
+                s.appendleft(line)
                 l1.hits += 1
                 stats.l1_hits += 1
                 cycles += l1.latency

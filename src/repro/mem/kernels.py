@@ -69,23 +69,25 @@ def rows_in_pages(vas: Sequence[int], vpns: Set[int],
             if va and (va >> page_shift) in vpns]
 
 
-def occupancy_count(values: Sequence[int]) -> int:
-    """How many entries are non-zero (live rows of a table)."""
-    if HAVE_NUMPY and len(values) >= _NUMPY_MIN_ROWS:
-        return int(_np.count_nonzero(
-            _np.asarray(values, dtype=_np.int64)))
-    return sum(1 for v in values if v)
+def occupancy_count(values: List[int]) -> int:
+    """How many entries are non-zero (live rows of a table).
+
+    ``list.count`` runs in C, so no numpy path: converting the list to
+    an array costs more than the count itself at every table size.
+    """
+    return len(values) - values.count(0)
 
 
 def flatten_sets(sets: Iterable, ways: int) -> List[int]:
-    """Export dict-of-sets state (Cache/TLB) as one flat tag array.
+    """Export per-set state (Cache/TLB) as one flat tag array.
 
-    Each set is a plain dict kept in LRU order by its owner (a hit
-    re-inserts the key), so iterating it lists the tags least recently
-    used first.  Each set contributes exactly ``ways`` slots in that
-    order, padded with ``-1``; the result is the flat set-major layout
-    the batched kernels and the state digests consume.  Purely an
-    export — the dicts remain the source of truth.
+    ``sets`` yields one iterable of tags per set, least recently used
+    first: a TLB passes its dict sets as they are (a hit re-inserts the
+    key), a cache its MRU-first deques reversed.  Each set contributes
+    exactly ``ways`` slots in that order, padded with ``-1``; the result
+    is the flat set-major layout the batched kernels and the state
+    digests consume.  Purely an export — the sets remain the source of
+    truth.
     """
     flat: List[int] = []
     for s in sets:

@@ -1,9 +1,9 @@
 """A 4-level x86-64 radix page table and its hardware walker.
 
 The table is the real data structure, not an abstraction: each level is a
-512-entry node living in its own physical frame, and every walk yields
-the physical addresses of the PTEs it touches so the memory system can
-charge cache accesses for them.  Modern cores cache page-table entries in
+512-entry node living in its own physical frame, and every timed walk
+charges the memory system one cache access at the physical address of
+each PTE it touches.  Modern cores cache page-table entries in
 the data caches; the paper modified SniperSim to model exactly that, and
 so do we — the walker's PTE loads go through L1/L2/L3 like any other
 physical access.
@@ -11,7 +11,7 @@ physical access.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..errors import AddressError, PageFault
 from ..params import PAGE_BYTES, PAGE_SHIFT, VA_BITS
@@ -105,38 +105,6 @@ class PageTable:
             node = child
         return node.entries.get(idx[-1])
 
-    def walk_path(self, vpn: int) -> Tuple[Optional[int], List[int]]:
-        """Translate and report the PTE physical addresses touched.
-
-        Returns ``(pfn_or_None, pte_paddrs)``.  A walk that finds a
-        non-present entry at some level stops there, exactly as the
-        hardware walker would.  Every timed page walk runs this, so the
-        four levels (PML4, PDPT, PD, PT) are unrolled; the PTE at
-        ``index`` of a node sits at ``pfn * PAGE_BYTES + index *
-        PTE_BYTES``.
-        """
-        if not 0 <= vpn <= MAX_VPN:
-            raise AddressError(f"vpn {vpn:#x} outside the 48-bit address space")
-        node = self.root
-        index = (vpn >> (3 * LEVEL_BITS)) & (ENTRIES_PER_TABLE - 1)
-        paddrs = [node.pfn * PAGE_BYTES + index * PTE_BYTES]
-        node = node.entries.get(index)
-        if node is None:
-            return None, paddrs
-        index = (vpn >> (2 * LEVEL_BITS)) & (ENTRIES_PER_TABLE - 1)
-        paddrs.append(node.pfn * PAGE_BYTES + index * PTE_BYTES)
-        node = node.entries.get(index)
-        if node is None:
-            return None, paddrs
-        index = (vpn >> LEVEL_BITS) & (ENTRIES_PER_TABLE - 1)
-        paddrs.append(node.pfn * PAGE_BYTES + index * PTE_BYTES)
-        node = node.entries.get(index)
-        if node is None:
-            return None, paddrs
-        index = vpn & (ENTRIES_PER_TABLE - 1)
-        paddrs.append(node.pfn * PAGE_BYTES + index * PTE_BYTES)
-        return node.entries.get(index), paddrs
-
 
 class PageTableWalker:
     """Hardware page-table walker charging cache accesses for PTE loads.
@@ -163,10 +131,31 @@ class PageTableWalker:
         the simplified walker used by ``insertSTLT`` turns it into a null
         PTE (see :class:`repro.core.sptw.SimplifiedPTW`).
         """
-        pfn, paddrs = self.page_table.walk_path(vpn)
-        cycles = 0
-        for paddr in paddrs:
-            cycles += self._cache_access(paddr)
+        if not 0 <= vpn <= MAX_VPN:
+            raise AddressError(f"vpn {vpn:#x} outside the 48-bit address space")
+        # every timed walk runs here, so the four levels (PML4, PDPT,
+        # PD, PT) are unrolled, each PTE charged as the walk reaches it;
+        # the PTE at ``index`` of a node sits at ``pfn * PAGE_BYTES +
+        # index * PTE_BYTES``, and a non-present entry ends the walk
+        access = self._cache_access
+        pfn = None
+        node = self.page_table.root
+        index = (vpn >> (3 * LEVEL_BITS)) & (ENTRIES_PER_TABLE - 1)
+        cycles = access(node.pfn * PAGE_BYTES + index * PTE_BYTES)
+        node = node.entries.get(index)
+        if node is not None:
+            index = (vpn >> (2 * LEVEL_BITS)) & (ENTRIES_PER_TABLE - 1)
+            cycles += access(node.pfn * PAGE_BYTES + index * PTE_BYTES)
+            node = node.entries.get(index)
+            if node is not None:
+                index = (vpn >> LEVEL_BITS) & (ENTRIES_PER_TABLE - 1)
+                cycles += access(node.pfn * PAGE_BYTES + index * PTE_BYTES)
+                node = node.entries.get(index)
+                if node is not None:
+                    index = vpn & (ENTRIES_PER_TABLE - 1)
+                    cycles += access(
+                        node.pfn * PAGE_BYTES + index * PTE_BYTES)
+                    pfn = node.entries.get(index)
         self.walks += 1
         self.walk_cycles += cycles
         if pfn is None:

@@ -532,8 +532,8 @@ class BatchedOpExecutor:
                 if ln == line_end:  # one line: skip the loop frame
                     ls = l1_sets[ln & l1_mask]
                     if ln in ls:
-                        del ls[ln]
-                        ls[ln] = None
+                        ls.remove(ln)
+                        ls.appendleft(ln)
                         a_l1 += 1
                         phys = l1_lat
                     else:
@@ -543,8 +543,8 @@ class BatchedOpExecutor:
                     while ln <= line_end:
                         ls = l1_sets[ln & l1_mask]
                         if ln in ls:
-                            del ls[ln]
-                            ls[ln] = None
+                            ls.remove(ln)
+                            ls.appendleft(ln)
                             a_l1 += 1
                             phys += l1_lat
                         else:
@@ -603,8 +603,8 @@ class BatchedOpExecutor:
                 if ln == line_end:
                     ls = l1_sets[ln & l1_mask]
                     if ln in ls:
-                        del ls[ln]
-                        ls[ln] = None
+                        ls.remove(ln)
+                        ls.appendleft(ln)
                         a_l1 += 1
                         rec_c = l1_lat
                     else:
@@ -614,8 +614,8 @@ class BatchedOpExecutor:
                     while ln <= line_end:
                         ls = l1_sets[ln & l1_mask]
                         if ln in ls:
-                            del ls[ln]
-                            ls[ln] = None
+                            ls.remove(ln)
+                            ls.appendleft(ln)
                             a_l1 += 1
                             rec_c += l1_lat
                         else:
@@ -641,8 +641,8 @@ class BatchedOpExecutor:
                 if ln == line_end:
                     ls = l1_sets[ln & l1_mask]
                     if ln in ls:
-                        del ls[ln]
-                        ls[ln] = None
+                        ls.remove(ln)
+                        ls.appendleft(ln)
                         a_l1 += 1
                         val_c = l1_lat
                     else:
@@ -652,8 +652,8 @@ class BatchedOpExecutor:
                     while ln <= line_end:
                         ls = l1_sets[ln & l1_mask]
                         if ln in ls:
-                            del ls[ln]
-                            ls[ln] = None
+                            ls.remove(ln)
+                            ls.appendleft(ln)
                             a_l1 += 1
                             val_c += l1_lat
                         else:

@@ -17,7 +17,6 @@ from repro.mem.kernels import (
     HAVE_NUMPY,
     SetArrayView,
     _NUMPY_MIN_ROWS,
-    flatten_sets,
     matching_indices,
     occupancy_count,
     rows_in_pages,
@@ -80,7 +79,7 @@ class TestFlattenSets:
         cache.insert(0)  # set 0, oldest
         cache.insert(4)  # set 0, youngest
         cache.insert(1)  # set 1
-        flat = flatten_sets(cache._sets, 2)
+        flat = cache.flat_state()
         assert len(flat) == cache._num_sets * 2
         assert flat[0:2] == [0, 4]     # oldest first
         assert flat[2:4] == [1, -1]    # padded with -1
@@ -90,7 +89,15 @@ class TestFlattenSets:
         cache.insert(0)
         cache.insert(4)
         cache.lookup(0)  # 0 becomes the youngest
-        assert flatten_sets(cache._sets, 2)[0:2] == [4, 0]
+        assert cache.flat_state()[0:2] == [4, 0]
+
+    def test_tlb_flat_state_is_lru_first_too(self):
+        # TLB sets are dicts, not deques: the export order must agree
+        tlb = TLB(TLBParams("t", 6, 2, 1))  # 3 sets
+        tlb.insert(0, 5)
+        tlb.insert(3, 6)
+        tlb.lookup(0)  # 0 becomes the youngest
+        assert tlb.flat_state() == [3, 0, -1, -1, -1, -1]
 
 
 class TestSetArrayView:

@@ -1,9 +1,10 @@
 """Property-based tests on the memory substrate (hypothesis).
 
-The caches, TLBs and STB keep their sets as plain insertion-ordered
-dicts; the reference models below keep the ``OrderedDict`` idiom
-(``move_to_end`` on a hit, ``popitem(last=False)`` on an eviction), and
-every step must agree on hits, victims and the full set contents.
+The caches keep their sets as most-recently-used-first deques, the
+TLBs and STB as plain insertion-ordered dicts; the reference models
+below keep the ``OrderedDict`` idiom (``move_to_end`` on a hit,
+``popitem(last=False)`` on an eviction), and every step must agree on
+hits, victims and the full set contents.
 """
 
 from collections import OrderedDict
@@ -11,18 +12,23 @@ from collections import OrderedDict
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mem.address_space import FrameAllocator
+from repro.mem.address_space import AddressSpace, FrameAllocator
 from repro.mem.cache import Cache
+from repro.mem.hierarchy import MemorySystem
 from repro.mem.page_table import (
     MAX_VPN,
     NUM_LEVELS,
     PTE_BYTES,
     PageTable,
+    PageTableWalker,
 )
+from repro.mem.prefetch import StreamPrefetcher
 from repro.mem.tlb import TLB
+from repro.mem.types import AccessKind, AccessResult
 from repro.core.stb import STB
 from repro.core.row import make_pte
-from repro.params import PAGE_BYTES, CacheParams, TLBParams
+from repro.params import (PAGE_BYTES, PAGE_SHIFT, CacheParams, TLBParams,
+                          scaled_machine)
 
 lines = st.integers(0, 255)
 
@@ -108,7 +114,8 @@ def test_tlb_matches_reference_lru(ops):
 
 
 def reference_walk_path(table, vpn):
-    """The level loop ``PageTable.walk_path`` unrolled."""
+    """The level loop that ``PageTableWalker.walk`` unrolls: the pfn
+    (None on a fault) and the PTE addresses in load order."""
     idx = table._indices(vpn)
     node = table.root
     paddrs = []
@@ -133,17 +140,36 @@ def test_page_table_matches_dict(mappings, probes):
     for vpn, pfn in mappings:
         table.map(vpn, pfn)
         model[vpn] = pfn
+    charged = []
+
+    def cache_access(paddr):
+        # a per-address latency, so the cycle sum sees every load
+        charged.append(paddr)
+        return 1 + paddr % 7
+
+    walker = PageTableWalker(table, cache_access)
+
+    def timed_walk(vpn):
+        charged.clear()
+        faults = walker.faults
+        walked, cycles = walker.walk(vpn)
+        assert cycles == sum(1 + paddr % 7 for paddr in charged)
+        assert walker.faults == faults + (walked is None)
+        return walked, list(charged)
+
     for vpn, pfn in model.items():
         assert table.lookup(vpn) == pfn
-        walked, paddrs = table.walk_path(vpn)
+        walked, paddrs = timed_walk(vpn)
         assert walked == pfn
         assert len(paddrs) == 4
         assert (walked, paddrs) == reference_walk_path(table, vpn)
     # unmapped vpns stop at the first missing level: partial walks
     near = [vpn ^ (1 << bit) for vpn in model for bit in (0, 9, 18)]
     for vpn in probes + near[:60]:
-        assert table.walk_path(vpn) == reference_walk_path(table, vpn)
-        assert table.walk_path(vpn)[0] == model.get(vpn)
+        walked, paddrs = timed_walk(vpn)
+        assert (walked, paddrs) == reference_walk_path(table, vpn)
+        assert walked == model.get(vpn)
+    assert walker.walks == len(model) + len(probes + near[:60])
     assert table.mapped_pages == len(model)
 
 
@@ -181,3 +207,112 @@ def test_stb_fifo_capacity_invariant(vpns):
     # the newest insert is always resident
     if vpns:
         assert stb.probe(vpns[-1]) == vpns[-1] + len(vpns)
+
+
+def per_line_access(mem, vaddr, size, write, kind):
+    """The reference for ``MemorySystem.access``: one line at a time,
+    translating whenever a line's page differs from the previous
+    line's, with the L1 and D-TLB probes on the structures' object
+    face."""
+    stats = mem.stats
+    stats.accesses += 1
+    if write:
+        stats.writes += 1
+    else:
+        stats.reads += 1
+    dtlb = mem.tlbs.l1
+    l1 = mem.l1
+    first_line = vaddr >> 6
+    last_line = (vaddr + max(size, 1) - 1) >> 6
+    cycles = 0
+    translation_cycles = 0
+    tlb_hit = True
+    stb_hit = False
+    walked = False
+    last_vpn = -1
+    pfn = 0
+    for line in range(first_line, last_line + 1):
+        line_va = line << 6
+        vpn = line_va >> PAGE_SHIFT
+        if vpn != last_vpn:
+            if dtlb.contains(vpn):
+                pfn = dtlb.lookup(vpn)
+                stats.dtlb_hits += 1
+                t_cycles = dtlb.latency
+            else:
+                pfn, t_cycles, t_hit, t_walked = mem._translate(vpn)
+                tlb_hit = tlb_hit and t_hit
+                walked = walked or t_walked
+                if not t_hit and not t_walked:
+                    stb_hit = True
+            cycles += t_cycles
+            translation_cycles += t_cycles
+            last_vpn = vpn
+        paddr_line = ((pfn << PAGE_SHIFT)
+                      | (line_va & (PAGE_BYTES - 1))) >> 6
+        if l1.contains(paddr_line):
+            l1.lookup(paddr_line)
+            stats.l1_hits += 1
+            cycles += l1.latency
+        else:
+            cycles += mem._line_access(paddr_line, True, mem.now + cycles)
+    mem.now += cycles
+    stats.total_cycles += cycles
+    attr = mem.attr
+    attr["translation"] = attr.get("translation", 0) + translation_cycles
+    attr[kind.value] = attr.get(kind.value, 0) + cycles - translation_cycles
+    return AccessResult(cycles, tlb_hit, stb_hit, walked,
+                        last_line - first_line + 1)
+
+
+#: pages of the scripted region; a span may cross into the next page
+SCRIPT_PAGES = 24
+
+
+def scripted_system():
+    """A small machine over one mapped region, so the scripts miss in
+    every cache and TLB level; an STB holds every third page and a
+    stream prefetcher issues DRAM traffic behind demand misses."""
+    space = AddressSpace()
+    region = space.alloc_region(SCRIPT_PAGES * PAGE_BYTES)
+    mem = MemorySystem(space, scaled_machine(64),
+                       stream_prefetcher=StreamPrefetcher())
+    stb = STB(entries=8)
+    for page in range(0, SCRIPT_PAGES, 3):
+        va = region + page * PAGE_BYTES
+        stb.insert(va >> PAGE_SHIFT,
+                   make_pte(space.translate(va) >> PAGE_SHIFT))
+    mem.attach_stb(stb)
+    return mem, region
+
+
+def memory_state(mem):
+    structures = (mem.l1, mem.l2, mem.l3, mem.tlbs.l1, mem.tlbs.l2)
+    return (vars(mem.stats), mem.attr, mem.now,
+            [(s.flat_state(), s.hits, s.misses) for s in structures],
+            sorted(mem._prefetched_lines))
+
+
+#: (page, offset, size, write, kind): offsets near a page's end make
+#: spans that cross into the next page
+ACCESS_STEPS = st.tuples(
+    st.integers(0, SCRIPT_PAGES - 2),
+    st.one_of(st.integers(0, PAGE_BYTES - 1),
+              st.integers(PAGE_BYTES - 300, PAGE_BYTES - 1)),
+    st.integers(1, 300),
+    st.booleans(),
+    st.sampled_from(list(AccessKind)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(ACCESS_STEPS, max_size=120))
+def test_access_matches_per_line_loop(steps):
+    mem, region = scripted_system()
+    reference, _ = scripted_system()
+    for page, offset, size, write, kind in steps:
+        vaddr = region + page * PAGE_BYTES + offset
+        got = mem.access(vaddr, size, write, kind)
+        want = per_line_access(reference, vaddr, size, write, kind)
+        assert repr(got) == repr(want)
+        assert memory_state(mem) == memory_state(reference)

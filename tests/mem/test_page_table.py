@@ -20,6 +20,20 @@ def table():
     return PageTable(frames.alloc)
 
 
+def recorded_walk(table, vpn):
+    """``(pfn, PTE addresses in load order)`` of one timed walk, read
+    through a ``cache_access`` stub that records every PTE load."""
+    charged = []
+
+    def cache_access(paddr):
+        charged.append(paddr)
+        return 1
+
+    pfn, cycles = PageTableWalker(table, cache_access).walk(vpn)
+    assert cycles == len(charged)
+    return pfn, charged
+
+
 class TestMapping:
     def test_map_lookup_roundtrip(self, table):
         table.map(0x12345, 777)
@@ -54,9 +68,9 @@ class TestMapping:
         with pytest.raises(AddressError):
             table.lookup(-1)
         with pytest.raises(AddressError):
-            table.walk_path(MAX_VPN + 1)
+            recorded_walk(table, MAX_VPN + 1)
         with pytest.raises(AddressError):
-            table.walk_path(-1)
+            recorded_walk(table, -1)
 
     def test_max_vpn_is_mappable(self, table):
         table.map(MAX_VPN, 42)
@@ -72,25 +86,25 @@ class TestMapping:
 class TestWalkPath:
     def test_walk_touches_four_levels(self, table):
         table.map(0xABCDE, 9)
-        pfn, paddrs = table.walk_path(0xABCDE)
+        pfn, paddrs = recorded_walk(table, 0xABCDE)
         assert pfn == 9
         assert len(paddrs) == NUM_LEVELS
 
     def test_walk_terminates_early_when_unmapped(self, table):
-        pfn, paddrs = table.walk_path(0xABCDE)
+        pfn, paddrs = recorded_walk(table, 0xABCDE)
         assert pfn is None
         assert len(paddrs) == 1  # stops at the missing PML4 entry
 
     def test_pte_addresses_are_distinct_per_level(self, table):
         table.map(0x1, 1)
-        _, paddrs = table.walk_path(0x1)
+        _, paddrs = recorded_walk(table, 0x1)
         assert len(set(paddrs)) == NUM_LEVELS
 
     def test_adjacent_vpns_share_leaf_table(self, table):
         table.map(100, 1)
         table.map(101, 2)
-        _, p1 = table.walk_path(100)
-        _, p2 = table.walk_path(101)
+        _, p1 = recorded_walk(table, 100)
+        _, p2 = recorded_walk(table, 101)
         assert p1[:-1] == p2[:-1]
         assert p2[-1] - p1[-1] == PTE_BYTES
 
@@ -98,8 +112,8 @@ class TestWalkPath:
         table.map(0, 1)
         far = ENTRIES_PER_TABLE ** 3  # different PML4 slot
         table.map(far, 2)
-        _, p1 = table.walk_path(0)
-        _, p2 = table.walk_path(far)
+        _, p1 = recorded_walk(table, 0)
+        _, p2 = recorded_walk(table, far)
         assert p1[0] != p2[0]
 
 
