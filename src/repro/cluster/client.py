@@ -119,9 +119,10 @@ class ClusterClient:
         """The node a cache-less (or cache-cold) request contacts."""
         return self.rng.randrange(self._num_nodes)
 
-    def target_for(self, slot: int, topology: ClusterTopology,
+    def target_for(self, slot: int, owner: int, topology: ClusterTopology,
                    is_read: bool) -> Tuple[int, str]:
-        """Pick the node to contact for ``slot``.
+        """Pick the node to contact for ``slot``, whose primary is
+        ``owner`` (the caller has just read it from ``topology``).
 
         Returns ``(node_index, classification)`` where the
         classification is ``"hit"`` / ``"stale"`` / ``"miss"`` —
@@ -131,7 +132,6 @@ class ClusterClient:
         reports the redirect outcome (:meth:`on_moved`) or the serve
         (:meth:`on_served`).
         """
-        owner = topology.owner(slot)
         if self.cache is None:
             return self.bootstrap_node(), "miss"
         cached = self.cache.lookup(slot)

@@ -522,12 +522,14 @@ def simulate_cluster(
     rw_rng = random.Random(derive_seed(config.seed, "cluster_rw"))
     write_flags = [rw_rng.random() < WRITE_FRACTION for _ in range(count)]
     slot_of = [-1] * config.num_keys  # key id -> slot, -1 until first use
+    #: key id -> wire key bytes, rendered with the slot on first use
+    wire_key: List[Optional[bytes]] = [None] * config.num_keys
 
     def slot_for(key_id: int) -> int:
         slot = slot_of[key_id]
         if slot < 0:
-            slot = slot_of[key_id] = slot_for_key(key_bytes(key_id),
-                                                  config.fast_hash)
+            key = wire_key[key_id] = key_bytes(key_id)
+            slot = slot_of[key_id] = slot_for_key(key, config.fast_hash)
         return slot
 
     # migration payloads target the *populated* keyspace: a migration
@@ -726,6 +728,10 @@ def simulate_cluster(
                        "fallback_oversized": 0}
     capability_checks = 0
     capability_violations = 0
+    # per-attempt hooks that would do nothing are skipped: a batch of 1
+    # opens no pipelining window, an unarmed scheduler no ASK window
+    pipelined = config.client_batch > 1
+    migrating = migration.active
 
     def _read_hedge(client: ClusterClient, slot: int, at: float,
                     req_bytes: int, resp_bytes: int,
@@ -751,17 +757,20 @@ def simulate_cluster(
                 return delivery, node
         return None
 
-    def _attempt(client: ClusterClient, slot: int, start: float,
-                 is_write: bool, use_cache: bool, req_bytes: int,
-                 resp_bytes: int, key_id: int, oversized: bool
+    def _attempt(client: ClusterClient, slot: int, owner: int,
+                 start: float, is_write: bool, use_cache: bool,
+                 req_bytes: int, resp_bytes: int, key_id: int,
+                 oversized: bool
                  ) -> Optional[Tuple[float, int, bool, bool]]:
-        """One request attempt from ``start``.  Returns (delivery,
-        serve_node, served_via_ask, hedged) or None if every path
-        timed out against unreachable nodes."""
+        """One request attempt from ``start`` against ``slot``, whose
+        primary is ``owner``.  Returns (delivery, serve_node,
+        served_via_ask, hedged) or None if every path timed out against
+        unreachable nodes."""
         nonlocal moved_redirects, oracle_violations
         nonlocal capability_checks, capability_violations
         if use_cache:
-            target, _kind = client.target_for(slot, topology, not is_write)
+            target, _kind = client.target_for(slot, owner, topology,
+                                              not is_write)
         else:
             # a retry after a timeout: the stale row is gone, ask any
             # node and let MOVED point at the promoted owner
@@ -772,7 +781,7 @@ def simulate_cluster(
             # node's descriptor, so this is local, not an extra hop
             target = client.capability_route(slot, target, topology,
                                              is_write, oversized)
-        head = client.begin_request(target)
+        head = client.begin_request(target) if pipelined else True
         t = network.one_way(client.name, servers[target].name,
                             req_bytes, start, head)
         if math.isinf(t):
@@ -806,7 +815,6 @@ def simulate_cluster(
             t += REDIRECT_CYCLES
             t = network.one_way(servers[target].name, client.name,
                                 REDIRECT_BYTES, t)
-            owner = topology.owner(slot)
             client.on_moved(slot, owner)
             serve_node = write_target if is_write else owner
             if serve_node in accel_nodes:
@@ -831,7 +839,7 @@ def simulate_cluster(
         # ASK: the slot is mid-migration and this is its old primary —
         # one-shot forward to the importing node, nothing cached
         served_via_ask = False
-        ask = migration.ask_target(slot, serve_node)
+        ask = migration.ask_target(slot, serve_node) if migrating else None
         if ask is not None:
             t += REDIRECT_CYCLES
             t = network.one_way(servers[serve_node].name, client.name,
@@ -854,7 +862,7 @@ def simulate_cluster(
         server = servers[serve_node]
         capability_checks += 1
         if serve_node in accel_nodes:
-            key = key_bytes(key_id)
+            key = wire_key[key_id]
             if is_write or oversized:
                 # the capability fence: dispatch makes this path
                 # unreachable; if a request ever lands here anyway the
@@ -942,9 +950,9 @@ def simulate_cluster(
         attempt_start = arrival
         outcome = None
         for attempt in range(attempts):
-            outcome = _attempt(client, slot, attempt_start, is_write,
-                               attempt == 0, req_bytes, resp_bytes,
-                               key_id, oversized)
+            outcome = _attempt(client, slot, owner, attempt_start,
+                               is_write, attempt == 0, req_bytes,
+                               resp_bytes, key_id, oversized)
             if outcome is not None:
                 break
             # the attempt died against an unreachable node: the client
@@ -991,7 +999,7 @@ def simulate_cluster(
             if owner in accel_nodes:
                 # write-invalidation: the acked value supersedes
                 # whatever copy the accelerator still serves
-                servers[owner].invalidate(delivery, key_bytes(key_id))
+                servers[owner].invalidate(delivery, wire_key[key_id])
         else:
             record = acked.get(key_id)
             if record is not None and serve_node not in record.holders:

@@ -13,6 +13,11 @@ def _client(**kwargs):
     return ClusterClient(**defaults)
 
 
+def _read_target(client, slot, topo):
+    """Route a read the way the overlay does: with the slot's owner."""
+    return client.target_for(slot, topo.owner(slot), topo, is_read=True)
+
+
 class TestRouteCache:
     def test_learn_lookup_invalidate(self):
         cache = RouteCache()
@@ -36,7 +41,7 @@ class TestRouting:
     def test_cold_lookup_is_a_miss_to_a_bootstrap_node(self):
         topo = ClusterTopology(4)
         client = _client()
-        node, kind = client.target_for(0, topo, is_read=True)
+        node, kind = _read_target(client, 0, topo)
         assert kind == "miss"
         assert 0 <= node < 4
         assert client.cache.misses == 1
@@ -46,7 +51,7 @@ class TestRouting:
         client = _client()
         slot = topo.slots_of(2)[0]
         client.on_served(slot, 2)
-        node, kind = client.target_for(slot, topo, is_read=True)
+        node, kind = _read_target(client, slot, topo)
         assert (node, kind) == (2, "hit")
         assert client.cache.hits == 1
 
@@ -56,11 +61,11 @@ class TestRouting:
         slot = topo.slots_of(0)[0]
         client.on_served(slot, 0)
         topo.move_slot(slot, 3)
-        node, kind = client.target_for(slot, topo, is_read=True)
+        node, kind = _read_target(client, slot, topo)
         # the stale row is *followed* (the contacted node will MOVED)
         assert (node, kind) == (0, "stale")
         client.on_moved(slot, 3)
-        node, kind = client.target_for(slot, topo, is_read=True)
+        node, kind = _read_target(client, slot, topo)
         assert (node, kind) == (3, "hit")
 
     def test_cacheless_client_always_bootstraps(self):
@@ -68,10 +73,10 @@ class TestRouting:
         client = _client(route_cache=False)
         assert client.cache is None
         for _ in range(8):
-            node, kind = client.target_for(0, topo, is_read=True)
+            node, kind = _read_target(client, 0, topo)
             assert kind == "miss"
         client.on_served(0, topo.owner(0))  # a no-op without a cache
-        _, kind = client.target_for(0, topo, is_read=True)
+        _, kind = _read_target(client, 0, topo)
         assert kind == "miss"
 
     def test_replica_reads_rotate_over_the_read_set(self):
@@ -79,7 +84,7 @@ class TestRouting:
         client = _client(replica_reads=True)
         slot = topo.slots_of(0)[0]
         client.on_served(slot, 0)
-        seen = {client.target_for(slot, topo, is_read=True)[0]
+        seen = {_read_target(client, slot, topo)[0]
                 for _ in range(64)}
         assert seen == set(topo.read_set(slot))
 
@@ -89,7 +94,7 @@ class TestRouting:
         slot = topo.slots_of(0)[0]
         replica = topo.replicas_of(slot)[0]
         client.on_served(slot, replica)
-        _, kind = client.target_for(slot, topo, is_read=True)
+        _, kind = _read_target(client, slot, topo)
         assert kind == "hit"
 
 
