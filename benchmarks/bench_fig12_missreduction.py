@@ -17,6 +17,19 @@ from benchmarks.common import (
 DISTRIBUTIONS = ("zipf", "latest", "uniform")
 
 
+def check_preconditions(runs: dict) -> None:
+    """Every baseline must walk the page table and miss the TLBs;
+    otherwise the reductions divide by a miss path that never fired."""
+    for dist, per_fe in runs.items():
+        base = per_fe["baseline"]
+        if base["page_walks"] <= 0 or base["tlb_misses"] <= 0:
+            raise AssertionError(
+                f"precondition failed: the {dist} baseline made "
+                f"{base['page_walks']} page walks and "
+                f"{base['tlb_misses']} TLB misses, so there is no miss "
+                f"to reduce; run more keys than the TLBs reach")
+
+
 def test_fig12_tlb_and_cache_miss_reduction(benchmark):
     def run_all():
         out = {}
@@ -30,6 +43,7 @@ def test_fig12_tlb_and_cache_miss_reduction(benchmark):
         return out
 
     runs = run_once(benchmark, run_all)
+    check_preconditions(runs)
     rows = []
     for dist, per_fe in runs.items():
         base = per_fe["baseline"]

@@ -38,8 +38,22 @@ def _sweep():
     return out
 
 
+def check_preconditions(all_runs: dict) -> None:
+    """Every baseline must walk the page table; otherwise the speedups
+    credit STLT and SLB with translations the baseline never paid."""
+    for (program, dist, size), runs in sorted(all_runs.items()):
+        walks = runs["baseline"]["page_walks"]
+        if walks <= 0:
+            raise AssertionError(
+                f"precondition failed: the {program}/{dist}/{size}B "
+                f"baseline made {walks} page walks, so no speedup here "
+                f"comes from translation; run more keys than the TLBs "
+                f"reach")
+
+
 def test_fig13_kernel_speedups(benchmark):
     all_runs = run_once(benchmark, _sweep)
+    check_preconditions(all_runs)
 
     rows = []
     gains = {"hash": {"slb": [], "stlt": []},

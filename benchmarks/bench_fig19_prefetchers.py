@@ -32,8 +32,23 @@ def _sweep():
     return out
 
 
+def check_preconditions(all_runs: dict) -> None:
+    """Every data-prefetcher run must issue prefetches; otherwise its
+    slowdown is charged to a prefetcher that never fetched a line."""
+    for program in PROGRAMS:
+        for pf in ("stream", "vldp"):
+            issued = all_runs[(program, pf)]["prefetches_issued"]
+            if issued <= 0:
+                raise AssertionError(
+                    f"precondition failed: the {program} run with the "
+                    f"{pf} prefetcher issued {issued} prefetches, so it "
+                    f"cannot be what slowed the run; attach the "
+                    f"prefetcher to the LLC miss path")
+
+
 def test_fig19_right_prefetcher_slowdowns(benchmark):
     all_runs = run_once(benchmark, _sweep)
+    check_preconditions(all_runs)
 
     rows = []
     slowdowns = {pf: [] for pf in PREFETCHERS}
