@@ -15,7 +15,7 @@ fraction of a hash-table lookup than of a tree walk).
 from benchmarks.common import (
     bench_config,
     print_figure,
-    run_cached,
+    run_keyed,
     run_once,
     speedup_of,
 )
@@ -24,15 +24,14 @@ PROGRAMS = ("redis", "unordered_map", "ordered_map")
 
 
 def _sweep():
-    out = {}
+    configs = {}
     for program in PROGRAMS:
-        out[(program, "baseline")] = run_cached(
-            bench_config(program=program, frontend="baseline"))
+        configs[(program, "baseline")] = bench_config(
+            program=program, frontend="baseline")
         for fast_hash in ("xxh3", "hw_hash"):
-            out[(program, fast_hash)] = run_cached(
-                bench_config(program=program, frontend="stlt",
-                             fast_hash=fast_hash))
-    return out
+            configs[(program, fast_hash)] = bench_config(
+                program=program, frontend="stlt", fast_hash=fast_hash)
+    return run_keyed(configs)
 
 
 def check_preconditions(runs: dict) -> None:

@@ -8,7 +8,7 @@ on the low-locality distributions (uniform, zipf) than on latest.
 from benchmarks.common import (
     bench_config,
     print_figure,
-    run_cached,
+    run_keyed,
     run_once,
     speedup_of,
 )
@@ -16,26 +16,44 @@ from repro.sim.results import geomean
 
 DISTRIBUTIONS = ("zipf", "latest", "uniform")
 VALUE_SIZES = (64, 128, 256)
+FRONTENDS = ("baseline", "slb", "stlt")
 
 
-def _run_workload(distribution, value_size):
-    runs = {}
-    for frontend in ("baseline", "slb", "stlt"):
-        config = bench_config(program="redis", frontend=frontend,
-                              distribution=distribution,
-                              value_size=value_size)
-        runs[frontend] = run_cached(config)
-    return runs
+def _run_workloads(workloads):
+    """Each (distribution, value size) workload's run per front-end,
+    the whole sweep submitted as one batch."""
+    runs = run_keyed({
+        (dist, size, fe): bench_config(program="redis", frontend=fe,
+                                       distribution=dist, value_size=size)
+        for dist, size in workloads for fe in FRONTENDS})
+    return {(dist, size): {fe: runs[(dist, size, fe)] for fe in FRONTENDS}
+            for dist, size in workloads}
+
+
+def check_preconditions(all_runs: dict) -> None:
+    """Every baseline must walk the page table, and every SLB and STLT
+    run must hit its fast table; otherwise a speedup credits a table
+    that skipped no translation."""
+    for (dist, size), runs in all_runs.items():
+        walks = runs["baseline"]["page_walks"]
+        if walks <= 0:
+            raise AssertionError(
+                f"precondition failed: the {dist}-{size}B baseline made "
+                f"{walks} page walks, so no speedup here comes from "
+                f"translation; run more keys than the TLBs reach")
+        for fe in ("slb", "stlt"):
+            miss_rate = runs[fe]["fast_miss_rate"]
+            if miss_rate is None or miss_rate >= 1.0:
+                raise AssertionError(
+                    f"precondition failed: the {dist}-{size}B {fe} run "
+                    f"hit its fast table on no GET (miss rate "
+                    f"{miss_rate}), so it shortened no lookup")
 
 
 def test_fig11_redis_speedups(benchmark):
-    def run_all():
-        return {
-            (d, v): _run_workload(d, v)
-            for d in DISTRIBUTIONS for v in VALUE_SIZES
-        }
-
-    all_runs = run_once(benchmark, run_all)
+    all_runs = run_once(benchmark, lambda: _run_workloads(
+        [(d, v) for d in DISTRIBUTIONS for v in VALUE_SIZES]))
+    check_preconditions(all_runs)
 
     rows = []
     stlt_speedups = []
@@ -71,11 +89,10 @@ def test_fig11_redis_speedups(benchmark):
 def test_fig11_record_size_has_little_effect(benchmark):
     """Paper: 'Record size has little effect on both STLT and SLB.'"""
 
-    def run_sizes():
-        return {v: _run_workload("zipf", v) for v in VALUE_SIZES}
-
-    runs = run_once(benchmark, run_sizes)
-    speedups = [speedup_of(runs[v]["baseline"], runs[v]["stlt"])
+    runs = run_once(benchmark, lambda: _run_workloads(
+        [("zipf", v) for v in VALUE_SIZES]))
+    speedups = [speedup_of(runs[("zipf", v)]["baseline"],
+                           runs[("zipf", v)]["stlt"])
                 for v in VALUE_SIZES]
     spread = max(speedups) - min(speedups)
     print_figure(

@@ -10,11 +10,12 @@ from benchmarks.common import (
     bench_config,
     print_figure,
     reduction_of,
-    run_cached,
+    run_keyed,
     run_once,
 )
 
 DISTRIBUTIONS = ("zipf", "latest", "uniform")
+FRONTENDS = ("baseline", "slb", "stlt")
 
 
 def check_preconditions(runs: dict) -> None:
@@ -32,15 +33,12 @@ def check_preconditions(runs: dict) -> None:
 
 def test_fig12_tlb_and_cache_miss_reduction(benchmark):
     def run_all():
-        out = {}
-        for dist in DISTRIBUTIONS:
-            out[dist] = {
-                fe: run_cached(bench_config(program="redis", frontend=fe,
-                                            distribution=dist,
-                                            value_size=128))
-                for fe in ("baseline", "slb", "stlt")
-            }
-        return out
+        runs = run_keyed({
+            (dist, fe): bench_config(program="redis", frontend=fe,
+                                     distribution=dist, value_size=128)
+            for dist in DISTRIBUTIONS for fe in FRONTENDS})
+        return {dist: {fe: runs[(dist, fe)] for fe in FRONTENDS}
+                for dist in DISTRIBUTIONS}
 
     runs = run_once(benchmark, run_all)
     check_preconditions(runs)

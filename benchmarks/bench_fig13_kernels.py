@@ -10,7 +10,7 @@ SLB everywhere, latest shows the smallest gains.
 from benchmarks.common import (
     bench_config,
     print_figure,
-    run_cached,
+    run_keyed,
     run_once,
     speedup_of,
 )
@@ -20,22 +20,20 @@ HASH_PROGRAMS = ("unordered_map", "dense_hash_map")
 TREE_PROGRAMS = ("ordered_map", "btree")
 DISTRIBUTIONS = ("zipf", "latest", "uniform")
 VALUE_SIZES = (128, 256)
+FRONTENDS = ("baseline", "slb", "stlt")
 
 
 def _sweep():
-    out = {}
-    for program in HASH_PROGRAMS + TREE_PROGRAMS:
-        for dist in DISTRIBUTIONS:
-            for size in VALUE_SIZES:
-                runs = {
-                    fe: run_cached(bench_config(program=program,
-                                                frontend=fe,
-                                                distribution=dist,
-                                                value_size=size))
-                    for fe in ("baseline", "slb", "stlt")
-                }
-                out[(program, dist, size)] = runs
-    return out
+    points = [(program, dist, size)
+              for program in HASH_PROGRAMS + TREE_PROGRAMS
+              for dist in DISTRIBUTIONS for size in VALUE_SIZES]
+    runs = run_keyed({
+        (program, dist, size, fe): bench_config(
+            program=program, frontend=fe, distribution=dist,
+            value_size=size)
+        for program, dist, size in points for fe in FRONTENDS})
+    return {point: {fe: runs[point + (fe,)] for fe in FRONTENDS}
+            for point in points}
 
 
 def check_preconditions(all_runs: dict) -> None:

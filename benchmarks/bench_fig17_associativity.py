@@ -9,7 +9,7 @@ most stable — first or second best for every benchmark at every size.
 from benchmarks.common import (
     bench_config,
     print_figure,
-    run_cached,
+    run_keyed,
     run_once,
     speedup_of,
 )
@@ -21,17 +21,17 @@ PROGRAMS = ("unordered_map", "dense_hash_map", "ordered_map", "btree")
 
 
 def _sweep():
-    out = {}
+    configs = {}
     for program in PROGRAMS:
-        out[(program, "baseline")] = run_cached(
-            bench_config(program=program, frontend="baseline"))
+        configs[(program, "baseline")] = bench_config(
+            program=program, frontend="baseline")
         for ratio in RATIOS:
             rows = rows_for_ratio(ratio)
             for ways in ASSOCIATIVITIES:
-                config = bench_config(program=program, frontend="stlt",
-                                      stlt_rows=rows, stlt_ways=ways)
-                out[(program, ratio, ways)] = run_cached(config)
-    return out
+                configs[(program, ratio, ways)] = bench_config(
+                    program=program, frontend="stlt", stlt_rows=rows,
+                    stlt_ways=ways)
+    return run_keyed(configs)
 
 
 def test_fig17_associativity(benchmark):

@@ -10,7 +10,7 @@ original SipHash throughout.
 from benchmarks.common import (
     bench_config,
     print_figure,
-    run_cached,
+    run_keyed,
     run_once,
     speedup_of,
 )
@@ -19,18 +19,36 @@ FAST_HASHES = ("siphash", "murmur", "xxh64", "djb2", "xxh3")
 
 
 def _sweep():
-    baseline = run_cached(bench_config(program="redis",
-                                       frontend="baseline"))
-    runs = {
-        name: run_cached(bench_config(program="redis", frontend="stlt",
-                                      fast_hash=name))
-        for name in FAST_HASHES
-    }
-    return baseline, runs
+    runs = run_keyed({
+        "baseline": bench_config(program="redis", frontend="baseline"),
+        **{name: bench_config(program="redis", frontend="stlt",
+                              fast_hash=name)
+           for name in FAST_HASHES}})
+    return runs.pop("baseline"), runs
+
+
+def check_preconditions(baseline: dict, runs: dict) -> None:
+    """The baseline must walk the page table, and each fast-hash STLT
+    run must hit its table; otherwise the speedups compare hashes on a
+    translation the baseline never paid or a path no GET took."""
+    walks = baseline["page_walks"]
+    if walks <= 0:
+        raise AssertionError(
+            f"precondition failed: the baseline made {walks} page walks, "
+            f"so no speedup here comes from translation; run more keys "
+            f"than the TLBs reach")
+    for name in FAST_HASHES:
+        miss_rate = runs[name]["fast_miss_rate"]
+        if miss_rate is None or miss_rate >= 1.0:
+            raise AssertionError(
+                f"precondition failed: the STLT run with {name} hit its "
+                f"fast path on no GET (miss rate {miss_rate}), so its "
+                f"hash never shortened a lookup")
 
 
 def test_fig18_hash_sensitivity(benchmark):
     baseline, runs = run_once(benchmark, _sweep)
+    check_preconditions(baseline, runs)
 
     speeds = {name: speedup_of(baseline, res) for name, res in runs.items()}
     rows = [

@@ -9,7 +9,7 @@ improves on all of them by skipping address translations.
 from benchmarks.common import (
     bench_config,
     print_figure,
-    run_cached,
+    run_keyed,
     run_once,
 )
 from repro.sim.results import geomean
@@ -19,14 +19,10 @@ VARIANTS = ("stlt_sw", "stlt_va", "stlt")
 
 
 def _sweep():
-    out = {}
-    for program in PROGRAMS:
-        out[(program, "slb")] = run_cached(
-            bench_config(program=program, frontend="slb"))
-        for variant in VARIANTS:
-            out[(program, variant)] = run_cached(
-                bench_config(program=program, frontend=variant))
-    return out
+    return run_keyed({
+        (program, frontend): bench_config(program=program,
+                                          frontend=frontend)
+        for program in PROGRAMS for frontend in ("slb",) + VARIANTS})
 
 
 def test_fig19_left_configuration_breakdown(benchmark):

@@ -10,7 +10,7 @@ pollute the cache without cutting demand misses.
 from benchmarks.common import (
     bench_config,
     print_figure,
-    run_cached,
+    run_keyed,
     run_once,
 )
 from repro.sim.results import geomean
@@ -21,15 +21,14 @@ PREFETCHERS = ("tlb_distance", "stream", "vldp")
 
 
 def _sweep():
-    out = {}
+    configs = {}
     for program in PROGRAMS:
-        out[(program, "none")] = run_cached(
-            bench_config(program=program, frontend="baseline"))
+        configs[(program, "none")] = bench_config(program=program,
+                                                  frontend="baseline")
         for pf in PREFETCHERS:
-            out[(program, pf)] = run_cached(
-                bench_config(program=program, frontend="baseline",
-                             prefetchers=(pf,)))
-    return out
+            configs[(program, pf)] = bench_config(
+                program=program, frontend="baseline", prefetchers=(pf,))
+    return run_keyed(configs)
 
 
 def check_preconditions(all_runs: dict) -> None:

@@ -10,8 +10,9 @@ they are submitted through :mod:`repro.exp`:
   change could hit stale entries);
 * figures that share runs (the Fig. 14/15/16 size sweep, Fig. 11 vs
   Table V) reuse them through that one store;
-* multi-run figures fan out over worker processes via
-  :func:`run_many` (parallel results are bit-identical to serial).
+* each figure submits its whole sweep as one batch through
+  :func:`run_keyed` / :func:`run_many`, which fan it out over worker
+  processes (parallel results are bit-identical to serial).
 
 Scale and execution knobs (environment variables):
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Dict, Hashable, List, Optional, Sequence
 
 from repro.exp import (
     ResultStore,
@@ -87,9 +88,10 @@ def run_many(configs: Sequence[RunConfig]) -> List[dict]:
     return [metrics_from_record(o.record) for o in report]
 
 
-def run_cached(config: RunConfig) -> dict:
-    """Run a config (or fetch it from the store); returns a metrics dict."""
-    return run_many([config])[0]
+def run_keyed(configs: Dict[Hashable, RunConfig]) -> Dict[Hashable, dict]:
+    """Run a sweep's configs as one :func:`run_many` batch; each metrics
+    dict comes back under its config's key, in the same order."""
+    return dict(zip(configs, run_many(list(configs.values()))))
 
 
 def bench_config(**overrides) -> RunConfig:

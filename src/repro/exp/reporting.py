@@ -29,7 +29,7 @@ __all__ = ["metrics_from_record", "summary_table", "speedup_table",
 def metrics_from_record(record: dict) -> dict:
     """The flat metrics dict the benchmark harness consumes.
 
-    Keys match the legacy ``benchmarks.common.run_cached`` payload
+    Keys match the legacy ``benchmarks.common`` metrics payload
     exactly, so figures produce identical tables whether a run was
     simulated now, pulled from the store, or computed by a worker.
     """

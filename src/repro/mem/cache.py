@@ -11,6 +11,8 @@ a shared x86_64 VM, 9 interleaved rounds), that takes 0.84x the time of
 a plain insertion-ordered dict that deletes and re-inserts a hit and
 evicts ``next(iter(s))`` (median; 0.67-1.20x per round), and keeps the
 same LRU order.  The TLBs keep dict sets: their entries carry the pfn.
+A cache keeps no hit or miss counters: each core's
+:class:`~repro.mem.stats.MemoryStats` counts its probes.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ class Cache:
         #: per set: line addresses, most recently used first
         self._sets: List[Deque[int]] = [
             deque(maxlen=self._ways) for _ in range(self._num_sets)]
-        self.hits = 0
-        self.misses = 0
 
     # -- core operations -------------------------------------------------
 
@@ -48,9 +48,7 @@ class Cache:
             if update_lru:
                 s.remove(line_addr)
                 s.appendleft(line_addr)
-            self.hits += 1
             return True
-        self.misses += 1
         return False
 
     def insert(self, line_addr: int) -> Optional[int]:
@@ -65,7 +63,7 @@ class Cache:
         return victim
 
     def contains(self, line_addr: int) -> bool:
-        """Presence check with no LRU update and no stat counting."""
+        """Presence check with no LRU update."""
         return line_addr in self._sets[line_addr & self._set_mask]
 
     def invalidate(self, line_addr: int) -> bool:
@@ -86,11 +84,6 @@ class Cache:
     @property
     def occupancy(self) -> int:
         return sum(len(s) for s in self._sets)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def kernel_view(self):
         """Flat access view for the batched execution mode.
@@ -113,10 +106,6 @@ class Cache:
         if not 0 <= set_index < self._num_sets:
             raise ConfigError(f"set index {set_index} out of range")
         return list(reversed(self._sets[set_index]))
-
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

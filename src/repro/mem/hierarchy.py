@@ -93,7 +93,13 @@ class MemorySystem:
         self.dram = shared.dram
         self.tlbs = TLBHierarchy(TLB(machine.dtlb), TLB(machine.stlb))
         self.walker = PageTableWalker(space.page_table, self._pte_cache_access)
+        #: the one record of this core's memory events
         self.stats = MemoryStats()
+        #: miss-path latency sums: an L2 hit, a line that reached L3, an
+        #: STLB hit
+        self._l2_hit_cycles = self.l1.latency + self.l2.latency
+        self._l3_cycles = self._l2_hit_cycles + self.l3.latency
+        self._stlb_hit_cycles = self.tlbs.l1.latency + self.tlbs.l2.latency
         self.now = 0
 
         #: attached by the STLT runtime (duck-typed: .probe(vpn) -> pfn|None)
@@ -111,6 +117,8 @@ class MemorySystem:
         self.stream_prefetcher = stream_prefetcher
         self.vldp_prefetcher = vldp_prefetcher
         self.tlb_prefetcher = tlb_prefetcher
+        self._data_prefetch = (stream_prefetcher is not None
+                               or vldp_prefetcher is not None)
         self._prefetched_lines: Set[int] = shared.prefetched_lines
         #: vpns the TLB prefetcher put in the STLB and no demand access
         #: has used yet; a vpn leaves the set when it leaves the STLB
@@ -180,38 +188,32 @@ class MemorySystem:
         caller.  A line that missed a level is absent from it until
         this call fills it, so each fill is one ``appendleft``, which
         drops the set's least recently used line off its full deque.
+        Each event is counted once, in ``stats`` (the L1 miss itself is
+        implied: ``l1_misses`` sums the L2 outcomes).
         """
         stats = self.stats
         l1 = self.l1
         s1 = l1._sets[line_addr & l1._set_mask]
-        l1.misses += 1
-        stats.l1_misses += 1
         l2 = self.l2
-        cycles = l1.latency + l2.latency
         s2 = l2._sets[line_addr & l2._set_mask]
         if line_addr in s2:
             s2.remove(line_addr)
             s2.appendleft(line_addr)
-            l2.hits += 1
             stats.l2_hits += 1
             s1.appendleft(line_addr)
-            return cycles
-        l2.misses += 1
-        stats.l2_misses += 1
+            return self._l2_hit_cycles
         l3 = self.l3
-        cycles += l3.latency
+        cycles = self._l3_cycles
         s3 = l3._sets[line_addr & l3._set_mask]
         llc_hit = line_addr in s3
         if llc_hit:
             s3.remove(line_addr)
             s3.appendleft(line_addr)
-            l3.hits += 1
             stats.l3_hits += 1
             if demand and line_addr in self._prefetched_lines:
                 stats.prefetches_useful += 1
                 self._prefetched_lines.discard(line_addr)
         else:
-            l3.misses += 1
             stats.l3_misses += 1
             if at < 0:
                 at = self.now
@@ -230,7 +232,6 @@ class MemorySystem:
             if queued > dram.max_queue_cycles:
                 dram.max_queue_cycles = queued
             cycles += queued + dram.latency
-            stats.dram_accesses += 1
             stats.dram_busy_cycles += service
             stats.dram_queue_cycles += queued
             if queued > stats.dram_max_queue_cycles:
@@ -240,8 +241,7 @@ class MemorySystem:
             s3.appendleft(line_addr)
         s2.appendleft(line_addr)
         s1.appendleft(line_addr)
-        if demand and (self.stream_prefetcher is not None
-                       or self.vldp_prefetcher is not None):
+        if demand and self._data_prefetch:
             if at < 0:
                 at = self.now
             self._run_data_prefetchers(line_addr, was_miss=not llc_hit,
@@ -287,7 +287,6 @@ class MemorySystem:
         if line in s:
             s.remove(line)
             s.appendleft(line)
-            l1.hits += 1
             self.stats.l1_hits += 1
             return l1.latency
         return self._line_access(line)
@@ -297,32 +296,26 @@ class MemorySystem:
     # ------------------------------------------------------------------
 
     def _translate(self, vpn: int) -> "tuple[int, int, bool, bool]":
-        """Translate a vpn; returns (pfn, cycles, tlb_hit, walked).
+        """Translate a vpn that missed the D-TLB; returns (pfn, cycles,
+        tlb_hit, walked), the D-TLB probe's latency included.
 
-        The D-TLB and STLB probes and the TLB fills run inline (see
-        _line_access).  Past an STLB miss the STB, then the accel
-        backend or the page walker supply the pfn.  Accel backends
-        tick the clock inside ``resolve``, so callers re-read ``now``
-        after this returns.
+        Every caller probes the D-TLB inline first (most translations
+        hit there) and enters here only on a miss, as ``_line_access``
+        starts at the L1 miss; ``dtlb_misses`` sums the STLB outcomes.
+        The STLB probe and the TLB fills run inline (see _line_access).
+        Past an STLB miss the STB, then the accel backend or the page
+        walker supply the pfn.  Accel backends tick the clock inside
+        ``resolve``, so callers re-read ``now`` after this returns.
         """
         stats = self.stats
         dtlb = self.tlbs.l1
         s1 = dtlb._sets[vpn % dtlb._num_sets]
-        pfn = s1.pop(vpn, None)
-        if pfn is not None:
-            s1[vpn] = pfn
-            dtlb.hits += 1
-            stats.dtlb_hits += 1
-            return pfn, dtlb.latency, True, False
-        dtlb.misses += 1
-        stats.dtlb_misses += 1
         stlb = self.tlbs.l2
-        cycles = dtlb.latency + stlb.latency
+        cycles = self._stlb_hit_cycles
         s2 = stlb._sets[vpn % stlb._num_sets]
         pfn = s2.pop(vpn, None)
         if pfn is not None:
             s2[vpn] = pfn
-            stlb.hits += 1
             stats.stlb_hits += 1
             if len(s1) >= dtlb._ways:
                 del s1[next(iter(s1))]
@@ -331,7 +324,6 @@ class MemorySystem:
                 stats.tlb_prefetches_useful += 1
                 self._prefetched_vpns.discard(vpn)
             return pfn, cycles, True, False
-        stlb.misses += 1
         stats.stlb_misses += 1
 
         walked = False
@@ -413,7 +405,6 @@ class MemorySystem:
             # stands in for the instruction address of the issuing site
             self.accel.kind_hint = kind
         stats = self.stats
-        stats.accesses += 1
         if write:
             stats.writes += 1
         else:
@@ -431,7 +422,6 @@ class MemorySystem:
             pfn = s.pop(vpn, None)
             if pfn is not None:
                 s[vpn] = pfn
-                dtlb.hits += 1
                 stats.dtlb_hits += 1
                 t_cycles = dtlb.latency
                 tlb_hit = True
@@ -444,7 +434,6 @@ class MemorySystem:
             if line in s:
                 s.remove(line)
                 s.appendleft(line)
-                l1.hits += 1
                 stats.l1_hits += 1
                 cycles = t_cycles + l1.latency
             else:
@@ -471,7 +460,6 @@ class MemorySystem:
             pfn = s.pop(vpn, None)
             if pfn is not None:
                 s[vpn] = pfn
-                dtlb.hits += 1
                 stats.dtlb_hits += 1
                 t_cycles = dtlb.latency
             else:
@@ -491,7 +479,6 @@ class MemorySystem:
                 if paddr_line in s:
                     s.remove(paddr_line)
                     s.appendleft(paddr_line)
-                    l1.hits += 1
                     stats.l1_hits += 1
                     cycles += l1.latency
                 else:
@@ -516,7 +503,6 @@ class MemorySystem:
         probe runs inline, as in :meth:`access`.
         """
         stats = self.stats
-        stats.accesses += 1
         stats.reads += 1
         l1 = self.l1
         cycles = 0
@@ -527,7 +513,6 @@ class MemorySystem:
             if line in s:
                 s.remove(line)
                 s.appendleft(line)
-                l1.hits += 1
                 stats.l1_hits += 1
                 cycles += l1.latency
             else:

@@ -1,10 +1,14 @@
 """Statistic bundles for the memory hierarchy.
 
-Statistics are plain attribute counters rather than dict lookups so the
-hot path (one increment per event) stays cheap in pure Python.  The
-:meth:`MemoryStats.snapshot` / :meth:`MemoryStats.delta` pair supports the
-paper's methodology of warming up on 80% of the accesses and measuring
-only the remainder.
+Each core's :class:`MemoryStats` is the one record of its memory
+events: the miss path increments one field per event, and the caches
+and TLBs keep no counters.  Counts that other fields imply
+(``accesses``, ``dtlb_misses``, ``l1_misses``, ``l2_misses``,
+``dram_accesses``) are read-only properties, which
+:meth:`MemoryStats.to_dict` emits and :meth:`MemoryStats.from_dict`
+checks.  The :meth:`MemoryStats.snapshot` / :meth:`MemoryStats.delta`
+pair supports the paper's methodology of warming up on 80% of the
+accesses and measuring only the remainder.
 
 With the private/shared split of the hierarchy (one ``MemoryStats`` per
 core over shared L3/DRAM), per-core bundles aggregate with
@@ -17,8 +21,10 @@ test enforces).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable
+
+from ..errors import ReproError
 
 #: fields that are high-water marks, not event counters: they aggregate
 #: with ``max`` and their window delta is the current (run-lifetime)
@@ -26,17 +32,19 @@ from typing import Iterable
 #: any request of the run observed, so the measured window reports it
 GAUGE_MAX_FIELDS = frozenset({"dram_max_queue_cycles"})
 
+#: the counts other fields imply (read-only properties below)
+DERIVED_FIELDS = ("accesses", "dtlb_misses", "l1_misses", "l2_misses",
+                  "dram_accesses")
+
 
 @dataclass
 class MemoryStats:
     """Counters for one :class:`~repro.mem.hierarchy.MemorySystem`."""
 
-    accesses: int = 0
     reads: int = 0
     writes: int = 0
 
     dtlb_hits: int = 0
-    dtlb_misses: int = 0
     stlb_hits: int = 0
     stlb_misses: int = 0
     stb_hits: int = 0
@@ -45,13 +53,10 @@ class MemoryStats:
     walk_cycles: int = 0
 
     l1_hits: int = 0
-    l1_misses: int = 0
     l2_hits: int = 0
-    l2_misses: int = 0
     l3_hits: int = 0
     l3_misses: int = 0
 
-    dram_accesses: int = 0
     dram_queue_cycles: int = 0
     #: cycles the (shared) DRAM channel spent servicing this core's
     #: transfers; ``dram_busy_fraction`` derives channel pressure from it
@@ -90,7 +95,46 @@ class MemoryStats:
                 out[f.name] = cur - prev
         return MemoryStats(**out)
 
-    # -- derived ratios ------------------------------------------------
+    def to_dict(self) -> dict:
+        """Every field plus the derived counts, as plain data."""
+        return dict(asdict(self),
+                    **{name: getattr(self, name) for name in DERIVED_FIELDS})
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "MemoryStats":
+        """Inverse of :meth:`to_dict`; a derived count may be absent,
+        and one that disagrees with its parts raises ReproError."""
+        stats = cls(**{k: v for k, v in data.items()
+                       if k not in DERIVED_FIELDS})
+        for name in DERIVED_FIELDS:
+            if data.get(name, getattr(stats, name)) != getattr(stats, name):
+                raise ReproError(f"stored {name} {data[name]} disagrees "
+                                 f"with its parts ({getattr(stats, name)})")
+        return stats
+
+    # -- derived counts and ratios -------------------------------------
+
+    @property
+    def accesses(self) -> int:
+        """Every access; ``physical_access`` counts as a read."""
+        return self.reads + self.writes
+
+    @property
+    def dtlb_misses(self) -> int:
+        return self.stlb_hits + self.stlb_misses
+
+    @property
+    def l1_misses(self) -> int:
+        return self.l2_hits + self.l2_misses
+
+    @property
+    def l2_misses(self) -> int:
+        return self.l3_hits + self.l3_misses
+
+    @property
+    def dram_accesses(self) -> int:
+        """Demand transfers (``DRAM``'s own counters add prefetches)."""
+        return self.l3_misses
 
     @property
     def tlb_misses(self) -> int:

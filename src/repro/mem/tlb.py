@@ -2,7 +2,10 @@
 
 Table III: L1 D-TLB is 4-way, 64 entries, 1 cycle; the L2 shared TLB is
 4-way, 1536 entries, 7 cycles.  Both map virtual page numbers to physical
-page numbers with LRU replacement within a set.
+page numbers with LRU replacement within a set.  A TLB keeps no hit or
+miss counters: :class:`~repro.mem.hierarchy.MemorySystem` probes and
+fills both levels inline and counts each event once, in its
+:class:`~repro.mem.stats.MemoryStats`.
 
 The L2 TLB of Table III has 1536 entries = 384 sets at 4 ways, which is
 not a power of two; real STLBs use such geometries with modulo indexing,
@@ -32,19 +35,14 @@ class TLB:
         self._num_sets = params.entries // params.ways
         #: per set: vpn -> pfn, least recently used first
         self._sets: List[Dict[int, int]] = [{} for _ in range(self._num_sets)]
-        self.hits = 0
-        self.misses = 0
 
     def lookup(self, vpn: int) -> Optional[int]:
-        """Return the pfn for ``vpn`` or None on miss (counts stats)."""
+        """Return the pfn for ``vpn`` or None on miss."""
         s = self._sets[vpn % self._num_sets]
         pfn = s.pop(vpn, None)
         if pfn is not None:
             s[vpn] = pfn
-            self.hits += 1
-            return pfn
-        self.misses += 1
-        return None
+        return pfn
 
     def insert(self, vpn: int, pfn: int) -> Optional[int]:
         """Fill ``vpn``; returns the evicted vpn, if any."""
@@ -59,7 +57,7 @@ class TLB:
         return victim
 
     def contains(self, vpn: int) -> bool:
-        """Presence probe without LRU update or stat counting."""
+        """Presence probe without LRU update."""
         return vpn in self._sets[vpn % self._num_sets]
 
     def invalidate(self, vpn: int) -> bool:
@@ -93,10 +91,6 @@ class TLB:
         from .kernels import flatten_sets
         return flatten_sets(self._sets, self._ways)
 
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TLB({self.name}, {self.params.entries} entries, {self._ways}-way)"
 
@@ -104,32 +98,15 @@ class TLB:
 class TLBHierarchy:
     """L1 D-TLB backed by the L2 shared TLB.
 
-    ``translate`` returns ``(pfn_or_None, cycles)``.  An L1 hit costs the
-    L1 latency; an L1 miss probes the L2 and, on an L2 hit, refills the
-    L1.  An L2 miss returns None and leaves the walk to the caller (the
-    memory system decides between the STB and the page-table walker).
+    The lookup protocol (an L1 miss probes the L2, an L2 hit refills the
+    L1, an L2 miss leaves the walk to the STB or the page-table walker)
+    runs inline in :meth:`repro.mem.hierarchy.MemorySystem._translate`;
+    this pair carries the levels and the OS-driven invalidations.
     """
 
     def __init__(self, l1: TLB, l2: TLB) -> None:
         self.l1 = l1
         self.l2 = l2
-
-    def translate(self, vpn: int):
-        pfn = self.l1.lookup(vpn)
-        cycles = self.l1.latency
-        if pfn is not None:
-            return pfn, cycles
-        pfn = self.l2.lookup(vpn)
-        cycles += self.l2.latency
-        if pfn is not None:
-            self.l1.insert(vpn, pfn)
-            return pfn, cycles
-        return None, cycles
-
-    def fill(self, vpn: int, pfn: int) -> None:
-        """Install a translation in both levels (walk or STB refill)."""
-        self.l2.insert(vpn, pfn)
-        self.l1.insert(vpn, pfn)
 
     def invalidate(self, vpn: int) -> None:
         self.l1.invalidate(vpn)

@@ -89,8 +89,8 @@ class _CoreView:
 
     __slots__ = (
         "mem", "stats", "attr",
-        "l1", "l1_sets", "l1_mask", "l1_latency",
-        "dtlb", "dtlb_sets", "dtlb_nsets", "dtlb_latency",
+        "l1_sets", "l1_mask", "l1_latency",
+        "dtlb_sets", "dtlb_nsets", "dtlb_latency",
         "frontend", "stu", "stb", "stb_buf", "stb_cap",
         "ipb", "ipb_buf", "va_only",
         "index", "by_va", "records", "oracle", "space",
@@ -109,12 +109,10 @@ class _CoreView:
         self.stats = mem.stats
         self.attr = mem.attr
         l1_view = mem.l1.kernel_view()
-        self.l1 = mem.l1
         self.l1_sets = l1_view.sets
         self.l1_mask = l1_view.set_mask
         self.l1_latency = l1_view.latency
         dtlb_view = mem.tlbs.l1.kernel_view()
-        self.dtlb = mem.tlbs.l1
         self.dtlb_sets = dtlb_view.sets
         self.dtlb_nsets = dtlb_view.num_sets
         self.dtlb_latency = dtlb_view.latency
@@ -699,12 +697,9 @@ class BatchedOpExecutor:
         stats = v.stats
         stats.total_cycles += (nf * v.fast_const + v.acc_stlt_c
                                + v.acc_transl + v.acc_rec_c + v.acc_val_c)
-        stats.accesses += 3 * nf
         stats.reads += 3 * nf
         stats.dtlb_hits += v.acc_dtlb
         stats.l1_hits += v.acc_l1
-        v.dtlb.hits += v.acc_dtlb
-        v.l1.hits += v.acc_l1
         attr = v.attr
         attr["hash"] = attr.get("hash", 0) + nf * self._hash_cost
         attr["stlt"] = (attr.get("stlt", 0) + nf * v.fast_stlt_attr

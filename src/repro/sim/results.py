@@ -139,12 +139,12 @@ class RunResult:
     def to_dict(self) -> dict:
         """All fields as plain JSON-serialisable data (exact round trip).
 
-        The memory-statistics bundle nests as a plain dict; every other
-        field is already a scalar, dict, or ``None``.  Consumed by the
-        durable result store (``repro.exp.store``) and the ``--json``
+        The memory-statistics bundle nests as its ``to_dict()``; every
+        other field is already a scalar, dict, or ``None``.  Consumed by
+        the durable result store (``repro.exp.store``) and the ``--json``
         CLI output.
         """
-        return asdict(self)
+        return dict(asdict(self), mem=self.mem.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunResult":
@@ -156,7 +156,7 @@ class RunResult:
                 f"unknown RunResult field(s): {sorted(unknown)!r}")
         kwargs = dict(data)
         if isinstance(kwargs.get("mem"), dict):
-            kwargs["mem"] = MemoryStats(**kwargs["mem"])
+            kwargs["mem"] = MemoryStats.from_dict(kwargs["mem"])
         return cls(**kwargs)
 
 

@@ -17,7 +17,6 @@ The contract (DESIGN.md section 12):
 
 import dataclasses
 import json
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -57,7 +56,7 @@ class TestGoldenBitIdentity:
         assert result.sets == want["sets"]
         assert result.attr == want["attr"]
         assert result.fast_miss_rate == want["fast_miss_rate"]
-        mem = asdict(result.mem)
+        mem = result.mem.to_dict()
         for counter, value in want["mem"].items():
             assert mem[counter] == value, (
                 f"{program}: accel=stlt drifted on {counter}")
@@ -71,7 +70,7 @@ class TestGoldenBitIdentity:
         want = golden()[f"{program}/baseline"]
         assert result.cycles == want["cycles"]
         assert result.fast_miss_rate == want["fast_miss_rate"]
-        mem = asdict(result.mem)
+        mem = result.mem.to_dict()
         for counter, value in want["mem"].items():
             assert mem[counter] == value, (
                 f"{program}: accel=none drifted on {counter}")

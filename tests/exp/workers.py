@@ -55,7 +55,7 @@ def fake_run(config: RunConfig) -> RunResult:
         ops=config.measure_ops,
         gets=config.measure_ops - 1,
         sets=1,
-        mem=MemoryStats(accesses=config.measure_ops, total_cycles=cycles),
+        mem=MemoryStats(reads=config.measure_ops, total_cycles=cycles),
         attr={"index": 600 * config.seed, "value": 400 * config.seed},
         fast_miss_rate=None if config.frontend == "baseline" else 0.25,
         chaos=chaos,

@@ -23,6 +23,7 @@ from repro.mem.page_table import (
     PageTableWalker,
 )
 from repro.mem.prefetch import StreamPrefetcher
+from repro.mem.shared import SharedMemory
 from repro.mem.tlb import TLB
 from repro.mem.types import AccessKind, AccessResult
 from repro.core.stb import STB
@@ -213,9 +214,9 @@ def per_line_access(mem, vaddr, size, write, kind):
     """The reference for ``MemorySystem.access``: one line at a time,
     translating whenever a line's page differs from the previous
     line's, with the L1 and D-TLB probes on the structures' object
-    face."""
+    face.  It counts as ``access`` does: one read or write, and a D-TLB
+    or L1 hit here, the misses in ``_translate`` and ``_line_access``."""
     stats = mem.stats
-    stats.accesses += 1
     if write:
         stats.writes += 1
     else:
@@ -289,7 +290,7 @@ def scripted_system():
 def memory_state(mem):
     structures = (mem.l1, mem.l2, mem.l3, mem.tlbs.l1, mem.tlbs.l2)
     return (vars(mem.stats), mem.attr, mem.now,
-            [(s.flat_state(), s.hits, s.misses) for s in structures],
+            [s.flat_state() for s in structures],
             sorted(mem._prefetched_lines))
 
 
@@ -316,3 +317,89 @@ def test_access_matches_per_line_loop(steps):
         want = per_line_access(reference, vaddr, size, write, kind)
         assert repr(got) == repr(want)
         assert memory_state(mem) == memory_state(reference)
+
+
+def counted_core(space, machine, shared, core_id, **kwargs):
+    """A core whose ``_translate`` and ``_line_access`` count their
+    calls; a line access is classed by where the line sat before it."""
+    mem = MemorySystem(space, machine, shared=shared, core_id=core_id,
+                       **kwargs)
+    calls = {"translate": 0, "line": 0, "past_l2": 0, "dram": 0}
+    translate = mem._translate
+    line_access = mem._line_access
+
+    def counted_translate(vpn):
+        calls["translate"] += 1
+        return translate(vpn)
+
+    def counted_line_access(line, demand=True, at=-1):
+        calls["line"] += 1
+        if not mem.l2.contains(line):
+            calls["past_l2"] += 1
+            if not mem.l3.contains(line):
+                calls["dram"] += 1
+        return line_access(line, demand, at)
+
+    # instance attributes shadow the methods, so ``access``, the page
+    # walker's PTE loads and ``physical_access`` all enter the wrappers
+    mem._translate = counted_translate
+    mem._line_access = counted_line_access
+    return mem, calls
+
+
+#: pages of the counted region: 24 of them fit the scaled STLB and
+#: not the D-TLB, all of them fit neither
+COUNT_PAGES = 96
+
+#: (core, op, page, offset, size, write): ops 0-1 are ``access``, 2
+#: ``physical_access`` and 3 a timed page walk; pages come from a hot
+#: few, the warm 24 and the whole region, so TLB, L2 and L3 hits happen
+#: as well as walks and DRAM misses
+COUNT_STEPS = st.tuples(
+    st.integers(0, 1),
+    st.integers(0, 3),
+    st.one_of(st.integers(0, 3), st.integers(0, 23),
+              st.integers(0, COUNT_PAGES - 2)),
+    st.integers(0, PAGE_BYTES - 1),
+    st.integers(1, 200),
+    st.booleans(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(COUNT_STEPS, max_size=120))
+def test_derived_counts_match_the_calls(steps):
+    """Each derived count equals the events it stands for: accesses the
+    calls of ``access`` and ``physical_access``, ``dtlb_misses`` the
+    ``_translate`` calls, ``l1_misses`` the ``_line_access`` calls, and
+    ``l2_misses`` and ``dram_accesses`` those that went past L2 and L3;
+    the shared channel also carries the prefetches."""
+    space = AddressSpace()
+    machine = scaled_machine(64)
+    shared = SharedMemory(machine)
+    region = space.alloc_region(COUNT_PAGES * PAGE_BYTES)
+    cores = [counted_core(space, machine, shared, 0),
+             counted_core(space, machine, shared, 1,
+                          stream_prefetcher=StreamPrefetcher())]
+    accesses = [0, 0]
+    for core, op, page, offset, size, write in steps:
+        mem = cores[core][0]
+        va = region + page * PAGE_BYTES + offset
+        if op < 2:
+            mem.access(va, size, write, AccessKind.RECORD)
+            accesses[core] += 1
+        elif op == 2:
+            mem.physical_access(space.translate(va), size)
+            accesses[core] += 1
+        else:
+            mem.walker.walk(va >> PAGE_SHIFT)
+        for (mem, calls), count in zip(cores, accesses):
+            stats = mem.stats
+            assert stats.accesses == count
+            assert stats.dtlb_misses == calls["translate"]
+            assert stats.l1_misses == calls["line"]
+            assert stats.l2_misses == calls["past_l2"]
+            assert stats.dram_accesses == calls["dram"]
+        assert shared.dram.accesses == sum(
+            mem.stats.dram_accesses + mem.stats.prefetches_issued
+            for mem, _ in cores)

@@ -17,8 +17,9 @@ stream, VLDP and distance-TLB prefetchers.
   steps, so a drift names the block it starts in);
 * each core's ``MemoryStats``, ``attr`` and ``now`` at the end;
 * the shared ``DRAM.snapshot()`` and prefetch-tracking set;
-* the ``flat_state()`` of every cache and TLB, and their hit/miss
-  counters;
+* the ``flat_state()`` of every cache and TLB, and its hit and miss
+  counts as the per-core stats record them (L3's summed over the
+  cores);
 * the STB and resolver counters.
 
 Any change to the timed miss path must reproduce these records exactly.
@@ -29,7 +30,6 @@ results)::
     PYTHONPATH=src python -m tests.mem.test_miss_path_golden
 """
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -113,9 +113,9 @@ def _extra_counters(name: str, extra) -> dict:
             "spec_cold": extra.spec_cold}
 
 
-def _structure(obj) -> dict:
+def _structure(obj, hits: int, misses: int) -> dict:
     return {"flat": state_digest(obj.flat_state()),
-            "hits": obj.hits, "misses": obj.misses}
+            "hits": hits, "misses": misses}
 
 
 def run_scenario(name: str, steps: int = STEPS, seed: int = SEED) -> dict:
@@ -207,17 +207,23 @@ def run_scenario(name: str, steps: int = STEPS, seed: int = SEED) -> dict:
         "cores": [
             {
                 "now": mem.now,
-                "stats": dataclasses.asdict(mem.stats),
+                "stats": mem.stats.to_dict(),
                 "attr": dict(sorted(mem.attr.items())),
-                "l1": _structure(mem.l1),
-                "l2": _structure(mem.l2),
-                "dtlb": _structure(mem.tlbs.l1),
-                "stlb": _structure(mem.tlbs.l2),
+                "l1": _structure(mem.l1, mem.stats.l1_hits,
+                                 mem.stats.l1_misses),
+                "l2": _structure(mem.l2, mem.stats.l2_hits,
+                                 mem.stats.l2_misses),
+                "dtlb": _structure(mem.tlbs.l1, mem.stats.dtlb_hits,
+                                   mem.stats.dtlb_misses),
+                "stlb": _structure(mem.tlbs.l2, mem.stats.stlb_hits,
+                                   mem.stats.stlb_misses),
                 "prefetched_vpns": sorted(mem._prefetched_vpns),
             }
             for mem in mems
         ],
-        "l3": _structure(shared.l3),
+        "l3": _structure(shared.l3,
+                         sum(mem.stats.l3_hits for mem in mems),
+                         sum(mem.stats.l3_misses for mem in mems)),
         "dram": shared.dram.snapshot(),
         "prefetched_lines": state_digest(sorted(shared.prefetched_lines)),
         "extras": [_extra_counters(name, extra) for extra in extras],

@@ -44,7 +44,7 @@ class TestSumStats:
         assert sum_stats([]) == MemoryStats()
 
     def test_single_bundle_is_identity(self):
-        bundle = MemoryStats(accesses=3, dram_max_queue_cycles=9)
+        bundle = MemoryStats(reads=3, dram_max_queue_cycles=9)
         assert sum_stats([bundle]) == bundle
 
     @settings(max_examples=50, deadline=None)

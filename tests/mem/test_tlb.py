@@ -1,7 +1,7 @@
 """Unit tests for the TLB models."""
 
 from repro.mem.tlb import TLB, TLBHierarchy
-from repro.params import TLBParams
+from repro.params import PAGE_BYTES, PAGE_SHIFT, TLBParams
 
 
 def make_tlb(entries=8, ways=2, latency=1):
@@ -54,49 +54,64 @@ class TestTLB:
         assert tlb.occupancy == 0
 
     def test_contains_no_stats(self):
-        tlb = make_tlb()
-        tlb.insert(1, 1)
-        tlb.contains(1)
-        tlb.contains(2)
-        assert tlb.hits == 0 and tlb.misses == 0
+        """A TLB keeps no counters, and ``contains`` leaves the LRU
+        order alone."""
+        tlb = make_tlb(entries=8, ways=2)  # 4 sets
+        tlb.insert(0, 100)
+        tlb.insert(4, 104)
+        assert tlb.contains(0)
+        assert not tlb.contains(8)
+        tlb.insert(8, 108)  # vpn 0 is still least recently used
+        assert not tlb.contains(0)
+        assert not hasattr(tlb, "hits") and not hasattr(tlb, "misses")
 
 
 class TestHierarchy:
+    """The two-level lookup runs inline in ``MemorySystem._translate``
+    (entered on a D-TLB miss; Table III: D-TLB 1 cycle, STLB 7)."""
+
     def make(self):
         l1 = make_tlb(entries=4, ways=2, latency=1)
         l2 = make_tlb(entries=16, ways=4, latency=7)
         return TLBHierarchy(l1, l2), l1, l2
 
-    def test_l1_hit_cost(self):
-        h, l1, _ = self.make()
-        h.fill(5, 50)
-        pfn, cycles = h.translate(5)
-        assert pfn == 50
-        assert cycles == 1
+    @staticmethod
+    def page(space):
+        vpn = space.alloc_region(PAGE_BYTES) >> PAGE_SHIFT
+        return vpn, space.page_table.lookup(vpn)
 
-    def test_l2_hit_refills_l1(self):
-        h, l1, l2 = self.make()
-        l2.insert(7, 70)
-        pfn, cycles = h.translate(7)
-        assert pfn == 70
-        assert cycles == 1 + 7
-        assert l1.contains(7)
+    def test_l1_hit_cost(self, mem, space):
+        vpn, _ = self.page(space)
+        mem.access(vpn << PAGE_SHIFT, 8)
+        before = mem.attr["translation"]
+        assert mem.access(vpn << PAGE_SHIFT, 8).tlb_hit
+        assert mem.attr["translation"] - before == 1
+        assert mem.stats.dtlb_hits == 1
 
-    def test_full_miss(self):
-        h, _, _ = self.make()
-        pfn, cycles = h.translate(9)
-        assert pfn is None
-        assert cycles == 8
+    def test_l2_hit_refills_l1(self, mem, space):
+        vpn, pfn = self.page(space)
+        mem.tlbs.l2.insert(vpn, pfn)
+        assert mem._translate(vpn) == (pfn, 1 + 7, True, False)
+        assert mem.tlbs.l1.contains(vpn)
+        assert mem.stats.stlb_hits == mem.stats.dtlb_misses == 1
 
-    def test_fill_installs_both_levels(self):
-        h, l1, l2 = self.make()
-        h.fill(11, 110)
-        assert l1.contains(11)
-        assert l2.contains(11)
+    def test_full_miss(self, mem, space):
+        vpn, pfn = self.page(space)
+        got, cycles, tlb_hit, walked = mem._translate(vpn)
+        assert (got, tlb_hit, walked) == (pfn, False, True)
+        assert cycles == 1 + 7 + mem.stats.walk_cycles
+        assert mem.stats.stlb_misses == mem.stats.page_walks == 1
+
+    def test_fill_installs_both_levels(self, mem, space):
+        vpn, _ = self.page(space)
+        mem._translate(vpn)
+        assert mem.tlbs.l1.contains(vpn)
+        assert mem.tlbs.l2.contains(vpn)
 
     def test_invalidate_both_levels(self):
         h, l1, l2 = self.make()
-        h.fill(13, 130)
+        l1.insert(13, 130)
+        l2.insert(13, 130)
         h.invalidate(13)
         assert not l1.contains(13)
         assert not l2.contains(13)

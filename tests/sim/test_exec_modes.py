@@ -17,7 +17,6 @@ The contract (DESIGN.md section 11):
 
 import dataclasses
 import json
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -77,7 +76,7 @@ class TestBatchedGoldenBitIdentity:
         assert result.sets == want["sets"]
         assert result.attr == want["attr"]
         assert result.fast_miss_rate == want["fast_miss_rate"]
-        mem = asdict(result.mem)
+        mem = result.mem.to_dict()
         for counter, value in want["mem"].items():
             assert mem[counter] == value, (
                 f"{program}/{frontend}: batched drifted on {counter}")
@@ -205,7 +204,7 @@ class TestRecordMovedMidRun:
             executor._flush(executor._views[0])
         mem = engine.ctx.core_mem(0)
         return {
-            "stats": asdict(mem.stats),
+            "stats": mem.stats.to_dict(),
             "attr": dict(mem.attr),
             "now": mem.now,
             "table": engine.prefill_digest(),

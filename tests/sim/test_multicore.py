@@ -11,7 +11,6 @@ over the golden's keys).
 """
 
 import json
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -54,7 +53,7 @@ class TestSingleCoreBitIdentity:
         assert result.fast_miss_rate == want["fast_miss_rate"]
         assert result.fast_occupancy == want["fast_occupancy"]
         assert result.fast_table_bytes == want["fast_table_bytes"]
-        mem = asdict(result.mem)
+        mem = result.mem.to_dict()
         for counter, value in want["mem"].items():
             assert mem[counter] == value, (
                 f"{program}/{frontend}: {counter} drifted")
@@ -174,7 +173,7 @@ class TestOpCycleCapture:
         assert result.cycles == want["cycles"]
         assert result.ops == want["ops"]
         assert result.attr == want["attr"]
-        mem = asdict(result.mem)
+        mem = result.mem.to_dict()
         for counter, value in want["mem"].items():
             assert mem[counter] == value, (
                 f"{program}/{frontend}: capture perturbed {counter}")
