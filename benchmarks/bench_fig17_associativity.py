@@ -34,8 +34,33 @@ def _sweep():
     return run_keyed(configs)
 
 
+def check_preconditions(all_runs: dict) -> None:
+    """Every baseline must walk the page table and miss the TLBs, and
+    every STLT run of the 12 (program, size) cells must hit its table;
+    otherwise the speedups rank tables that skipped no translation."""
+    for program in PROGRAMS:
+        base = all_runs[(program, "baseline")]
+        if base["page_walks"] <= 0 or base["tlb_misses"] <= 0:
+            raise AssertionError(
+                f"precondition failed: the {program} baseline made "
+                f"{base['page_walks']} page walks and "
+                f"{base['tlb_misses']} TLB misses, so there is no miss "
+                f"to reduce; run more keys than the TLBs reach")
+        for ratio in RATIOS:
+            for ways in ASSOCIATIVITIES:
+                miss_rate = all_runs[(program, ratio, ways)][
+                    "fast_miss_rate"]
+                if miss_rate is None or miss_rate >= 1.0:
+                    raise AssertionError(
+                        f"precondition failed: the {program} {ways}-way "
+                        f"STLT at {ratio} rows/key hit its table on no "
+                        f"GET (miss rate {miss_rate}), so it shortened "
+                        f"no lookup")
+
+
 def test_fig17_associativity(benchmark):
     all_runs = run_once(benchmark, _sweep)
+    check_preconditions(all_runs)
 
     rows = []
     ranks = {ways: 0 for ways in ASSOCIATIVITIES}

@@ -25,8 +25,27 @@ def _sweep():
         for program in PROGRAMS for frontend in ("slb",) + VARIANTS})
 
 
+def check_preconditions(all_runs: dict) -> None:
+    """Every full-STLT run must hit its STB and no STLT-VA run may: the
+    ``full > va`` shape credits the PTEs the full STLT caches for the
+    STB, which STLT-VA does not have."""
+    for program in PROGRAMS:
+        full = all_runs[(program, "stlt")]["stb_hits"]
+        va = all_runs[(program, "stlt_va")]["stb_hits"]
+        if full <= 0:
+            raise AssertionError(
+                f"precondition failed: the {program} full-STLT run made "
+                f"{full} STB hits, so it skipped no translation with a "
+                f"cached PTE")
+        if va != 0:
+            raise AssertionError(
+                f"precondition failed: the {program} STLT-VA run made "
+                f"{va} STB hits, but STLT-VA caches no PTEs")
+
+
 def test_fig19_left_configuration_breakdown(benchmark):
     all_runs = run_once(benchmark, _sweep)
+    check_preconditions(all_runs)
 
     rows = []
     improvements = {v: [] for v in VARIANTS}

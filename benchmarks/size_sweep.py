@@ -37,13 +37,36 @@ def paper_equivalent_mb(ratio: float) -> int:
     return int(ratio * 10_000_000 * 16 / (1 << 20))
 
 
+def check_preconditions(runs: Dict[Tuple[str, float, str], dict]) -> None:
+    """Every baseline must walk the page table and miss the TLBs, and
+    every STLT point must hit its table; otherwise the speedups, miss
+    rates and TLB reductions of Figs. 14-16 credit a translation the
+    table never skipped."""
+    for (program, ratio, frontend), run in runs.items():
+        if frontend == "baseline":
+            if run["page_walks"] <= 0 or run["tlb_misses"] <= 0:
+                raise AssertionError(
+                    f"precondition failed: the {program} baseline made "
+                    f"{run['page_walks']} page walks and "
+                    f"{run['tlb_misses']} TLB misses, so there is no "
+                    f"miss to reduce; run more keys than the TLBs reach")
+        elif frontend == "stlt":
+            miss_rate = run["fast_miss_rate"]
+            if miss_rate is None or miss_rate >= 1.0:
+                raise AssertionError(
+                    f"precondition failed: the {program} STLT at "
+                    f"{ratio} rows/key hit its table on no GET (miss "
+                    f"rate {miss_rate}), so it shortened no lookup")
+
+
 def sweep(programs=PROGRAMS) -> Dict[Tuple[str, float, str], dict]:
     """Run {program} x {ratio} x {baseline, slb, stlt} via ``repro.exp``.
 
     One shared baseline per program is simulated once and fanned back
     out to every ratio, exactly as the serial harness did; the mapping
     from sweep points to ``(program, ratio, frontend)`` keys relies on
-    each point's ``params``.
+    each point's ``params``.  The result passes
+    :func:`check_preconditions` before any figure reads it.
     """
     points = size_sweep_points(BENCH_KEYS, BENCH_OPS, programs=programs,
                                ratios=ROW_RATIOS)
@@ -58,6 +81,7 @@ def sweep(programs=PROGRAMS) -> Dict[Tuple[str, float, str], dict]:
                 out[(program, ratio, "baseline")] = metric
         else:
             out[(program, point.params["ratio"], frontend)] = metric
+    check_preconditions(out)
     return out
 
 

@@ -516,7 +516,7 @@ def simulate_cluster(
     chooser = make_chooser(config.distribution, config.num_keys,
                            seed=derive_seed(config.seed,
                                             "cluster_keystream"))
-    key_ids = [chooser.choose() for _ in range(count)]
+    key_ids = chooser.choose_many(count)
     # the read/write mix rides its own stream so enabling faults or
     # changing any payload policy never shifts which requests write
     rw_rng = random.Random(derive_seed(config.seed, "cluster_rw"))

@@ -142,11 +142,11 @@ class MultiCoreEngine:
     def _streams(self, spec: WorkloadSpec) -> List[List]:
         """Materialise each core's operation stream up front.
 
-        The generators mutate their choosers as they yield, so streaming
-        them lazily in lockstep would still be correct — but a SET's
-        fresh key must exist before any core GETs it, and materialising
-        keeps the interleave loop free of generator bookkeeping.  At
-        simulation scale (tens of thousands of ops) the lists are cheap.
+        ``generate_operations`` draws each stream in bulk and returns a
+        list; the ``list()`` stays because a caller may wrap that seam
+        and hand back an iterator (the e2e benchmark's tracer does).
+        At simulation scale (tens of thousands of ops) the lists are
+        cheap.
         """
         config = self.config
         n = config.num_cores

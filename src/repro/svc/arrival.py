@@ -20,12 +20,15 @@ generates the arrival timestamps, in simulated cycles:
 Both processes are driven by one ``random.Random(seed)``, so identical
 seeds reproduce identical timestamp sequences bit for bit (the
 determinism contract of the whole service layer) and different seeds
-give different draws.
+give different draws.  Each exponential gap is
+``random.Random.expovariate``'s own formula, ``-log(1 - random()) /
+rate``, written inline.
 """
 
 from __future__ import annotations
 
 import random
+from math import inf, isfinite, log
 from typing import List
 
 from ..errors import ConfigError
@@ -44,6 +47,8 @@ MMPP_DWELL_REQUESTS = 64.0
 
 
 def _check(rate: float, count: int) -> None:
+    if not isfinite(rate):
+        raise ConfigError("arrival rate must be finite")
     if rate <= 0.0:
         raise ConfigError("arrival rate must be positive")
     if count < 0:
@@ -53,12 +58,13 @@ def _check(rate: float, count: int) -> None:
 def poisson_arrivals(rate: float, count: int, seed: int = 1) -> List[float]:
     """``count`` Poisson arrival timestamps at ``rate`` requests/cycle."""
     _check(rate, count)
-    rng = random.Random(seed)
+    random_ = random.Random(seed).random
     times: List[float] = []
+    append = times.append
     now = 0.0
     for _ in range(count):
-        now += rng.expovariate(rate)
-        times.append(now)
+        now += -log(1.0 - random_()) / rate
+        append(now)
     return times
 
 
@@ -74,25 +80,36 @@ def mmpp_arrivals(rate: float, count: int, seed: int = 1,
     against, just less politely.
     """
     _check(rate, count)
+    if not isfinite(burstiness):
+        raise ConfigError("burstiness must be finite")
     if burstiness < 1.0:
         raise ConfigError("burstiness must be >= 1")
+    if not isfinite(dwell_requests):
+        raise ConfigError("dwell must be finite")
     if dwell_requests <= 0.0:
         raise ConfigError("dwell must be positive")
     rng = random.Random(seed)
+    random_ = rng.random
     hot_rate = rate * 2.0 * burstiness / (burstiness + 1.0)
     cold_rate = rate * 2.0 / (burstiness + 1.0)
-    mean_dwell = dwell_requests / rate
+    switch_rate = 1.0 / (dwell_requests / rate)
+    if not all(0.0 < r < inf for r in (hot_rate, cold_rate, switch_rate)):
+        # e.g. a dwell so short at so high a rate that the switch rate
+        # overflows: every dwell would be 0 and the loop never ends
+        raise ConfigError("rate, burstiness and dwell give an MMPP rate "
+                          "outside the float range")
 
     times: List[float] = []
+    append = times.append
     now = 0.0
     hot = bool(rng.getrandbits(1))
-    next_switch = rng.expovariate(1.0 / mean_dwell)
+    next_switch = -log(1.0 - random_()) / switch_rate
     for _ in range(count):
         while now >= next_switch:
             hot = not hot
-            next_switch += rng.expovariate(1.0 / mean_dwell)
-        now += rng.expovariate(hot_rate if hot else cold_rate)
-        times.append(now)
+            next_switch += -log(1.0 - random_()) / switch_rate
+        now += -log(1.0 - random_()) / (hot_rate if hot else cold_rate)
+        append(now)
     return times
 
 

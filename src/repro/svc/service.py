@@ -419,7 +419,7 @@ def service_from_config(config, service_cycles: Sequence[Sequence[int]],
                              seed=derive_seed(config.seed, "svc_arrival"))
     chooser = make_chooser(config.distribution, config.num_keys,
                            seed=derive_seed(config.seed, "svc_keystream"))
-    key_ids = [chooser.choose() for _ in range(count)]
+    key_ids = chooser.choose_many(count)
     fast_hash = get_hash(config.fast_hash)
 
     def key_hash(key_id: int) -> int:

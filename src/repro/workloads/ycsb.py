@@ -12,7 +12,8 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from itertools import repeat
+from typing import List, Optional, Tuple
 
 from ..errors import ConfigError
 from ..params import derive_seed
@@ -54,8 +55,8 @@ def generate_operations(
     seed: int = 1,
     first_new_id: Optional[int] = None,
     new_id_stride: int = 1,
-) -> Iterator[Tuple[Operation, int]]:
-    """Yield ``(operation, key_id)`` pairs.
+) -> List[Tuple[Operation, int]]:
+    """The stream's ``(operation, key_id)`` pairs, in order.
 
     SET operations carry a *new* key id (by default the current keyspace
     size); the consumer must create the record, and the chooser is
@@ -67,6 +68,11 @@ def generate_operations(
     ``num_keys + i, num_keys + i + N, ...``) so concurrent clients never
     collide on a newly inserted key.  The defaults reproduce the
     single-stream behaviour exactly.
+
+    The stream is drawn in bulk: one pass of the op RNG places the
+    SETs, and each run of GETs between two SETs is one
+    :meth:`~repro.workloads.distributions.KeyChooser.choose_many`.  Both
+    RNGs make the draws of a per-op loop, in its order.
     """
     if num_ops < 0:
         raise ConfigError("operation count cannot be negative")
@@ -75,20 +81,28 @@ def generate_operations(
     chooser = make_chooser(spec.distribution, num_keys, seed=seed)
     op_rng = random.Random(derive_seed(seed, "workload_ops"))
     base_new_id = num_keys if first_new_id is None else first_new_id
+    set_fraction = spec.set_fraction
+    draw = op_rng.random
+    set_at = [i for i in range(num_ops) if draw() < set_fraction] \
+        if set_fraction else []
 
     # The chooser works over *dense* logical ids [0, n); fresh keys map
     # to the stream's (possibly strided) external namespace.  With the
     # default namespace the mapping is the identity.
-    def external_id(logical_id: int) -> int:
-        if logical_id < num_keys:
-            return logical_id
-        return base_new_id + (logical_id - num_keys) * new_id_stride
-
+    ops: List[Tuple[Operation, int]] = []
     next_logical_id = num_keys
-    for _ in range(num_ops):
-        if spec.set_fraction and op_rng.random() < spec.set_fraction:
-            yield Operation.SET, external_id(next_logical_id)
+    start = 0
+    for end in set_at + [num_ops]:
+        key_ids = chooser.choose_many(end - start)
+        if next_logical_id > num_keys:  # a GET can draw a fresh key
+            key_ids = [k if k < num_keys
+                       else base_new_id + (k - num_keys) * new_id_stride
+                       for k in key_ids]
+        ops.extend(zip(repeat(Operation.GET), key_ids))
+        if end < num_ops:
+            ops.append((Operation.SET, base_new_id
+                        + (next_logical_id - num_keys) * new_id_stride))
             chooser.observe_insert(next_logical_id)
             next_logical_id += 1
-        else:
-            yield Operation.GET, external_id(chooser.choose())
+        start = end + 1
+    return ops

@@ -93,6 +93,12 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "addressing share" in out
 
+    def test_run_two_keys(self, capsys):
+        # at n = 2 YCSB's eta has a zero denominator; no draw reads it
+        rc = main(["run", "--keys", "2", "--ops", "10"])
+        assert rc == 0
+        assert "cycles/op" in capsys.readouterr().out
+
     def test_run_baseline_frontend_has_no_table(self, capsys):
         rc = main(["run", "--frontend", "baseline", "--keys", "2000",
                    "--ops", "400", "--warmup-ops", "800"])

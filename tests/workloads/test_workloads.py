@@ -1,7 +1,12 @@
 """Workload generation tests: keys, distributions, operation streams."""
 
 import collections
+import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -9,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.workloads import ycsb
+from repro.params import derive_seed
+from repro.workloads import distributions, ycsb
 from repro.workloads.distributions import (
+    DISTRIBUTIONS,
     LatestChooser,
     UniformChooser,
     ZipfianChooser,
@@ -219,10 +226,23 @@ class TestStridedStreams:
             list(generate_operations(spec, 10, 5, new_id_stride=0))
 
 
+def fnv64_reference(value: int) -> int:
+    """FNV-1a over the 8 little-endian bytes of ``value``, one byte per
+    iteration: the loop ``fnv64`` folds its trailing zero bytes out of."""
+    h = 0xCBF29CE484222325
+    for _ in range(8):
+        h ^= value & 0xFF
+        h = (h * 0x100000001B3) & ((1 << 64) - 1)
+        value >>= 8
+    return h
+
+
 class ReferenceChooser:
     """YCSB's per-draw formulas, the reference for the choosers' cached
-    constants: ``alpha`` and ``eta`` recomputed on every draw, and the
-    zipf scramble ``fnv64(rank) % n`` hashed on every draw."""
+    constants, memos and bulk draws: ``alpha`` and ``eta`` recomputed on
+    every draw, the zeta sum grown one key at a time, and the zipf
+    scramble ``fnv64(rank) % n`` hashed by the byte loop on every
+    draw."""
 
     def __init__(self, name: str, num_keys: int, seed: int = 1,
                  alpha: float = 0.99) -> None:
@@ -243,22 +263,27 @@ class ReferenceChooser:
     def _rank(self) -> int:
         theta = self.theta
         alpha = 1.0 / (1.0 - theta)
-        eta = (1.0 - (2.0 / self.n) ** (1.0 - theta)) / (
-            1.0 - self.zeta2 / self.zetan)
         u = self.rng.random()
         uz = u * self.zetan
         if uz < 1.0:
             return 0
         if uz < self.zeta2:
             return 1
+        # only a draw past rank 1 reads eta: at n = 2 the branches above
+        # take every u, and eta's denominator can be exactly 0 there
+        eta = (1.0 - (2.0 / self.n) ** (1.0 - theta)) / (
+            1.0 - self.zeta2 / self.zetan)
         return int(self.n * ((eta * u - eta + 1.0) ** alpha))
 
     def choose(self) -> int:
         if self.name == "uniform":
             return self.rng.randrange(self.num_keys)
         if self.name == "zipf":
-            return fnv64(self._rank()) % self.num_keys
+            return fnv64_reference(self._rank()) % self.num_keys
         return (self.num_keys - 1) - self._rank()
+
+    def choose_many(self, count: int) -> list:
+        return [self.choose() for _ in range(count)]
 
     def observe_insert(self, new_key_id: int) -> None:
         assert new_key_id == self.num_keys
@@ -266,14 +291,43 @@ class ReferenceChooser:
         self._grow()
 
 
+def reference_operations(spec, num_keys, num_ops, seed=1, first_new_id=None,
+                         new_id_stride=1):
+    """The per-op loop ``generate_operations`` draws in bulk: one op-RNG
+    draw and one ``choose()`` per operation, over the reference
+    chooser."""
+    chooser = ReferenceChooser(spec.distribution, num_keys, seed=seed)
+    op_rng = random.Random(derive_seed(seed, "workload_ops"))
+    base_new_id = num_keys if first_new_id is None else first_new_id
+
+    def external_id(logical_id):
+        if logical_id < num_keys:
+            return logical_id
+        return base_new_id + (logical_id - num_keys) * new_id_stride
+
+    next_logical_id = num_keys
+    for _ in range(num_ops):
+        if spec.set_fraction and op_rng.random() < spec.set_fraction:
+            yield Operation.SET, external_id(next_logical_id)
+            chooser.observe_insert(next_logical_id)
+            next_logical_id += 1
+        else:
+            yield Operation.GET, external_id(chooser.choose())
+
+
 #: a chooser script: True inserts the next key, False draws one
 scripts = st.lists(st.integers(0, 7).map(lambda x: x == 0), max_size=400)
 
+#: a bulk script: None inserts the next key, k draws k ids in one call
+bulk_scripts = st.lists(st.one_of(st.none(), st.integers(0, 60)),
+                        max_size=40)
+
 
 def outcome(draw):
-    """``draw()``'s value, or the type of what it raised: at ``n = 2``
-    YCSB's ``eta`` can divide by zero, and the reference raises there
-    too."""
+    """``draw()``'s value, or the type of what it raised, so that a draw
+    that raises on one side only fails as a mismatch.  Neither side
+    raises at n = 2: only a draw past rank 1 computes ``eta``, and n = 2
+    makes none."""
     try:
         return draw()
     except ZeroDivisionError as exc:
@@ -282,13 +336,19 @@ def outcome(draw):
 
 def collect(ops):
     """Every operation of a stream, then what ended it early if
-    anything did."""
+    anything did (nothing should: see :func:`outcome`)."""
     out = []
     try:
         out.extend(ops)
     except ZeroDivisionError as exc:
         out.append(type(exc))
     return out
+
+
+def make(name, num_keys, seed, alpha):
+    if name == "uniform":
+        return UniformChooser(num_keys, seed=seed)
+    return DISTRIBUTIONS[name](num_keys, seed=seed, alpha=alpha)
 
 
 class TestChoosersMatchTheReference:
@@ -328,3 +388,106 @@ class TestChoosersMatchTheReference:
         with mock.patch.object(ycsb, "make_chooser", ReferenceChooser):
             reference = collect(generate_operations(*args))
         assert stream == reference
+
+
+class TestBulkDraws:
+    """``choose_many`` and the bulk ``generate_operations`` return what
+    the per-draw reference and the per-op loop do."""
+
+    @pytest.mark.parametrize("name", ["zipf", "latest", "uniform"])
+    @settings(max_examples=60, deadline=None)
+    @given(num_keys=st.integers(1, 3000), seed=st.integers(0, 2**32),
+           alpha=st.floats(0.01, 0.999), script=bulk_scripts)
+    def test_choose_many_matches_per_draw_reference(self, name, num_keys,
+                                                    seed, alpha, script):
+        chooser = make(name, num_keys, seed, alpha)
+        reference = ReferenceChooser(name, num_keys, seed=seed, alpha=alpha)
+        for count in script:
+            if count is None:
+                chooser.observe_insert(chooser.num_keys)
+                reference.observe_insert(reference.num_keys)
+            else:
+                assert chooser.choose_many(count) == \
+                    [reference.choose() for _ in range(count)]
+
+    @pytest.mark.parametrize("distribution", ["zipf", "latest", "uniform"])
+    @settings(max_examples=40, deadline=None)
+    @given(num_keys=st.integers(1, 2000), num_ops=st.integers(0, 600),
+           seed=st.integers(0, 2**32),
+           set_fraction=st.sampled_from([None, 0.05, 0.5]),
+           cores=st.integers(1, 4), data=st.data())
+    def test_stream_matches_the_per_op_loop(self, distribution, num_keys,
+                                            num_ops, seed, set_fraction,
+                                            cores, data):
+        core = data.draw(st.integers(0, cores - 1))
+        spec = WorkloadSpec(distribution, 64, set_fraction=set_fraction)
+        args = (spec, num_keys, num_ops, seed, num_keys + core, cores)
+        assert generate_operations(*args) == \
+            list(reference_operations(*args))
+
+    @pytest.mark.parametrize("cls", [ZipfianChooser, LatestChooser])
+    def test_two_keys_never_read_eta(self, cls):
+        chooser = cls(2, seed=3)
+        reference = ReferenceChooser(cls.name, 2, seed=3)
+        # at theta = 0.99 the two sums are equal: eta's denominator is 0
+        assert chooser.zetan == chooser.zeta2
+        draws = chooser.choose_many(2000)
+        assert set(draws) == {0, 1}
+        assert draws == reference.choose_many(2000)
+        chooser.observe_insert(2)
+        reference.observe_insert(2)
+        assert chooser.choose_many(500) == reference.choose_many(500)
+
+
+class TestFnv64:
+    def test_matches_the_byte_loop_below_2_16(self):
+        values = range(1 << 16)
+        assert [fnv64(v) for v in values] == \
+            [fnv64_reference(v) for v in values]
+
+    @given(st.integers(0, 2**64 - 1))
+    def test_matches_the_byte_loop_over_64_bit_values(self, value):
+        assert fnv64(value) == fnv64_reference(value)
+
+
+#: draws three streams, after filling the process-wide memos with other
+#: keyspaces and thetas when argv[1] is "warm"
+STREAMS_SCRIPT = """
+import json, sys
+from repro.workloads import distributions as d
+from repro.workloads.ycsb import WorkloadSpec, generate_operations
+
+if sys.argv[1] == "warm":
+    for n in (1, 2, 3, 999, 4000, 5000, 12000):
+        for theta in (0.5, 0.9, 0.99):
+            d.ZipfianChooser(n, seed=n, alpha=theta).choose_many(3000)
+            d.LatestChooser(n, seed=n, alpha=theta).choose_many(300)
+memo_sizes = [len(d._SCRAMBLED), len(d._ZETA)]
+ops = generate_operations(WorkloadSpec("latest", 64), 1000, 3000, seed=7)
+print(json.dumps({
+    "memo_sizes": memo_sizes,
+    "zipf": d.ZipfianChooser(4000, seed=5).choose_many(5000),
+    "latest": d.LatestChooser(4000, seed=5).choose_many(5000),
+    "ops": [[op.value, key_id] for op, key_id in ops],
+}))
+"""
+
+
+class TestProcessWideMemos:
+    def _streams(self, mode):
+        src = pathlib.Path(distributions.__file__).parents[2]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-c", STREAMS_SCRIPT, mode],
+                             env=env, capture_output=True, text=True,
+                             check=True).stdout
+        return json.loads(out)
+
+    def test_streams_do_not_depend_on_what_ran_before(self):
+        cold = self._streams("cold")
+        warm = self._streams("warm")
+        cold_memos, warm_memos = cold.pop("memo_sizes"), warm.pop("memo_sizes")
+        assert warm == cold
+        # the cold run starts empty; the warm one drew after other
+        # keyspaces and 21 (theta, n) pairs filled both memos
+        assert cold_memos == [0, 0]
+        assert warm_memos[0] > 4000 and warm_memos[1] == 21
