@@ -199,9 +199,15 @@ def scaled_machine(factor: int = 8) -> MachineParams:
     ~100 k keys, so with literal Table III capacities the entire store
     fits in the L2 STLB and L3 and none of the paper's effects appear.
     Dividing the cache and TLB *capacities* (not latencies, geometries
-    stay set-associative) by ``factor`` restores the paper's
-    footprint-to-reach ratios; DESIGN.md section 1 and EXPERIMENTS.md
-    record the scaling for every experiment.
+    stay set-associative) by ``factor`` puts the footprint past the
+    hardware's reach, so the effects appear.  It does not restore the
+    paper's footprint-to-reach ratios: 10 M keys over 1,536 L2-STLB
+    entries is ~6,510 keys per entry, while the default 50 k keys over
+    the /8 machine's 192 entries is 260 (521 at 100 k), and the L3
+    (2 MB -> 256 KB) falls short by the same 25x at 50 k.  DESIGN.md
+    section 1 and EXPERIMENTS.md record the scaling for every
+    experiment; EXPERIMENTS.md's "Known deviations" item 2 gives the
+    factors measured at 100 k keys.
     """
     if factor < 1:
         raise ConfigError("scale factor must be >= 1")
