@@ -56,7 +56,6 @@ class RedisModel:
         self._query_buf_va = ctx.space.alloc_region(16 * 1024)
         self._reply_buf_va = ctx.space.alloc_region(16 * 1024)
         self._buf_cursor = 0
-        self.gets = 0
         self.sets = 0
 
     # -- command framing ----------------------------------------------------

@@ -302,7 +302,6 @@ class Engine:
                 fast_hit=frontend.fast_hits > fast_hits_before)
             self.ctx.records.access_value(record)
             self.redis.end_command(record.value_size)
-            self.redis.gets += 1
         else:
             record = frontend.get(key)
             if record is None:
