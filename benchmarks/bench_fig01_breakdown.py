@@ -19,6 +19,12 @@ def test_fig01_redis_breakdown(benchmark):
                                           frontend="baseline"))
 
     breakdown = run_once(benchmark, run)
+    walks = breakdown.result.page_walks
+    if walks <= 0:
+        raise AssertionError(
+            f"precondition failed: baseline Redis made {walks} page "
+            f"walks, so its translation share comes from TLB hits "
+            f"alone; run more keys than the TLBs reach")
     rows = [
         [category, f"{share:6.1%}",
          "addressing" if category in ADDRESSING_CATEGORIES else "other"]

@@ -91,6 +91,7 @@ def test_fig11_record_size_has_little_effect(benchmark):
 
     runs = run_once(benchmark, lambda: _run_workloads(
         [("zipf", v) for v in VALUE_SIZES]))
+    check_preconditions(runs)
     speedups = [speedup_of(runs[("zipf", v)]["baseline"],
                            runs[("zipf", v)]["stlt"])
                 for v in VALUE_SIZES]

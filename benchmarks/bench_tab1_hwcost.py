@@ -29,6 +29,9 @@ ACCEL_BUDGET_BYTES = {
 
 
 def test_tab1_hardware_cost(benchmark):
+    """Table I bit for bit.  No precondition applies: the inventory is
+    arithmetic over the architectural parameters, and no simulated run
+    takes part whose mechanism could fail to fire."""
     report = run_once(benchmark, hardware_cost)
     rows = []
     for component, bits in report.rows():
@@ -45,6 +48,9 @@ def test_tab1_hardware_cost(benchmark):
 
 
 def test_tab1_accel_backend_budgets(benchmark):
+    """Each backend's pinned budget.  No precondition applies: a budget
+    is arithmetic over the backend's cost model, and no simulated run
+    takes part whose mechanism could fail to fire."""
     reports = run_once(
         benchmark,
         lambda: {accel: accel_hardware_cost(accel)
