@@ -1,10 +1,10 @@
 """Five-design translation-accel head-to-head on the Fig. 11 workload.
 
-Runs the Redis workload once per translation design — ``baseline``
-(``accel=none``), the paper's ``stlt``, and the three rival backends
-``victima`` / ``pcax`` / ``revelator`` — under the *same* memory
-system, and reports simulated cycles/op, speedup over baseline, and
-page-walk / STLB-miss reductions per design.
+Runs the Redis workload once per translation design — ``baseline``,
+the paper's ``stlt``, and the three rival designs ``victima`` /
+``pcax`` / ``revelator``, each a ``frontend`` value — under the *same*
+memory system, and reports simulated cycles/op, speedup over baseline,
+and page-walk / STLB-miss reductions per design.
 
 Emits ``BENCH_accel.json`` at the repo root and **fails** (exit 1 /
 assertion) if the STLT design's smoke speedup over baseline drops
@@ -33,14 +33,14 @@ from typing import List
 from repro.sim.config import RunConfig
 from repro.sim.engine import run_experiment
 
-#: the pinned floor: accel=stlt must beat the shared baseline by at
+#: the pinned floor: stlt must beat the shared baseline by at
 #: least this much on the smoke config (measured 1.455x; pinned with
 #: headroom so scheduler noise cannot flake CI — this is *simulated*
 #: cycles, so the only noise source is a code regression)
 SPEEDUP_FLOOR = 1.10
 
-#: the five designs of the head-to-head (ISSUE acceptance criterion)
-DESIGNS = ("none", "stlt", "victima", "pcax", "revelator")
+#: the five designs of the head-to-head, as frontend names
+DESIGNS = ("baseline", "stlt", "victima", "pcax", "revelator")
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_accel.json"
 
@@ -69,8 +69,7 @@ def measure_size(name: str, size: dict) -> dict:
     out = {"name": name, **size, "designs": {}}
     anchor = None
     for design in DESIGNS:
-        config = RunConfig(program="redis", frontend="baseline",
-                           accel=design, **size)
+        config = RunConfig(program="redis", frontend=design, **size)
         result = run_experiment(config)
         row = {
             "cycles_per_op": round(result.cycles_per_op, 2),
@@ -79,7 +78,7 @@ def measure_size(name: str, size: dict) -> dict:
         }
         if result.accel is not None:
             row["telemetry"] = result.accel
-        if design == "none":
+        if design == "baseline":
             anchor = row
             row["speedup"] = 1.0
         else:
@@ -115,7 +114,7 @@ def run_bench(smoke_only: bool = False) -> dict:
 
 
 def check_floor(payload: dict) -> None:
-    walks = payload["sizes"][0]["designs"]["none"]["page_walks"]
+    walks = payload["sizes"][0]["designs"]["baseline"]["page_walks"]
     if walks <= 0:
         raise AssertionError(
             "precondition failed: the smoke point's baseline made no "
@@ -124,12 +123,12 @@ def check_floor(payload: dict) -> None:
     smoke = payload["smoke_stlt_speedup"]
     if smoke < payload["floor"]:
         raise AssertionError(
-            f"accel=stlt regressed: smoke speedup {smoke:.2f}x over "
+            f"stlt regressed: smoke speedup {smoke:.2f}x over "
             f"baseline is below the pinned {payload['floor']:.2f}x floor")
 
 
 def test_accel_speedup_floor():
-    """Pytest entry: accel=stlt must hold the pinned smoke floor."""
+    """Pytest entry: stlt must hold the pinned smoke floor."""
     payload = run_bench(smoke_only=True)
     check_floor(payload)
 
@@ -145,7 +144,7 @@ def main(argv: List[str]) -> int:
     except AssertionError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
-    print(f"ok: smoke accel=stlt speedup "
+    print(f"ok: smoke stlt speedup "
           f"{payload['smoke_stlt_speedup']:.2f}x >= "
           f"{SPEEDUP_FLOOR:.2f}x floor")
     return 0

@@ -73,7 +73,7 @@ def check_fused(name: str, engine: Engine) -> None:
             f"precondition failed: the {name} config is not fused "
             "(BatchedOpExecutor.fused is False), so both modes run the "
             "reference loop; bench a config the fast path fuses "
-            "(frontend stlt/stlt_va, or accel=stlt)")
+            "(frontend stlt or stlt_va)")
 
 
 def measure_size(name: str, size: dict, pairs: int) -> dict:

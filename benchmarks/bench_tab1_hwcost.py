@@ -67,5 +67,5 @@ def test_tab1_accel_backend_budgets(benchmark):
     )
     for accel, report in reports.items():
         assert report.total_bytes == ACCEL_BUDGET_BYTES[accel], accel
-    # accel=none carries no hardware at all
+    # the baseline carries no hardware at all
     assert accel_hardware_cost("none").total_bytes == 0

@@ -1,20 +1,20 @@
-"""repro.accel — the pluggable translation-acceleration lab.
+"""repro.accel — the rival translation designs of the head-to-head.
 
-The paper's STLT/STB/SPTW fast path, refactored behind one
-:class:`~repro.accel.base.TranslationAccel` interface, plus the
-retrieved rival designs under the *same* memory system, OS-churn
-paths, and stale-translation oracle:
+Three designs from the related work (PAPERS.md), each run under the
+*same* memory system, OS-churn paths and stale-translation oracle as
+the paper's STLT:
 
-* ``stlt``      — the paper's design (the ``frontend="stlt"`` object
-  graph from the same engine builder; golden-pinned);
 * ``victima``   — TLB-reach extension in underutilized L2/L3 capacity;
 * ``pcax``      — PC-indexed translation table over op-site pseudo-PCs;
 * ``revelator`` — hash-based speculative translation with charged
   misspeculation.
 
-Select with ``RunConfig(accel=...)`` (requires the baseline frontend);
-``repro sweep accel`` runs the five-design head-to-head.  DESIGN.md
-section 12 documents the interface contract and how to add a backend.
+Each is a ``RunConfig.frontend`` value like ``stlt``: the engine
+builds the baseline program's front-ends through the design and
+attaches its per-core resolvers below the TLBs.  ``repro sweep accel``
+runs the five-design head-to-head (baseline, stlt and the three
+rivals).  DESIGN.md section 12 documents the interface contract and
+how to add a design.
 """
 
 from __future__ import annotations
@@ -25,16 +25,14 @@ from ..errors import ConfigError
 from .base import SetAssocTable, TranslationAccel
 from .pcax import PCAXAccel
 from .revelator import RevelatorAccel
-from .stlt import StltAccel
 from .victima import VictimaAccel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..sim.engine import Engine
 
-#: backend registry: ACCELS name -> TranslationAccel subclass
+#: backend registry: frontend name -> TranslationAccel subclass
 ACCEL_BACKENDS = {
-    cls.name: cls
-    for cls in (StltAccel, VictimaAccel, PCAXAccel, RevelatorAccel)
+    cls.name: cls for cls in (VictimaAccel, PCAXAccel, RevelatorAccel)
 }
 
 __all__ = [
@@ -42,7 +40,6 @@ __all__ = [
     "PCAXAccel",
     "RevelatorAccel",
     "SetAssocTable",
-    "StltAccel",
     "TranslationAccel",
     "VictimaAccel",
     "make_accel",

@@ -1,16 +1,17 @@
 """The ``TranslationAccel`` interface (DESIGN.md section 12).
 
-A translation accelerator is one *design point* in the head-to-head
-lab: a hardware/software mechanism that shortens the path from a
-virtual address to data under the exact same memory system, OS-churn
-paths, and stale-translation oracle as every rival.  A backend plugs
-into the simulator at two seams:
+A translation accelerator is one rival *design point* in the
+head-to-head: a hardware/software mechanism that shortens the path
+from a virtual address to data under the exact same memory system,
+OS-churn paths, and stale-translation oracle as the paper's STLT.  Its
+``name`` is its ``RunConfig.frontend`` value; ``Engine._build_frontends``
+hands every frontend it does not build itself to
+:func:`repro.accel.make_accel`.  A backend plugs into the simulator at
+two seams:
 
 * **front-ends** — :meth:`TranslationAccel.build_frontends` returns one
-  :class:`~repro.sim.frontend.LookupFrontend` per core.  The STLT
-  backend returns real ``STLTFrontend`` objects (the key-level fast
-  path *is* the design); the translation-level backends return plain
-  baseline front-ends and do their work below the TLBs.
+  :class:`~repro.sim.frontend.LookupFrontend` per core: plain baseline
+  front-ends, because the design does its work below the TLBs.
 * **the L2-TLB-miss slot** — a backend may attach one resolver per
   core via :meth:`repro.mem.hierarchy.MemorySystem.attach_accel`.  The
   resolver owns the probe/walk/fill protocol for that core and is
@@ -31,10 +32,10 @@ page table would not — speculative designs fetch in parallel and
 *validate*; the always-on CoherenceError oracle is the backstop.
 
 Scrubbing (the STLT's IPB-overflow slow path) is design-private: the
-STLT backend inherits it through :class:`repro.core.os_interface`, the
-rivals invalidate eagerly per page, and Revelator deliberately keeps
-stale predictions (staleness is a charged misspeculation, never a
-correctness event).
+STLT front-ends inherit it through :class:`repro.core.os_interface`,
+the rivals invalidate eagerly per page, and Revelator deliberately
+keeps stale predictions (staleness is a charged misspeculation, never
+a correctness event).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class TranslationAccel:
     """One pluggable translation-acceleration design."""
 
-    #: the ACCELS name of the design (set by subclasses)
+    #: the design's ``RunConfig.frontend`` value (set by subclasses)
     name: str = "none"
 
     def __init__(self, engine: "Engine") -> None:
@@ -63,10 +64,8 @@ class TranslationAccel:
     def build_frontends(self) -> "List[LookupFrontend]":
         """Build per-core front-ends and attach any per-core resolvers.
 
-        Called from ``Engine._build_frontends`` in place of the frontend
-        branches; the backend may also populate ``engine.stus`` /
-        ``engine.osi`` (the STLT backend does, so prefill, chaos
-        telemetry, and STLTresize injection keep working unchanged).
+        Called from ``Engine._build_frontends`` for the design's
+        frontend value.
         """
         raise NotImplementedError
 

@@ -21,11 +21,11 @@ from ..hetero.fleet import class_counts, has_accel, parse_node_types
 from ..params import SCALED_MACHINE, MachineParams, machine_from_dict
 
 PROGRAMS = ("redis", "unordered_map", "dense_hash_map", "ordered_map", "btree")
-FRONTENDS = ("baseline", "slb", "stlt", "stlt_va", "stlt_sw")
-#: translation-acceleration backends (repro.accel, DESIGN.md section 12):
-#: "none"      — no accelerator; the plain frontend path;
-#: "stlt"      — the paper's STLT/STB/SPTW fast path behind the accel
-#:               interface (bit-identical to frontend="stlt");
+#: lookup designs, one per run.  The key-level front-ends (Fig. 4 and
+#: its ablations): "baseline" (the unmodified program), "slb", "stlt",
+#: "stlt_va" and "stlt_sw".  The rival translation designs of the
+#: head-to-head (repro.accel, DESIGN.md section 12) keep the baseline
+#: program and work below the TLBs:
 #: "victima"   — Victima-style TLB-reach extension parking translations
 #:               in underutilized L2/L3 capacity (PAPERS.md: Victima);
 #: "pcax"      — PC-indexed translation table fed by op-site pseudo-PCs
@@ -33,7 +33,8 @@ FRONTENDS = ("baseline", "slb", "stlt", "stlt_va", "stlt_sw")
 #: "revelator" — software-guided hash-based *speculative* translation:
 #:               data fetch issued in parallel with the walk, validation
 #:               charged, misspeculation penalised (PAPERS.md: Revelator)
-ACCELS = ("none", "stlt", "victima", "pcax", "revelator")
+FRONTENDS = ("baseline", "slb", "stlt", "stlt_va", "stlt_sw",
+             "victima", "pcax", "revelator")
 DISTRIBUTIONS = ("zipf", "latest", "uniform")
 #: request-arrival models: the classic closed loop (one op in flight
 #: per core, no arrival clock) or an open-loop process served by the
@@ -188,11 +189,6 @@ class RunConfig:
     #: deterministically per key id; such GETs always fall back to the
     #: slot's full-class backer.  Inert on homogeneous fleets
     hetero_big_key_fraction: float = 0.0
-    #: translation-acceleration backend (see ACCELS); orthogonal to
-    #: ``frontend`` but only meaningful on the baseline frontend — the
-    #: non-"none" backends replace (not stack on) the key-level fast
-    #: paths, so combining them is rejected at config time
-    accel: str = "none"
     #: how the engine loop executes (see EXEC_MODES): the two modes are
     #: bit-identical by contract.  Content-hashed like every other
     #: field, but deliberately absent from ``label`` — the label names
@@ -304,16 +300,6 @@ class RunConfig:
         if not 0.0 <= self.hetero_big_key_fraction <= 1.0:
             raise ConfigError(
                 "oversized-key fraction must be within [0, 1]")
-        if self.accel not in ACCELS:
-            raise ConfigError(
-                f"unknown accel {self.accel!r}; choose one of {ACCELS!r}")
-        if self.accel != "none" and self.frontend != "baseline":
-            # the accel axis replaces the key-level fast paths; stacking
-            # an accelerator on top of stlt/slb would double-count the
-            # very cycles the head-to-head sweep compares
-            raise ConfigError(
-                f"accel={self.accel!r} requires frontend='baseline' "
-                f"(got {self.frontend!r})")
         if self.exec_mode not in EXEC_MODES:
             raise ConfigError(
                 f"unknown exec mode {self.exec_mode!r}; "
@@ -461,12 +447,8 @@ class RunConfig:
 
     @property
     def label(self) -> str:
-        # an accelerated run names its backend where the frontend would
-        # go (accel requires frontend="baseline", so nothing is hidden)
-        fe = (self.frontend if self.accel == "none"
-              else f"accel-{self.accel}")
         base = (
-            f"{self.program}/{fe}/{self.distribution}"
+            f"{self.program}/{self.frontend}/{self.distribution}"
             f"-{self.value_size}B"
         )
         if self.num_cores > 1:

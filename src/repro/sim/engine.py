@@ -83,8 +83,8 @@ class Engine:
         self.stus: List[Optional[STU]] = [None] * config.num_cores
         self.osi: Optional[OSInterface] = None
         self.slb: Optional[SLBCache] = None
-        #: translation-acceleration backend (repro.accel), None when
-        #: config.accel == "none"; set by _build_frontends
+        #: the rival translation design (repro.accel) of a victima,
+        #: pcax or revelator run, None otherwise; set by _build_frontends
         self.accel = None
         self.frontends: List[LookupFrontend] = self._build_frontends()
         #: always-on stale-translation oracle: every GET is cross-checked
@@ -123,18 +123,12 @@ class Engine:
         Shared: the STLT (+ IPB, via one :class:`OSInterface` spanning
         every core's STU), the SLB tables, and the STLT-SW user-memory
         table.  Private: each core's STU (STB, insertion buffer, SPTW)
-        and the front-end's hit counters.
+        and the front-end's hit counters.  A rival translation design
+        builds its own front-ends and attaches its per-core resolvers.
         """
         config = self.config
         kind = config.frontend
         ctx = self.ctx
-        if config.accel != "none":
-            # the pluggable translation-acceleration lab: the backend
-            # builds the per-core front-ends and attaches its resolvers
-            # (accel=stlt calls build_stlt_frontends)
-            from ..accel import make_accel  # avoid an import cycle
-            self.accel = make_accel(config.accel, self)
-            return self.accel.build_frontends()
         if kind in ("stlt", "stlt_va"):
             return self.build_stlt_frontends(kind)
         fast_hash = get_hash(config.fast_hash)
@@ -161,7 +155,9 @@ class Engine:
                               fast_hash=fast_hash)
                 for _ in range(config.num_cores)
             ]
-        raise KVSError(f"unhandled frontend {kind!r}")
+        from ..accel import make_accel  # avoid an import cycle
+        self.accel = make_accel(kind, self)
+        return self.accel.build_frontends()
 
     def build_stlt_frontends(self, kind: str) -> List[LookupFrontend]:
         """The paper's STLT machine: the one place its graph is built.
@@ -206,7 +202,7 @@ class Engine:
         stlt = self.osi.stlt if self.osi is not None else None
         table = getattr(self.frontends[0], "table", None)
         if stlt is None and table is None and self.slb is None:
-            return  # baseline or a rival accel: no fast-path table
+            return  # baseline or a rival design: no fast-path table
         records = self.records
         memo = get_hash(self.config.fast_hash).prime(
             [record.key for record in records])

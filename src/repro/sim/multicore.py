@@ -94,11 +94,9 @@ class _CoreRunState:
         measured_gets = self.frontend.gets - self.gets_at_mark
         measured_hits = self.frontend.fast_hits - self.fast_hits_at_mark
         fast_miss_rate = None
-        # accel=stlt runs real STLT front-ends under frontend="baseline";
-        # the translation-level backends (victima/pcax/revelator) have no
+        # the rival translation designs run the baseline front-end: no
         # key-level fast path, so their rate stays None like baseline's
-        if measured_gets and (config.frontend != "baseline"
-                              or config.accel == "stlt"):
+        if measured_gets and self.frontend.name != "baseline":
             fast_miss_rate = 1.0 - measured_hits / measured_gets
         if num_cores == 1:
             label: str = config.label

@@ -125,8 +125,8 @@ ENGINE_FIELDS = frozenset({
     "measure_ops", "warmup_ops", "stlt_rows", "stlt_ways", "fast_hash",
     "prefetchers", "num_cores", "offered_load", "dispatch_policy",
     "churn_rate", "fault_plan", "svc_timeout", "svc_retries",
-    "svc_backoff", "svc_hedge", "svc_fallback", "accel", "exec_mode",
-    "seed", "machine",
+    "svc_backoff", "svc_hedge", "svc_fallback", "exec_mode", "seed",
+    "machine",
 })
 
 

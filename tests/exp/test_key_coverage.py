@@ -55,7 +55,6 @@ ALTERNATES = {
     "cluster_hedge": 3.0,
     "node_types": "1full",
     "hetero_big_key_fraction": 0.25,
-    "accel": "stlt",
     "exec_mode": "batched",
     "seed": 99,
     "machine": dataclasses.replace(SCALED_MACHINE, line_bytes=128),

@@ -33,7 +33,8 @@ EXPECTED_METRIC_KEYS = {
     "cluster_fairness", "route_hits", "route_stale_hits",
     "route_misses", "moved_redirects", "ask_redirects",
     "migrations_committed", "route_violations",
-    # translation-accel telemetry (PR 8) — None for accel=none records
+    # rival translation-design telemetry (PR 8) — None for every
+    # other front-end
     "accel",
     # failover / acked-write oracle telemetry (PR 9) — None for
     # single-node records
@@ -145,6 +146,21 @@ class TestChurnTable:
         records = [record_for(frontend=f) for f in ("baseline", "stlt")]
         assert "no churn records" in churn_table(records)
 
+    def test_rival_design_gets_its_own_retention_row(self):
+        # a rival design is a frontend value, so its records file
+        # beside the baseline's instead of over them
+        records = [record_for(frontend=frontend, churn_rate=rate)
+                   for rate in (0.0, 0.01)
+                   for frontend in ("baseline", "victima")]
+        rows = [line.split()
+                for line in churn_table(records).splitlines()[2:]]
+        # quiet: 4100 / 3900 = 1.05x (the 100% anchor); at churn 0.01
+        # the weights give 4264 / 4290 = 0.99x -> 95% retained
+        assert [row[1:3] + row[5:7] for row in rows] == [
+            ["victima", "0", "1.05x", "100%"],
+            ["victima", "0.01", "0.99x", "95%"],
+        ]
+
 
 class TestAccelTable:
     def test_accel_free_records_render_placeholder(self):
@@ -152,9 +168,9 @@ class TestAccelTable:
         assert "no accel" in accel_table(records)
 
     def test_head_to_head_names_every_design(self):
-        records = [record_for(frontend="baseline", accel=accel)
-                   for accel in ("none", "stlt", "victima",
-                                 "pcax", "revelator")]
+        records = [record_for(frontend=design)
+                   for design in ("baseline", "stlt", "victima",
+                                  "pcax", "revelator")]
         text = accel_table(records)
         for design in ("baseline", "stlt", "victima", "pcax",
                        "revelator"):

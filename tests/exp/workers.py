@@ -17,6 +17,9 @@ from repro.sim.results import RunResult
 
 FAULT_SEED = 3
 
+#: front-ends without a key-level fast path (no table miss rate)
+_NO_FAST_PATH = ("baseline", "victima", "pcax", "revelator")
+
 #: deterministic cycle weights so front-ends compare like the paper's
 _FRONTEND_WEIGHT = {
     "baseline": 4000,
@@ -24,6 +27,9 @@ _FRONTEND_WEIGHT = {
     "stlt": 1000,
     "stlt_va": 900,
     "stlt_sw": 3000,
+    "victima": 3800,
+    "pcax": 3700,
+    "revelator": 3900,
 }
 
 
@@ -57,7 +63,8 @@ def fake_run(config: RunConfig) -> RunResult:
         sets=1,
         mem=MemoryStats(reads=config.measure_ops, total_cycles=cycles),
         attr={"index": 600 * config.seed, "value": 400 * config.seed},
-        fast_miss_rate=None if config.frontend == "baseline" else 0.25,
+        fast_miss_rate=(None if config.frontend in _NO_FAST_PATH
+                        else 0.25),
         chaos=chaos,
     )
 

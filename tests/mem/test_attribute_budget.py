@@ -47,7 +47,7 @@ CONFIGS = {
     "redis-baseline": RunConfig(program="redis", frontend="baseline",
                                 **SMALL),
     "btree-slb": RunConfig(program="btree", frontend="slb", **SMALL),
-    "victima": RunConfig(frontend="baseline", accel="victima", **SMALL),
+    "victima": RunConfig(frontend="victima", **SMALL),
 }
 
 

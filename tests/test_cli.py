@@ -106,6 +106,30 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "table miss" not in out
 
+    def test_rival_design_compares_against_the_baseline(self, capsys):
+        rc = main(["run", "--program", "redis", "--frontend", "victima",
+                   "--keys", "2000", "--ops", "400", "--warmup-ops", "800",
+                   "--compare-baseline"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "configuration : redis/victima/" in out
+        assert "accel         : victima (" in out
+        assert "table miss" not in out
+        assert "speedup" in out
+
+    def test_accel_flag_is_gone(self, capsys):
+        # the rival designs are --frontend values
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--frontend", "baseline", "--accel", "victima"])
+        assert exc.value.code == 2
+        assert "--accel" in capsys.readouterr().err
+
+    def test_hwcost_all_accels_prints_each_rival_once(self, capsys):
+        assert main(["hwcost", "--all-accels"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line and line[0] != " "] == [
+            "stlt (Table I)", "victima", "pcax", "revelator"]
+
 
 RUN_ARGS = ["--keys", "2000", "--ops", "400", "--warmup-ops", "800"]
 
@@ -312,6 +336,19 @@ class TestSweepCommand:
         assert "p99" in out
         assert "offered" in out
         assert "no open-loop" not in out
+
+    def test_accel_grid_is_a_config_error(self, capsys, tmp_path):
+        # a design is a frontend value; a spec that still grids the
+        # removed accel field fails before anything runs
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(
+            {**self.SPEC, "grid": {"accel": ["none", "victima"]}}))
+        rc = main(["sweep", "--spec", str(path), "--quiet",
+                   "--store", str(tmp_path / "s.jsonl")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "repro: ConfigError:" in err
+        assert "accel" in err
 
     def test_unknown_named_sweep_fails_loudly(self, capsys, tmp_path):
         # errors exit with their mapped code and one clean stderr line —
