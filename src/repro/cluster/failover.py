@@ -289,9 +289,6 @@ class FailoverScheduler:
     # event application
     # ------------------------------------------------------------------
 
-    def _reachable(self, node: int) -> bool:
-        return node not in self.crashed and node not in self.isolated
-
     def _last_live_full(self, node: int) -> bool:
         """Whether ``node`` is the last live full node of a mixed fleet
         (crashed and isolated nodes count as gone).  Losing it would

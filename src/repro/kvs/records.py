@@ -12,9 +12,7 @@ access helpers the index structures and front-ends share:
 
 * ``access_for_compare`` — read header + key (the validation step ③ of
   Fig. 4 and the per-node compare of every index traversal);
-* ``access_value``       — read the value bytes of a GET;
-* ``write_value``        — overwrite the value in place (SET to an
-  existing key).
+* ``access_value``       — read the value bytes of a GET.
 """
 
 from __future__ import annotations
@@ -167,15 +165,6 @@ class RecordStore:
             ).cycles
         return self.mem.access(
             record.value_va, record.value_size, kind=AccessKind.VALUE
-        ).cycles
-
-    def write_value(self, record: Record) -> int:
-        """Overwrite the value in place (SET to existing key)."""
-        if record.value_size == 0:
-            return 0
-        return self.mem.access(
-            record.value_va, record.value_size, write=True,
-            kind=AccessKind.VALUE,
         ).cycles
 
     def __len__(self) -> int:

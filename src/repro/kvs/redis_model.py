@@ -22,8 +22,6 @@ tuned per experiment.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..errors import KVSError
 from ..mem.types import AccessKind
 from .base import SimContext
@@ -56,7 +54,6 @@ class RedisModel:
         self._query_buf_va = ctx.space.alloc_region(16 * 1024)
         self._reply_buf_va = ctx.space.alloc_region(16 * 1024)
         self._buf_cursor = 0
-        self.sets = 0
 
     # -- command framing ----------------------------------------------------
 
@@ -85,18 +82,8 @@ class RedisModel:
         self.index.build_insert(key, record)
         return record
 
-    def lookup(self, key: bytes) -> Optional[Record]:
-        """The dict lookup component (timed); no command framing."""
-        return self.index.lookup(key)
-
-    def set_existing(self, record: Record) -> None:
-        """SET to a live key: overwrite the value object in place."""
-        self.ctx.records.write_value(record)
-        self.sets += 1
-
     def insert_new(self, key: bytes, value_size: int) -> Record:
         """SET of a fresh key: allocate and link into the dict (timed)."""
         record = self.ctx.records.create_external(key, value_size)
         self.index.insert(key, record)
-        self.sets += 1
         return record

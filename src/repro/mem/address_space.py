@@ -39,10 +39,6 @@ class FrameAllocator:
         self._next += 1
         return pfn
 
-    @property
-    def frames_allocated(self) -> int:
-        return self._next - 1
-
 
 class AddressSpace:
     """One simulated process address space: regions + page table."""

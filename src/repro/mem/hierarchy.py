@@ -537,6 +537,3 @@ class MemorySystem:
         """Attach a translation-accelerator resolver (repro.accel) to
         the L2-TLB-miss path; it then owns probe/walk/fill."""
         self.accel = accel
-
-    def detach_accel(self) -> None:
-        self.accel = None

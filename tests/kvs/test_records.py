@@ -87,9 +87,3 @@ class TestTimedAccess:
         rec = ctx.records.create(b"k", 0)
         rec.value_size = 0
         assert ctx.records.access_value(rec) == 0
-
-    def test_write_value(self, ctx):
-        rec = ctx.records.create(b"k" * 24, 64)
-        before = ctx.mem.stats.writes
-        ctx.records.write_value(rec)
-        assert ctx.mem.stats.writes == before + 1

@@ -26,7 +26,7 @@ class TestConstruction:
 class TestCommands:
     def test_populate_and_lookup(self, redis):
         rec = redis.populate(key_bytes(1), 64)
-        assert redis.lookup(key_bytes(1)) is rec
+        assert redis.index.lookup(key_bytes(1)) is rec
 
     def test_values_are_external_allocations(self, redis):
         rec = redis.populate(key_bytes(2), 64)
@@ -47,14 +47,7 @@ class TestCommands:
         before = redis_ctx.mem.stats.accesses
         rec = redis.insert_new(key_bytes(3), 64)
         assert redis_ctx.mem.stats.accesses > before
-        assert redis.lookup(key_bytes(3)) is rec
-        assert redis.sets == 1
-
-    def test_set_existing_overwrites_in_place(self, redis, redis_ctx):
-        rec = redis.populate(key_bytes(4), 64)
-        before = redis_ctx.mem.stats.writes
-        redis.set_existing(rec)
-        assert redis_ctx.mem.stats.writes > before
+        assert redis.index.lookup(key_bytes(3)) is rec
 
     def test_query_buffer_stays_hot(self, redis, redis_ctx):
         # the command cursor wraps around an 8 KiB window: once warm,
