@@ -28,9 +28,9 @@ from benchmarks.common import (
     print_figure,
     run_many,
     run_once,
-    speedup_of,
 )
 from repro.exp.spec import CHURN_SWEEP_RATES
+from repro.sim.results import speedup
 
 FRONTENDS = ("baseline", "stlt")
 
@@ -48,20 +48,19 @@ def _sweep():
         for frontend in FRONTENDS
         for rate in CHURN_SWEEP_RATES
     }
-    keys = list(configs)
-    metrics = run_many([configs[k] for k in keys])
-    return dict(zip(keys, metrics))
+    return dict(zip(configs, run_many(list(configs.values()))))
 
 
 def check_preconditions(runs: dict) -> None:
     """Every churned run must fire chaos events and cross-check GETs
     against the store; otherwise retention credits churn that never
     happened and zero violations count checks that never ran."""
-    for (frontend, rate), m in runs.items():
+    for (frontend, rate), r in runs.items():
         if rate == 0:
             continue
-        events = m["chaos_events"] or 0
-        checks = m["oracle_checks"] or 0
+        chaos = r.chaos or {"events": {}, "oracle": {"checks": 0}}
+        events = sum(chaos["events"].values())
+        checks = chaos["oracle"]["checks"]
         if events < 1 or checks < 1:
             raise AssertionError(
                 f"precondition failed: {frontend} at churn {rate:g} "
@@ -81,20 +80,19 @@ def test_ext_speedup_retention_under_churn(benchmark):
     for rate in CHURN_SWEEP_RATES:
         base = runs[("baseline", rate)]
         stlt = runs[("stlt", rate)]
-        ratio = speedup_of(base, stlt)
+        ratio = speedup(base, stlt)
         speedups[rate] = ratio
         if rate == 0:
             quiet = ratio
         rows.append([
             f"{rate:g}",
-            f"{base['cycles_per_op']:.1f}",
-            f"{stlt['cycles_per_op']:.1f}",
+            f"{base.cycles_per_op:.1f}",
+            f"{stlt.cycles_per_op:.1f}",
             f"{ratio:.2f}x",
             f"{ratio / quiet:.0%}" if quiet else "-",
-            str(stlt["ipb_overflows"] or 0),
-            str(stlt["stlt_rows_scrubbed"] or 0),
-            str(stlt["oracle_violations"]
-                if stlt["oracle_violations"] is not None else "-"),
+            str(stlt.chaos["ipb_overflows"] if stlt.chaos else 0),
+            str(stlt.chaos["stlt_rows_scrubbed"] if stlt.chaos else 0),
+            str(stlt.chaos["oracle"]["violations"] if stlt.chaos else "-"),
         ])
 
     print_figure(
@@ -112,16 +110,17 @@ def test_ext_speedup_retention_under_churn(benchmark):
     )
 
     # correctness is churn-proof: the oracle never caught a stale GET
-    for (frontend, rate), m in runs.items():
+    for (frontend, rate), r in runs.items():
         if rate > 0:
-            assert m["oracle_violations"] == 0, (
+            violations = r.chaos["oracle"]["violations"]
+            assert violations == 0, (
                 f"{frontend} @ churn {rate:g}: "
-                f"{m['oracle_violations']} oracle violations")
+                f"{violations} oracle violations")
 
     # churn actually exercised the coherence machinery
     top = runs[("stlt", CHURN_SWEEP_RATES[-1])]
-    assert top["ipb_overflows"] > 0
-    assert top["stlt_rows_scrubbed"] > 0
+    assert top.chaos["ipb_overflows"] > 0
+    assert top.chaos["stlt_rows_scrubbed"] > 0
 
     # monotonic degradation: more churn, less speedup (2% tolerance
     # absorbs schedule granularity at small measured windows)

@@ -68,29 +68,28 @@ def _scaling_sweep():
                                offered_load=2.0)
         for nodes in CLUSTER_SWEEP_NODES
     }
-    keys = list(configs)
-    metrics = run_many([configs[k] for k in keys])
-    return dict(zip(keys, metrics))
+    results = run_many(list(configs.values()))
+    return {key: r.cluster for key, r in zip(configs, results)}
 
 
 def test_ext_cluster_throughput_scaling(benchmark):
     runs = run_once(benchmark, _scaling_sweep)
 
-    anchor = runs[1]["cluster_throughput"]
+    anchor = runs[1]["achieved_throughput"]
     assert anchor and anchor > 0
     rows = []
     scaling = {}
     for nodes in CLUSTER_SWEEP_NODES:
-        m = runs[nodes]
-        scaling[nodes] = m["cluster_throughput"] / anchor
+        c = runs[nodes]
+        scaling[nodes] = c["achieved_throughput"] / anchor
         rows.append([
             str(nodes),
-            f"{m['cluster_throughput']:.5f}",
+            f"{c['achieved_throughput']:.5f}",
             f"{scaling[nodes]:.2f}x",
-            f"{m['cluster_p99']:.0f}",
-            f"{m['cluster_fairness']:.3f}",
-            str(m["moved_redirects"]),
-            "OK" if m["route_violations"] == 0 else "VIOLATIONS",
+            f"{c['latency']['p99']:.0f}",
+            f"{c['fairness']:.3f}",
+            str(c["moved_redirects"]),
+            "OK" if c["oracle_violations"] == 0 else "VIOLATIONS",
         ])
     print_figure(
         "Extension — cluster throughput scaling "
@@ -117,9 +116,9 @@ def test_ext_cluster_throughput_scaling(benchmark):
         f"{MIN_SCALING_AT_8:g}x pin")
     # sharding balanced the fleet and the routing stayed coherent
     for nodes in CLUSTER_SWEEP_NODES:
-        assert runs[nodes]["route_violations"] == 0
+        assert runs[nodes]["oracle_violations"] == 0
         if nodes > 1:
-            assert runs[nodes]["cluster_fairness"] > 0.9
+            assert runs[nodes]["fairness"] > 0.9
 
 
 # ----------------------------------------------------------------------
@@ -132,16 +131,15 @@ def _route_cache_pair():
                             offered_load=0.6, route_cache=on)
         for on in (True, False)
     }
-    keys = list(configs)
-    metrics = run_many([configs[k] for k in keys])
-    return dict(zip(keys, metrics))
+    results = run_many(list(configs.values()))
+    return {key: r.cluster for key, r in zip(configs, results)}
 
 
 def check_route_cache_preconditions(runs: dict) -> None:
     """The cached run must resolve some requests from its route cache;
     otherwise the tail comparison credits a cache that never answered
     a lookup."""
-    hits = runs[True]["route_hits"] or 0
+    hits = runs[True]["route_hits"]
     if hits < 1:
         raise AssertionError(
             f"precondition failed: the route-cache run made {hits} "
@@ -155,16 +153,16 @@ def test_ext_cluster_route_cache_tail(benchmark):
 
     cached, uncached = runs[True], runs[False]
     rows = []
-    for label, m in (("on", cached), ("off", uncached)):
-        lookups = ((m["route_hits"] or 0) + (m["route_stale_hits"] or 0)
-                   + (m["route_misses"] or 0))
+    for label, c in (("on", cached), ("off", uncached)):
+        lookups = (c["route_hits"] + c["route_stale_hits"]
+                   + c["route_misses"])
         rows.append([
             label,
-            f"{(m['route_hits'] or 0) / lookups:.0%}" if lookups else "-",
-            str(m["moved_redirects"]),
-            f"{m['cluster_p99']:.0f}",
-            f"{m['cluster_p999']:.0f}",
-            f"{m['cluster_throughput']:.5f}",
+            f"{c['route_hits'] / lookups:.0%}" if lookups else "-",
+            str(c["moved_redirects"]),
+            f"{c['latency']['p99']:.0f}",
+            f"{c['latency']['p999']:.0f}",
+            f"{c['achieved_throughput']:.5f}",
         ])
     print_figure(
         "Extension — client route cache vs bootstrap routing "
@@ -184,12 +182,13 @@ def test_ext_cluster_route_cache_tail(benchmark):
     # an uncached fleet bounces most requests; a cached one does not
     assert uncached["moved_redirects"] > cached["moved_redirects"]
     # the pin: cached routing strictly lowers the measured p99
-    assert cached["cluster_p99"] < uncached["cluster_p99"], (
-        f"route cache did not cut p99: on={cached['cluster_p99']:.0f} "
-        f"off={uncached['cluster_p99']:.0f}")
+    on_p99 = cached["latency"]["p99"]
+    off_p99 = uncached["latency"]["p99"]
+    assert on_p99 < off_p99, (
+        f"route cache did not cut p99: on={on_p99:.0f} off={off_p99:.0f}")
     # both regimes stay coherent
-    assert cached["route_violations"] == 0
-    assert uncached["route_violations"] == 0
+    assert cached["oracle_violations"] == 0
+    assert uncached["oracle_violations"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -203,27 +202,27 @@ def _migration_pair():
                               migrate_rate=rate)
         for rate in (0.0, 0.02)
     }
-    keys = list(configs)
-    metrics = run_many([configs[k] for k in keys])
-    return dict(zip(keys, metrics))
+    results = run_many(list(configs.values()))
+    return {key: r.cluster for key, r in zip(configs, results)}
 
 
 def test_ext_cluster_live_migration(benchmark):
     runs = run_once(benchmark, _migration_pair)
 
     quiet, moving = runs[0.0], runs[0.02]
-    inflation = (moving["cluster_p999"] / quiet["cluster_p999"]
-                 if quiet["cluster_p999"] else float("inf"))
+    quiet_p999 = quiet["latency"]["p999"]
+    inflation = (moving["latency"]["p999"] / quiet_p999
+                 if quiet_p999 else float("inf"))
     rows = []
-    for label, m in (("quiet", quiet), ("migrating", moving)):
+    for label, c in (("quiet", quiet), ("migrating", moving)):
         rows.append([
             label,
-            str(m["migrations_committed"] or 0),
-            str(m["ask_redirects"] or 0),
-            str(m["route_stale_hits"] or 0),
-            f"{m['cluster_p99']:.0f}",
-            f"{m['cluster_p999']:.0f}",
-            "OK" if m["route_violations"] == 0 else "VIOLATIONS",
+            str(c["migration"]["committed"]),
+            str(c["ask_redirects"]),
+            str(c["route_stale_hits"]),
+            f"{c['latency']['p99']:.0f}",
+            f"{c['latency']['p999']:.0f}",
+            "OK" if c["oracle_violations"] == 0 else "VIOLATIONS",
         ])
     print_figure(
         "Extension — live slot migration under traffic "
@@ -240,12 +239,12 @@ def test_ext_cluster_live_migration(benchmark):
     )
 
     # migration actually happened and exercised both redirect kinds
-    assert (moving["migrations_committed"] or 0) > 0
-    assert (moving["ask_redirects"] or 0) > 0
+    assert moving["migration"]["committed"] > 0
+    assert moving["ask_redirects"] > 0
     # zero lost or incoherent requests: the run would have raised
     # ClusterError otherwise, and the stored verdict agrees
-    assert moving["route_violations"] == 0
-    assert quiet["route_violations"] == 0
+    assert moving["oracle_violations"] == 0
+    assert quiet["oracle_violations"] == 0
     # the tail inflation is bounded
     assert inflation <= MAX_P999_INFLATION, (
         f"migration inflated p99.9 by {inflation:.2f}x "

@@ -11,15 +11,11 @@ protected from churn) and yields equal-or-better performance; the effect
 shrinks as the table grows and conflict pressure fades.
 """
 
-from benchmarks.common import (
-    bench_config,
-    print_figure,
-    run_once,
-    speedup_of,
-)
+from benchmarks.common import bench_config, print_figure, run_once
 from benchmarks.size_sweep import rows_for_ratio
 from repro.core.counters import ProbabilisticCounterPolicy
 from repro.sim.engine import Engine
+from repro.sim.results import speedup
 
 
 class _DisabledCounterPolicy(ProbabilisticCounterPolicy):
@@ -42,8 +38,7 @@ def _run(ratio: float, disable_counter: bool) -> dict:
     result = engine.run()
     stlt = engine.osi.stlt
     return {
-        "cycles_per_op": result.cycles_per_op,
-        "fast_miss_rate": result.fast_miss_rate,
+        "result": result,
         "replacements": stlt.replacements,
         "increments": stlt.counter_policy.increments,
     }
@@ -84,13 +79,13 @@ def test_ext_counter_ablation(benchmark):
     check_preconditions(runs)
     rows = []
     for ratio in ratios:
-        lfu = runs[(ratio, "lfu")]
-        blind = runs[(ratio, "blind")]
+        lfu = runs[(ratio, "lfu")]["result"]
+        blind = runs[(ratio, "blind")]["result"]
         rows.append([
             f"{ratio:.2f} rows/key",
-            f"{lfu['fast_miss_rate']:.2%}",
-            f"{blind['fast_miss_rate']:.2%}",
-            f"{speedup_of(blind, lfu):.3f}x",
+            f"{lfu.fast_miss_rate:.2%}",
+            f"{blind.fast_miss_rate:.2%}",
+            f"{speedup(blind, lfu):.3f}x",
         ])
     print_figure(
         "Ablation — probabilistic LFU counter vs blind replacement",
@@ -103,9 +98,9 @@ def test_ext_counter_ablation(benchmark):
     # the counter must help (or at worst tie) at every pressure level
     wins = 0
     for ratio in ratios:
-        lfu = runs[(ratio, "lfu")]
-        blind = runs[(ratio, "blind")]
-        assert lfu["fast_miss_rate"] <= blind["fast_miss_rate"] + 0.01
-        if lfu["fast_miss_rate"] < blind["fast_miss_rate"]:
+        lfu = runs[(ratio, "lfu")]["result"]
+        blind = runs[(ratio, "blind")]["result"]
+        assert lfu.fast_miss_rate <= blind.fast_miss_rate + 0.01
+        if lfu.fast_miss_rate < blind.fast_miss_rate:
             wins += 1
     assert wins >= 1, "LFU must beat blind replacement somewhere"

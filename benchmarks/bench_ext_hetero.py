@@ -2,7 +2,7 @@
 
 The asymmetric-scaling argument of ``repro.hetero`` (DESIGN.md section
 14): a KV-lookup accelerator node is a hash pipeline plus a fixed
-SRAM — :data:`~repro.hetero.capability.ACCEL_NODE_COST_UNITS` of a
+SRAM — :data:`~repro.hetero.fleet.ACCEL_NODE_COST_UNITS` of a
 full node's cost — so swapping one full node of a three-node fleet for
 an accelerator should win *per cost unit* even before it wins per
 node.  This benchmark runs the same seeded small-key, GET-heavy zipf

@@ -17,8 +17,8 @@ from benchmarks.common import (
     print_figure,
     run_keyed,
     run_once,
-    speedup_of,
 )
+from repro.sim.results import speedup
 
 PROGRAMS = ("redis", "unordered_map", "ordered_map")
 
@@ -41,15 +41,15 @@ def check_preconditions(runs: dict) -> None:
     costs what software does)."""
     for program in PROGRAMS:
         for fast_hash in ("xxh3", "hw_hash"):
-            miss_rate = runs[(program, fast_hash)]["fast_miss_rate"]
+            miss_rate = runs[(program, fast_hash)].fast_miss_rate
             if miss_rate is None or miss_rate >= 1.0:
                 raise AssertionError(
                     f"precondition failed: the {program} STLT run with "
                     f"{fast_hash} hit its fast path on no GET (miss "
                     f"rate {miss_rate}), so its hash never shortened a "
                     f"lookup; run a frontend with a fast table")
-        sw = runs[(program, "xxh3")]["attr"].get("hash", 0)
-        hw = runs[(program, "hw_hash")]["attr"].get("hash", 0)
+        sw = runs[(program, "xxh3")].attr.get("hash", 0)
+        hw = runs[(program, "hw_hash")].attr.get("hash", 0)
         if hw >= sw:
             raise AssertionError(
                 f"precondition failed: the {program} hw_hash run charged "
@@ -64,8 +64,8 @@ def test_ext_hardware_hash_unit(benchmark):
     rows = []
     for program in PROGRAMS:
         base = runs[(program, "baseline")]
-        sw = speedup_of(base, runs[(program, "xxh3")])
-        hw = speedup_of(base, runs[(program, "hw_hash")])
+        sw = speedup(base, runs[(program, "xxh3")])
+        hw = speedup(base, runs[(program, "hw_hash")])
         rows.append([program, f"{sw:.3f}x", f"{hw:.3f}x",
                      f"{(hw / sw - 1):+.2%}"])
     print_figure(
@@ -77,6 +77,6 @@ def test_ext_hardware_hash_unit(benchmark):
     )
     for program in PROGRAMS:
         base = runs[(program, "baseline")]
-        sw = speedup_of(base, runs[(program, "xxh3")])
-        hw = speedup_of(base, runs[(program, "hw_hash")])
+        sw = speedup(base, runs[(program, "xxh3")])
+        hw = speedup(base, runs[(program, "hw_hash")])
         assert hw >= sw * 0.999, f"{program}: hw hash must not lose"

@@ -33,21 +33,20 @@ def _sweep():
         for frontend in FRONTENDS
         for load in LOADS
     }
-    keys = list(configs)
-    metrics = run_many([configs[k] for k in keys])
-    return dict(zip(keys, metrics))
+    results = run_many(list(configs.values()))
+    return {key: r.service for key, r in zip(configs, results)}
 
 
 def check_preconditions(runs: dict) -> None:
     """Every run must report its open-loop block (an offered rate and
     a measured p99); otherwise the curves chart closed-loop runs."""
-    for (frontend, load), m in runs.items():
-        if not (m["offered_rate"] or 0) > 0 or m["latency_p99"] is None:
+    for (frontend, load), service in runs.items():
+        rate = service["arrival_rate"] if service else None
+        if not rate or rate <= 0:
             raise AssertionError(
                 f"precondition failed: the {frontend} run at load "
-                f"{load:.2f} reported offered rate {m['offered_rate']} "
-                f"and p99 {m['latency_p99']}, so it ran no open loop; "
-                f"give it an arrival process")
+                f"{load:.2f} reported offered rate {rate}, so it ran no "
+                f"open loop; give it an arrival process")
 
 
 def test_ext_latency_under_load(benchmark):
@@ -56,15 +55,16 @@ def test_ext_latency_under_load(benchmark):
     rows = []
     for frontend in FRONTENDS:
         for load in LOADS:
-            m = runs[(frontend, load)]
+            service = runs[(frontend, load)]
+            latency = service["latency"]
             rows.append([
                 frontend,
                 f"{load:.2f}",
-                f"{m['offered_rate']:.5f}",
-                f"{m['achieved_throughput']:.5f}",
-                f"{m['latency_p50']:.0f}",
-                f"{m['latency_p99']:.0f}",
-                f"{m['latency_p999']:.0f}",
+                f"{service['arrival_rate']:.5f}",
+                f"{service['achieved_throughput']:.5f}",
+                f"{latency['p50']:.0f}",
+                f"{latency['p99']:.0f}",
+                f"{latency['p999']:.0f}",
             ])
     print_figure(
         "Extension — open-loop tail latency vs offered load "
@@ -82,9 +82,9 @@ def test_ext_latency_under_load(benchmark):
 
     # the hockey stick: approaching saturation costs superlinear p99
     for frontend in FRONTENDS:
-        low = runs[(frontend, 0.3)]["latency_p99"]
-        mid = runs[(frontend, 0.7)]["latency_p99"]
-        high = runs[(frontend, 0.95)]["latency_p99"]
+        low = runs[(frontend, 0.3)]["latency"]["p99"]
+        mid = runs[(frontend, 0.7)]["latency"]["p99"]
+        high = runs[(frontend, 0.95)]["latency"]["p99"]
         assert high > mid > low
         assert (high - mid) > (mid - low), (
             f"{frontend}: p99 growth towards saturation should be "
@@ -92,10 +92,10 @@ def test_ext_latency_under_load(benchmark):
 
     # capacity at SLO: STLT sustains strictly more absolute load than
     # the baseline at a fixed p99 objective
-    slo = runs[("baseline", 0.5)]["latency_p99"]
+    slo = runs[("baseline", 0.5)]["latency"]["p99"]
     def max_rate(frontend):
-        rates = [runs[(frontend, load)]["offered_rate"]
+        rates = [runs[(frontend, load)]["arrival_rate"]
                  for load in LOADS
-                 if runs[(frontend, load)]["latency_p99"] <= slo]
+                 if runs[(frontend, load)]["latency"]["p99"] <= slo]
         return max(rates, default=0.0)
     assert max_rate("stlt") > max_rate("baseline") > 0.0

@@ -38,9 +38,7 @@ def _sweep():
         for frontend in FRONTENDS
         for cores in CORE_COUNTS
     }
-    keys = list(configs)
-    metrics = run_many([configs[k] for k in keys])
-    return dict(zip(keys, metrics))
+    return dict(zip(configs, run_many(list(configs.values()))))
 
 
 def check_preconditions(runs: dict) -> None:
@@ -49,9 +47,9 @@ def check_preconditions(runs: dict) -> None:
     contend.  ``dram_max_queue_cycles`` is a run-lifetime gauge
     (``mem/stats.py``), so it is compared with the 1-core run, not 0."""
     for frontend in FRONTENDS:
-        single = runs[(frontend, 1)]["dram_max_queue_cycles"]
+        single = runs[(frontend, 1)].mem.dram_max_queue_cycles
         for cores in CORE_COUNTS[1:]:
-            queue = runs[(frontend, cores)]["dram_max_queue_cycles"]
+            queue = runs[(frontend, cores)].mem.dram_max_queue_cycles
             if queue <= single:
                 raise AssertionError(
                     f"precondition failed: {frontend} x{cores} queued at "
@@ -68,20 +66,19 @@ def test_ext_multicore_scalability(benchmark):
     for frontend in FRONTENDS:
         single = runs[(frontend, 1)]
         for cores in CORE_COUNTS:
-            m = runs[(frontend, cores)]
-            scaling = (m["throughput"] / single["throughput"]
-                       if single["throughput"] else 0.0)
-            fairness = ("-" if m["fairness"] is None
-                        else f"{m['fairness']:.3f}")
-            miss = ("-" if m["fast_miss_rate"] is None
-                    else f"{m['fast_miss_rate']:.2%}")
+            r = runs[(frontend, cores)]
+            scaling = (r.throughput / single.throughput
+                       if single.throughput else 0.0)
+            fairness = "-" if r.fairness is None else f"{r.fairness:.3f}"
+            miss = ("-" if r.fast_miss_rate is None
+                    else f"{r.fast_miss_rate:.2%}")
             rows.append([
                 frontend, str(cores),
-                f"{m['throughput']:.4f}",
+                f"{r.throughput:.4f}",
                 f"{scaling:.2f}x",
                 fairness,
-                f"{m['dram_busy_fraction']:.1%}",
-                str(m["dram_max_queue_cycles"]),
+                f"{r.mem.dram_busy_fraction:.1%}",
+                str(r.mem.dram_max_queue_cycles),
                 miss,
             ])
     print_figure(
@@ -98,17 +95,17 @@ def test_ext_multicore_scalability(benchmark):
     for frontend in FRONTENDS:
         single = runs[(frontend, 1)]
         for cores in CORE_COUNTS:
-            m = runs[(frontend, cores)]
-            assert m["num_cores"] == cores
+            r = runs[(frontend, cores)]
+            assert r.num_cores == cores
             # more cores must never lower aggregate throughput at this
             # scale (the channel adds latency but each core still works)
             if cores > 1:
-                assert m["throughput"] > single["throughput"] * 0.9, (
+                assert r.throughput > single.throughput * 0.9, (
                     f"{frontend} x{cores}: throughput collapsed")
-                assert m["fairness"] is not None
-                assert 0.5 < m["fairness"] <= 1.0 + 1e-9
+                assert r.fairness is not None
+                assert 0.5 < r.fairness <= 1.0 + 1e-9
     for cores in CORE_COUNTS:
         base = runs[("baseline", cores)]
         stlt = runs[("stlt", cores)]
-        assert stlt["throughput"] > base["throughput"], (
+        assert stlt.throughput > base.throughput, (
             f"x{cores}: STLT must out-run baseline")

@@ -10,9 +10,8 @@ from benchmarks.common import (
     print_figure,
     run_keyed,
     run_once,
-    speedup_of,
 )
-from repro.sim.results import geomean
+from repro.sim.results import geomean, speedup
 
 DISTRIBUTIONS = ("zipf", "latest", "uniform")
 VALUE_SIZES = (64, 128, 256)
@@ -35,14 +34,14 @@ def check_preconditions(all_runs: dict) -> None:
     run must hit its fast table; otherwise a speedup credits a table
     that skipped no translation."""
     for (dist, size), runs in all_runs.items():
-        walks = runs["baseline"]["page_walks"]
+        walks = runs["baseline"].page_walks
         if walks <= 0:
             raise AssertionError(
                 f"precondition failed: the {dist}-{size}B baseline made "
                 f"{walks} page walks, so no speedup here comes from "
                 f"translation; run more keys than the TLBs reach")
         for fe in ("slb", "stlt"):
-            miss_rate = runs[fe]["fast_miss_rate"]
+            miss_rate = runs[fe].fast_miss_rate
             if miss_rate is None or miss_rate >= 1.0:
                 raise AssertionError(
                     f"precondition failed: the {dist}-{size}B {fe} run "
@@ -59,8 +58,8 @@ def test_fig11_redis_speedups(benchmark):
     stlt_speedups = []
     slb_speedups = []
     for (dist, size), runs in all_runs.items():
-        slb = speedup_of(runs["baseline"], runs["slb"])
-        stlt = speedup_of(runs["baseline"], runs["stlt"])
+        slb = speedup(runs["baseline"], runs["slb"])
+        stlt = speedup(runs["baseline"], runs["stlt"])
         slb_speedups.append(slb)
         stlt_speedups.append(stlt)
         rows.append([f"{dist}-{size}B", f"{slb:.2f}x", f"{stlt:.2f}x"])
@@ -78,8 +77,8 @@ def test_fig11_redis_speedups(benchmark):
 
     # shape assertions
     for (dist, size), runs in all_runs.items():
-        slb = speedup_of(runs["baseline"], runs["slb"])
-        stlt = speedup_of(runs["baseline"], runs["stlt"])
+        slb = speedup(runs["baseline"], runs["slb"])
+        stlt = speedup(runs["baseline"], runs["stlt"])
         assert stlt > 1.0, f"STLT must speed up {dist}-{size}B"
         assert stlt > slb, f"STLT must beat SLB on {dist}-{size}B"
     mean = geomean(stlt_speedups)
@@ -92,8 +91,8 @@ def test_fig11_record_size_has_little_effect(benchmark):
     runs = run_once(benchmark, lambda: _run_workloads(
         [("zipf", v) for v in VALUE_SIZES]))
     check_preconditions(runs)
-    speedups = [speedup_of(runs[("zipf", v)]["baseline"],
-                           runs[("zipf", v)]["stlt"])
+    speedups = [speedup(runs[("zipf", v)]["baseline"],
+                        runs[("zipf", v)]["stlt"])
                 for v in VALUE_SIZES]
     spread = max(speedups) - min(speedups)
     print_figure(

@@ -6,13 +6,8 @@ shape: STLT's reductions are positive everywhere and clearly larger than
 SLB's on every distribution.
 """
 
-from benchmarks.common import (
-    bench_config,
-    print_figure,
-    reduction_of,
-    run_keyed,
-    run_once,
-)
+from benchmarks.common import bench_config, print_figure, run_keyed, run_once
+from repro.sim.results import reduction
 
 DISTRIBUTIONS = ("zipf", "latest", "uniform")
 FRONTENDS = ("baseline", "slb", "stlt")
@@ -23,11 +18,11 @@ def check_preconditions(runs: dict) -> None:
     otherwise the reductions divide by a miss path that never fired."""
     for dist, per_fe in runs.items():
         base = per_fe["baseline"]
-        if base["page_walks"] <= 0 or base["tlb_misses"] <= 0:
+        if base.page_walks <= 0 or base.tlb_misses <= 0:
             raise AssertionError(
                 f"precondition failed: the {dist} baseline made "
-                f"{base['page_walks']} page walks and "
-                f"{base['tlb_misses']} TLB misses, so there is no miss "
+                f"{base.page_walks} page walks and "
+                f"{base.tlb_misses} TLB misses, so there is no miss "
                 f"to reduce; run more keys than the TLBs reach")
 
 
@@ -47,10 +42,10 @@ def test_fig12_tlb_and_cache_miss_reduction(benchmark):
         base = per_fe["baseline"]
         rows.append([
             dist,
-            f"{reduction_of(base['tlb_misses'], per_fe['slb']['tlb_misses']):+.1%}",
-            f"{reduction_of(base['tlb_misses'], per_fe['stlt']['tlb_misses']):+.1%}",
-            f"{reduction_of(base['cache_misses'], per_fe['slb']['cache_misses']):+.1%}",
-            f"{reduction_of(base['cache_misses'], per_fe['stlt']['cache_misses']):+.1%}",
+            f"{reduction(base.tlb_misses, per_fe['slb'].tlb_misses):+.1%}",
+            f"{reduction(base.tlb_misses, per_fe['stlt'].tlb_misses):+.1%}",
+            f"{reduction(base.cache_misses, per_fe['slb'].cache_misses):+.1%}",
+            f"{reduction(base.cache_misses, per_fe['stlt'].cache_misses):+.1%}",
         ])
     print_figure(
         "Fig. 12 — TLB / cache miss reduction on Redis (128 B)",
@@ -62,12 +57,10 @@ def test_fig12_tlb_and_cache_miss_reduction(benchmark):
 
     for dist, per_fe in runs.items():
         base = per_fe["baseline"]
-        stlt_tlb = reduction_of(base["tlb_misses"],
-                                per_fe["stlt"]["tlb_misses"])
-        slb_tlb = reduction_of(base["tlb_misses"],
-                               per_fe["slb"]["tlb_misses"])
+        stlt_tlb = reduction(base.tlb_misses, per_fe["stlt"].tlb_misses)
+        slb_tlb = reduction(base.tlb_misses, per_fe["slb"].tlb_misses)
         assert stlt_tlb > 0.10, f"STLT must cut TLB misses on {dist}"
         assert stlt_tlb > slb_tlb, f"STLT must beat SLB on {dist} TLB"
-        stlt_cache = reduction_of(base["cache_misses"],
-                                  per_fe["stlt"]["cache_misses"])
+        stlt_cache = reduction(base.cache_misses,
+                               per_fe["stlt"].cache_misses)
         assert stlt_cache > 0.0, f"STLT must cut cache misses on {dist}"

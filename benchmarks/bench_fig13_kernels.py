@@ -12,9 +12,8 @@ from benchmarks.common import (
     print_figure,
     run_keyed,
     run_once,
-    speedup_of,
 )
-from repro.sim.results import geomean
+from repro.sim.results import geomean, speedup
 
 HASH_PROGRAMS = ("unordered_map", "dense_hash_map")
 TREE_PROGRAMS = ("ordered_map", "btree")
@@ -40,7 +39,7 @@ def check_preconditions(all_runs: dict) -> None:
     """Every baseline must walk the page table; otherwise the speedups
     credit STLT and SLB with translations the baseline never paid."""
     for (program, dist, size), runs in sorted(all_runs.items()):
-        walks = runs["baseline"]["page_walks"]
+        walks = runs["baseline"].page_walks
         if walks <= 0:
             raise AssertionError(
                 f"precondition failed: the {program}/{dist}/{size}B "
@@ -57,8 +56,8 @@ def test_fig13_kernel_speedups(benchmark):
     gains = {"hash": {"slb": [], "stlt": []},
              "tree": {"slb": [], "stlt": []}}
     for (program, dist, size), runs in sorted(all_runs.items()):
-        slb = speedup_of(runs["baseline"], runs["slb"])
-        stlt = speedup_of(runs["baseline"], runs["stlt"])
+        slb = speedup(runs["baseline"], runs["slb"])
+        stlt = speedup(runs["baseline"], runs["stlt"])
         family = "hash" if program in HASH_PROGRAMS else "tree"
         gains[family]["slb"].append(slb)
         gains[family]["stlt"].append(stlt)
@@ -79,8 +78,8 @@ def test_fig13_kernel_speedups(benchmark):
 
     # shape assertions
     for (program, dist, size), runs in all_runs.items():
-        slb = speedup_of(runs["baseline"], runs["slb"])
-        stlt = speedup_of(runs["baseline"], runs["stlt"])
+        slb = speedup(runs["baseline"], runs["slb"])
+        stlt = speedup(runs["baseline"], runs["stlt"])
         assert stlt > slb, f"STLT <= SLB on {program}/{dist}/{size}"
         assert stlt > 1.0
     hash_mean = geomean(gains["hash"]["stlt"])

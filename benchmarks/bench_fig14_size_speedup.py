@@ -5,8 +5,9 @@ Paper reference (zipf, 64 B): speedups climb quickly from 16 MB to
 same number of table entries at every size, and plateaus higher.
 """
 
-from benchmarks.common import print_figure, run_once, speedup_of
+from benchmarks.common import print_figure, run_once
 from benchmarks.size_sweep import ROW_RATIOS, ratio_labels, sweep
+from repro.sim.results import speedup
 
 
 def test_fig14_speedup_vs_size(benchmark):
@@ -21,7 +22,7 @@ def test_fig14_speedup_vs_size(benchmark):
             for ratio in ROW_RATIOS:
                 base = all_runs[(program, ratio, "baseline")]
                 series.append(
-                    speedup_of(base, all_runs[(program, ratio, frontend)])
+                    speedup(base, all_runs[(program, ratio, frontend)])
                 )
             rows.append([program, frontend] +
                         [f"{s:.2f}" for s in series])
@@ -34,12 +35,12 @@ def test_fig14_speedup_vs_size(benchmark):
     )
 
     for program in programs:
-        small = speedup_of(all_runs[(program, ROW_RATIOS[0], "baseline")],
-                           all_runs[(program, ROW_RATIOS[0], "stlt")])
-        big = speedup_of(all_runs[(program, ROW_RATIOS[-1], "baseline")],
-                         all_runs[(program, ROW_RATIOS[-1], "stlt")])
+        small = speedup(all_runs[(program, ROW_RATIOS[0], "baseline")],
+                        all_runs[(program, ROW_RATIOS[0], "stlt")])
+        big = speedup(all_runs[(program, ROW_RATIOS[-1], "baseline")],
+                      all_runs[(program, ROW_RATIOS[-1], "stlt")])
         assert big > small, f"{program}: speedup must grow with size"
         # plateau comparison at the largest size: STLT above SLB
-        slb_big = speedup_of(all_runs[(program, ROW_RATIOS[-1], "baseline")],
-                             all_runs[(program, ROW_RATIOS[-1], "slb")])
+        slb_big = speedup(all_runs[(program, ROW_RATIOS[-1], "baseline")],
+                          all_runs[(program, ROW_RATIOS[-1], "slb")])
         assert big > slb_big, f"{program}: STLT must plateau above SLB"

@@ -18,7 +18,7 @@ def test_fig15_missrate_vs_size(benchmark):
     for program in programs:
         for frontend in ("slb", "stlt"):
             series = [
-                all_runs[(program, ratio, frontend)]["fast_miss_rate"]
+                all_runs[(program, ratio, frontend)].fast_miss_rate
                 for ratio in ROW_RATIOS
             ]
             rows.append([program, frontend] +
@@ -33,10 +33,8 @@ def test_fig15_missrate_vs_size(benchmark):
 
     for program in programs:
         for frontend in ("slb", "stlt"):
-            small = all_runs[(program, ROW_RATIOS[0], frontend)][
-                "fast_miss_rate"]
-            big = all_runs[(program, ROW_RATIOS[-1], frontend)][
-                "fast_miss_rate"]
+            small = all_runs[(program, ROW_RATIOS[0], frontend)].fast_miss_rate
+            big = all_runs[(program, ROW_RATIOS[-1], frontend)].fast_miss_rate
             assert big < small, (
                 f"{program}/{frontend}: miss rate must fall with size"
             )

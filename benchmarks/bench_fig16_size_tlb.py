@@ -7,8 +7,9 @@ non-indexing work dilutes the speedup even when the TLB reduction is
 large).
 """
 
-from benchmarks.common import print_figure, reduction_of, run_once
+from benchmarks.common import print_figure, run_once
 from benchmarks.size_sweep import ROW_RATIOS, ratio_labels, sweep
+from repro.sim.results import reduction
 
 
 def test_fig16_tlb_reduction_vs_size(benchmark):
@@ -22,8 +23,7 @@ def test_fig16_tlb_reduction_vs_size(benchmark):
         for ratio in ROW_RATIOS:
             base = all_runs[(program, ratio, "baseline")]
             stlt = all_runs[(program, ratio, "stlt")]
-            series.append(reduction_of(base["tlb_misses"],
-                                       stlt["tlb_misses"]))
+            series.append(reduction(base.tlb_misses, stlt.tlb_misses))
         reductions[program] = series
         rows.append([program] + [f"{r:+.1%}" for r in series])
     print_figure(

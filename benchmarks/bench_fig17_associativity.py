@@ -11,9 +11,9 @@ from benchmarks.common import (
     print_figure,
     run_keyed,
     run_once,
-    speedup_of,
 )
 from benchmarks.size_sweep import rows_for_ratio
+from repro.sim.results import speedup
 
 ASSOCIATIVITIES = (1, 2, 4, 8)
 RATIOS = (0.25, 1.0, 4.0)
@@ -40,16 +40,15 @@ def check_preconditions(all_runs: dict) -> None:
     otherwise the speedups rank tables that skipped no translation."""
     for program in PROGRAMS:
         base = all_runs[(program, "baseline")]
-        if base["page_walks"] <= 0 or base["tlb_misses"] <= 0:
+        if base.page_walks <= 0 or base.tlb_misses <= 0:
             raise AssertionError(
                 f"precondition failed: the {program} baseline made "
-                f"{base['page_walks']} page walks and "
-                f"{base['tlb_misses']} TLB misses, so there is no miss "
+                f"{base.page_walks} page walks and "
+                f"{base.tlb_misses} TLB misses, so there is no miss "
                 f"to reduce; run more keys than the TLBs reach")
         for ratio in RATIOS:
             for ways in ASSOCIATIVITIES:
-                miss_rate = all_runs[(program, ratio, ways)][
-                    "fast_miss_rate"]
+                miss_rate = all_runs[(program, ratio, ways)].fast_miss_rate
                 if miss_rate is None or miss_rate >= 1.0:
                     raise AssertionError(
                         f"precondition failed: the {program} {ways}-way "
@@ -69,7 +68,7 @@ def test_fig17_associativity(benchmark):
         base = all_runs[(program, "baseline")]
         for ratio in RATIOS:
             speeds = {
-                ways: speedup_of(base, all_runs[(program, ratio, ways)])
+                ways: speedup(base, all_runs[(program, ratio, ways)])
                 for ways in ASSOCIATIVITIES
             }
             cells[(program, ratio)] = speeds

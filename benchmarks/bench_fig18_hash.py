@@ -12,8 +12,8 @@ from benchmarks.common import (
     print_figure,
     run_keyed,
     run_once,
-    speedup_of,
 )
+from repro.sim.results import RunResult, speedup
 
 FAST_HASHES = ("siphash", "murmur", "xxh64", "djb2", "xxh3")
 
@@ -27,18 +27,18 @@ def _sweep():
     return runs.pop("baseline"), runs
 
 
-def check_preconditions(baseline: dict, runs: dict) -> None:
+def check_preconditions(baseline: RunResult, runs: dict) -> None:
     """The baseline must walk the page table, and each fast-hash STLT
     run must hit its table; otherwise the speedups compare hashes on a
     translation the baseline never paid or a path no GET took."""
-    walks = baseline["page_walks"]
+    walks = baseline.page_walks
     if walks <= 0:
         raise AssertionError(
             f"precondition failed: the baseline made {walks} page walks, "
             f"so no speedup here comes from translation; run more keys "
             f"than the TLBs reach")
     for name in FAST_HASHES:
-        miss_rate = runs[name]["fast_miss_rate"]
+        miss_rate = runs[name].fast_miss_rate
         if miss_rate is None or miss_rate >= 1.0:
             raise AssertionError(
                 f"precondition failed: the STLT run with {name} hit its "
@@ -50,10 +50,9 @@ def test_fig18_hash_sensitivity(benchmark):
     baseline, runs = run_once(benchmark, _sweep)
     check_preconditions(baseline, runs)
 
-    speeds = {name: speedup_of(baseline, res) for name, res in runs.items()}
+    speeds = {name: speedup(baseline, res) for name, res in runs.items()}
     rows = [
-        [name, f"{speeds[name]:.3f}x",
-         f"{runs[name]['fast_miss_rate']:.2%}"]
+        [name, f"{speeds[name]:.3f}x", f"{runs[name].fast_miss_rate:.2%}"]
         for name in FAST_HASHES
     ]
     variation = (max(speeds.values()) - min(speeds.values())) \
@@ -77,5 +76,5 @@ def test_fig18_hash_sensitivity(benchmark):
     # shape: the hash choice matters measurably
     assert variation > 0.02
     # shape: siphash's randomness gives it one of the lowest miss rates
-    miss = {n: runs[n]["fast_miss_rate"] for n in FAST_HASHES}
+    miss = {n: runs[n].fast_miss_rate for n in FAST_HASHES}
     assert miss["siphash"] <= min(miss.values()) + 0.005

@@ -12,7 +12,7 @@ from benchmarks.common import (
     run_keyed,
     run_once,
 )
-from repro.sim.results import geomean
+from repro.sim.results import geomean, speedup
 
 PROGRAMS = ("unordered_map", "dense_hash_map", "ordered_map", "btree")
 VARIANTS = ("stlt_sw", "stlt_va", "stlt")
@@ -30,8 +30,8 @@ def check_preconditions(all_runs: dict) -> None:
     ``full > va`` shape credits the PTEs the full STLT caches for the
     STB, which STLT-VA does not have."""
     for program in PROGRAMS:
-        full = all_runs[(program, "stlt")]["stb_hits"]
-        va = all_runs[(program, "stlt_va")]["stb_hits"]
+        full = all_runs[(program, "stlt")].mem.stb_hits
+        va = all_runs[(program, "stlt_va")].mem.stb_hits
         if full <= 0:
             raise AssertionError(
                 f"precondition failed: the {program} full-STLT run made "
@@ -50,10 +50,10 @@ def test_fig19_left_configuration_breakdown(benchmark):
     rows = []
     improvements = {v: [] for v in VARIANTS}
     for program in PROGRAMS:
-        slb_cpo = all_runs[(program, "slb")]["cycles_per_op"]
+        slb = all_runs[(program, "slb")]
         line = [program]
         for variant in VARIANTS:
-            ratio = slb_cpo / all_runs[(program, variant)]["cycles_per_op"]
+            ratio = speedup(slb, all_runs[(program, variant)])
             improvements[variant].append(ratio)
             line.append(f"{ratio:.2f}x")
         rows.append(line)

@@ -36,7 +36,7 @@ def check_preconditions(all_runs: dict) -> None:
     slowdown is charged to a prefetcher that never fetched a line."""
     for program in PROGRAMS:
         for pf in ("stream", "vldp"):
-            issued = all_runs[(program, pf)]["prefetches_issued"]
+            issued = all_runs[(program, pf)].mem.prefetches_issued
             if issued <= 0:
                 raise AssertionError(
                     f"precondition failed: the {program} run with the "
@@ -52,14 +52,13 @@ def test_fig19_right_prefetcher_slowdowns(benchmark):
     rows = []
     slowdowns = {pf: [] for pf in PREFETCHERS}
     for program in PROGRAMS:
-        base = all_runs[(program, "none")]["cycles_per_op"]
+        base = all_runs[(program, "none")].cycles_per_op
         line = [program]
         for pf in PREFETCHERS:
-            run = all_runs[(program, pf)]
-            ratio = run["cycles_per_op"] / base
+            ratio = all_runs[(program, pf)].cycles_per_op / base
             slowdowns[pf].append(ratio)
             line.append(f"{(ratio - 1):+.1%}")
-        line.append(f"{all_runs[(program, 'vldp')]['prefetch_accuracy']:.1%}")
+        line.append(f"{all_runs[(program, 'vldp')].mem.prefetch_accuracy:.1%}")
         rows.append(line)
     rows.append(["geomean"] +
                 [f"{(geomean(slowdowns[pf]) - 1):+.1%}"

@@ -68,4 +68,4 @@ def test_tab1_accel_backend_budgets(benchmark):
     for accel, report in reports.items():
         assert report.total_bytes == ACCEL_BUDGET_BYTES[accel], accel
     # the baseline carries no hardware at all
-    assert accel_hardware_cost("none").total_bytes == 0
+    assert accel_hardware_cost("baseline").total_bytes == 0

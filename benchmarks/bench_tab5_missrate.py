@@ -27,7 +27,7 @@ def check_preconditions(runs: dict) -> None:
     the table compares tables that no GET ever hit."""
     for dist, per_fe in runs.items():
         for fe in FRONTENDS:
-            miss_rate = per_fe[fe]["fast_miss_rate"]
+            miss_rate = per_fe[fe].fast_miss_rate
             if miss_rate is None or miss_rate >= 1.0:
                 raise AssertionError(
                     f"precondition failed: the {dist} {fe} run reports "
@@ -52,8 +52,8 @@ def test_tab5_miss_rates(benchmark):
         paper_slb, paper_stlt = PAPER[dist]
         rows.append([
             dist,
-            f"{paper_slb:.2%}", f"{per_fe['slb']['fast_miss_rate']:.2%}",
-            f"{paper_stlt:.2%}", f"{per_fe['stlt']['fast_miss_rate']:.2%}",
+            f"{paper_slb:.2%}", f"{per_fe['slb'].fast_miss_rate:.2%}",
+            f"{paper_stlt:.2%}", f"{per_fe['stlt'].fast_miss_rate:.2%}",
         ])
     print_figure(
         "Table V — STLT and SLB miss rate",
@@ -65,14 +65,14 @@ def test_tab5_miss_rates(benchmark):
 
     for dist, per_fe in runs.items():
         for fe in ("slb", "stlt"):
-            assert per_fe[fe]["fast_miss_rate"] < 0.10, (
+            assert per_fe[fe].fast_miss_rate < 0.10, (
                 f"{fe} miss rate on {dist} out of regime"
             )
     # skewed distributions: SLB's frequency-precise 7-way table is at or
     # below the 4-way partial-tag STLT, as in the paper
     for dist in ("zipf", "latest"):
-        assert runs[dist]["slb"]["fast_miss_rate"] <= \
-            runs[dist]["stlt"]["fast_miss_rate"] + 0.002
+        assert runs[dist]["slb"].fast_miss_rate <= \
+            runs[dist]["stlt"].fast_miss_rate + 0.002
     # latest is the friendliest distribution for both tables
-    assert runs["latest"]["stlt"]["fast_miss_rate"] <= \
-        runs["zipf"]["stlt"]["fast_miss_rate"] + 0.002
+    assert runs["latest"]["stlt"].fast_miss_rate <= \
+        runs["zipf"]["stlt"].fast_miss_rate + 0.002

@@ -31,14 +31,9 @@ import os
 from pathlib import Path
 from typing import Dict, Hashable, List, Optional, Sequence
 
-from repro.exp import (
-    ResultStore,
-    SweepRunner,
-    metrics_from_record,
-    points_from_configs,
-)
+from repro.exp import ResultStore, SweepRunner, points_from_configs
 from repro.sim.config import RunConfig
-from repro.sim.results import format_table
+from repro.sim.results import RunResult, format_table
 
 BENCH_KEYS = int(os.environ.get("REPRO_BENCH_KEYS", "50000"))
 BENCH_OPS = int(os.environ.get("REPRO_BENCH_OPS", "6000"))
@@ -72,8 +67,8 @@ def _runner(jobs: int) -> SweepRunner:
     return SweepRunner(store=bench_store(), jobs=jobs, retries=1)
 
 
-def run_many(configs: Sequence[RunConfig]) -> List[dict]:
-    """Run (or fetch) a batch of configs in parallel; metrics dicts.
+def run_many(configs: Sequence[RunConfig]) -> List[RunResult]:
+    """Run (or fetch) a batch of configs in parallel; their results.
 
     Results come back in ``configs`` order regardless of completion
     order, duplicate configs are simulated once, and a failing run
@@ -85,12 +80,13 @@ def run_many(configs: Sequence[RunConfig]) -> List[dict]:
         details = "; ".join(
             f"{o.label}: {o.error}" for o in report.failed)
         raise RuntimeError(f"benchmark sweep failed: {details}")
-    return [metrics_from_record(o.record) for o in report]
+    return [o.result for o in report]
 
 
-def run_keyed(configs: Dict[Hashable, RunConfig]) -> Dict[Hashable, dict]:
-    """Run a sweep's configs as one :func:`run_many` batch; each metrics
-    dict comes back under its config's key, in the same order."""
+def run_keyed(
+        configs: Dict[Hashable, RunConfig]) -> Dict[Hashable, RunResult]:
+    """Run a sweep's configs as one :func:`run_many` batch; each result
+    comes back under its config's key, in the same order."""
     return dict(zip(configs, run_many(list(configs.values()))))
 
 
@@ -99,16 +95,6 @@ def bench_config(**overrides) -> RunConfig:
     defaults = dict(num_keys=BENCH_KEYS, measure_ops=BENCH_OPS)
     defaults.update(overrides)
     return RunConfig(**defaults)
-
-
-def speedup_of(baseline: dict, other: dict) -> float:
-    if other["cycles_per_op"] == 0:
-        return float("inf")
-    return baseline["cycles_per_op"] / other["cycles_per_op"]
-
-
-def reduction_of(baseline: int, other: int) -> float:
-    return (baseline - other) / baseline if baseline else 0.0
 
 
 def print_figure(title: str, headers: List[str], rows: List[List[str]],

@@ -18,6 +18,7 @@ from typing import Dict, List, Tuple
 
 from repro.exp.spec import SIZE_SWEEP_RATIOS, size_sweep_points
 from repro.exp.spec import rows_for_ratio as _rows_for_ratio
+from repro.sim.results import RunResult
 
 from benchmarks.common import BENCH_KEYS, BENCH_OPS, run_many
 
@@ -37,21 +38,22 @@ def paper_equivalent_mb(ratio: float) -> int:
     return int(ratio * 10_000_000 * 16 / (1 << 20))
 
 
-def check_preconditions(runs: Dict[Tuple[str, float, str], dict]) -> None:
+def check_preconditions(
+        runs: Dict[Tuple[str, float, str], RunResult]) -> None:
     """Every baseline must walk the page table and miss the TLBs, and
     every STLT point must hit its table; otherwise the speedups, miss
     rates and TLB reductions of Figs. 14-16 credit a translation the
     table never skipped."""
     for (program, ratio, frontend), run in runs.items():
         if frontend == "baseline":
-            if run["page_walks"] <= 0 or run["tlb_misses"] <= 0:
+            if run.page_walks <= 0 or run.tlb_misses <= 0:
                 raise AssertionError(
                     f"precondition failed: the {program} baseline made "
-                    f"{run['page_walks']} page walks and "
-                    f"{run['tlb_misses']} TLB misses, so there is no "
+                    f"{run.page_walks} page walks and "
+                    f"{run.tlb_misses} TLB misses, so there is no "
                     f"miss to reduce; run more keys than the TLBs reach")
         elif frontend == "stlt":
-            miss_rate = run["fast_miss_rate"]
+            miss_rate = run.fast_miss_rate
             if miss_rate is None or miss_rate >= 1.0:
                 raise AssertionError(
                     f"precondition failed: the {program} STLT at "
@@ -59,7 +61,7 @@ def check_preconditions(runs: Dict[Tuple[str, float, str], dict]) -> None:
                     f"rate {miss_rate}), so it shortened no lookup")
 
 
-def sweep(programs=PROGRAMS) -> Dict[Tuple[str, float, str], dict]:
+def sweep(programs=PROGRAMS) -> Dict[Tuple[str, float, str], RunResult]:
     """Run {program} x {ratio} x {baseline, slb, stlt} via ``repro.exp``.
 
     One shared baseline per program is simulated once and fanned back
@@ -70,17 +72,17 @@ def sweep(programs=PROGRAMS) -> Dict[Tuple[str, float, str], dict]:
     """
     points = size_sweep_points(BENCH_KEYS, BENCH_OPS, programs=programs,
                                ratios=ROW_RATIOS)
-    metrics = run_many([p.config for p in points])
+    results = run_many([p.config for p in points])
 
-    out: Dict[Tuple[str, float, str], dict] = {}
-    for point, metric in zip(points, metrics):
+    out: Dict[Tuple[str, float, str], RunResult] = {}
+    for point, result in zip(points, results):
         program = point.params["program"]
         frontend = point.params["frontend"]
         if frontend == "baseline":
             for ratio in ROW_RATIOS:
-                out[(program, ratio, "baseline")] = metric
+                out[(program, ratio, "baseline")] = result
         else:
-            out[(program, point.params["ratio"], frontend)] = metric
+            out[(program, point.params["ratio"], frontend)] = result
     check_preconditions(out)
     return out
 

@@ -268,11 +268,7 @@ def _print_result(result: RunResult) -> None:
         print(f"table size    : {result.fast_table_bytes >> 10} KiB")
     if result.mem.stb_hits:
         print(f"STB hits      : {result.mem.stb_hits}")
-    if result.accel is not None:
-        pairs = ", ".join(f"{key}={value}"
-                          for key, value in sorted(result.accel.items())
-                          if key != "accel")
-        print(f"accel         : {result.accel.get('accel')} ({pairs})")
+    _print_accel(result)
     if result.cores:
         print(f"cores         : {result.num_cores}")
         print(f"throughput    : {result.throughput:.4f} ops/cycle")
@@ -284,6 +280,15 @@ def _print_result(result: RunResult) -> None:
                     else f"  table miss {core.fast_miss_rate:.2%}")
             print(f"  core {core.core_id}: {core.ops} ops, "
                   f"{core.cycles_per_op:.1f} cycles/op{miss}")
+
+
+def _print_accel(result: RunResult) -> None:
+    """A rival design's telemetry line; nothing for the other designs."""
+    if result.accel is not None:
+        pairs = ", ".join(f"{key}={value}"
+                          for key, value in sorted(result.accel.items())
+                          if key != "accel")
+        print(f"accel         : {result.accel.get('accel')} ({pairs})")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -392,6 +397,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         return 0
     print(f"configuration : {result.label}")
     print(f"cycles/op     : {result.cycles_per_op:.1f}")
+    _print_accel(result)
     _print_chaos_telemetry(result.chaos or {})
     if args.compare_baseline and args.frontend != "baseline":
         baseline = run_experiment(_config_from_args(args, "baseline"))
@@ -592,38 +598,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         print(summary_table(report))
         records = [o.record for o in report if o.record is not None]
-        table = speedup_table(records)
-        if "no baseline" not in table:
-            print()
-            print(table)
-        cores = scaling_table(records)
-        if "no multi-core" not in cores:
-            print()
-            print(cores)
-        latency = latency_table(records)
-        if "no open-loop" not in latency:
-            print()
-            print(latency)
-        churn = churn_table(records)
-        if "no churn" not in churn:
-            print()
-            print(churn)
-        cluster = cluster_table(records)
-        if "no cluster" not in cluster:
-            print()
-            print(cluster)
-        accel = accel_table(records)
-        if "no accel" not in accel:
-            print()
-            print(accel)
-        failover = failover_table(records)
-        if "no failover" not in failover:
-            print()
-            print(failover)
-        hetero = hetero_table(records)
-        if "no hetero" not in hetero:
-            print()
-            print(hetero)
+        for render in (speedup_table, scaling_table, latency_table,
+                       churn_table, cluster_table, accel_table,
+                       failover_table, hetero_table):
+            table = render(records)
+            if table:
+                print()
+                print(table)
         print()
         print(report.summary())
         print(f"store: {summary['store_hits']} hit(s), "

@@ -156,8 +156,8 @@ class ClusterClient:
                          oversized: bool) -> int:
         """Capability-aware pre-route; a full-node target passes through.
 
-        Clients know every node's capability descriptor from the
-        cluster bus, so when the judged target is an accelerator and
+        Clients know every node's class from the cluster bus, so
+        when the judged target is an accelerator and
         the operation is one it cannot serve — any write, or a GET
         whose wire key exceeds the 255-byte limit — the request goes
         straight to the slot's full-class authority instead.  This is

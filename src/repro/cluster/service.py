@@ -778,7 +778,7 @@ def simulate_cluster(
         if target in accel_nodes:
             # capability pre-route: writes and oversized-key GETs
             # never touch an accelerator — the client knows every
-            # node's descriptor, so this is local, not an extra hop
+            # node's class, so this is local, not an extra hop
             target = client.capability_route(slot, target, topology,
                                              is_write, oversized)
         head = client.begin_request(target) if pipelined else True
@@ -1227,8 +1227,7 @@ def run_cluster(config):
         engine = Engine(_node_config(config, node))
         mc = MultiCoreEngine(engine, capture_op_cycles=True)
         outcome = mc.run()
-        result = outcome.per_core[0] if config.num_cores == 1 \
-            else outcome.aggregate
+        result = outcome.aggregate
         if mc.injector is not None:
             result.chaos = build_chaos_report(engine, mc.injector)
         per_node_results.append(result)

@@ -59,11 +59,6 @@ from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional,
 
 from ..errors import ClusterError, HeteroError
 from ..hashes.registry import get_hash
-from ..hetero.capability import (
-    NodeCapability,
-    accel_capability,
-    full_capability,
-)
 from ..hetero.fleet import (
     NODE_CLASS_ACCEL,
     NODE_CLASS_FULL,
@@ -226,12 +221,6 @@ class ClusterTopology:
             full = self._full = tuple(n for n in self.node_ids
                                       if n not in self.accel_nodes)
         return full
-
-    def capability_of(self, node: int) -> NodeCapability:
-        """The capability descriptor ``node`` advertises to dispatch."""
-        if self.is_accel(node):
-            return accel_capability()
-        return full_capability()
 
     def route(self, slot: int) -> SlotRoute:
         """The routing answers of ``slot`` from the route table,

@@ -164,6 +164,6 @@ def accel_hardware_cost(accel: str) -> HardwareCostReport:
         return pcax_cost(PCAX_BUDGET_SETS)
     if accel == "revelator":
         return revelator_cost()
-    if accel == "none":
+    if accel == "baseline":
         return HardwareCostReport(components={})
     raise ValueError(f"unknown accel {accel!r}")

@@ -82,8 +82,8 @@ class HeteroError(ClusterError):
     Raised at config time for a malformed ``--node-types`` spec (bad
     grammar, zero counts, no full node, a count that disagrees with
     ``nodes``) and — the loud-failure case — by the capability oracle
-    when a request is *served* by a node whose capability descriptor
-    forbids it: a SET or an oversized-key GET answered by an
+    when a request is *served* by a node whose class cannot serve
+    it: a SET or an oversized-key GET answered by an
     accelerator, or an accelerator answering for a key its on-chip
     memory does not hold.  Capability misroutes must cost a
     deterministic fallback hop, never a wrong answer — the

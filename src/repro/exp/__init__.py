@@ -12,7 +12,7 @@ simulations.  This package is the campaign runner for those sweeps:
   deterministic (serial-identical) output;
 * :mod:`repro.exp.progress`  — tick-based status lines, ETA, summary;
 * :mod:`repro.exp.reporting` — stored records -> paper-vs-measured
-  ``format_table`` output and the benchmark metrics-dict shape.
+  ``format_table`` output.
 
 Typical use::
 
@@ -35,8 +35,6 @@ from .reporting import (
     failover_table,
     hetero_table,
     latency_table,
-    max_rate_under_slo,
-    metrics_from_record,
     scaling_table,
     speedup_table,
     summary_table,
@@ -83,8 +81,6 @@ __all__ = [
     "hetero_table",
     "latency_table",
     "make_record",
-    "max_rate_under_slo",
-    "metrics_from_record",
     "points_from_configs",
     "size_sweep_points",
     "scaling_table",

@@ -1,153 +1,41 @@
 """Turn stored sweep records into the paper-vs-measured tables.
 
-The benchmark harness historically worked on flat *metrics dicts*
-(``cycles_per_op``, ``tlb_misses``, ...).  :func:`metrics_from_record`
-derives exactly that shape from a durable store record by re-hydrating
-the full :class:`~repro.sim.results.RunResult` and reading its
-properties — so a ported benchmark sees byte-for-byte the numbers it
-used to compute in-process.
+Every table re-hydrates each durable store record's ``result`` into a
+:class:`~repro.sim.results.RunResult` once and reads its properties
+and blocks, so a table reads the same numbers whether a run was
+simulated now, pulled from the store, or computed by a worker.
+Speedups and reductions come from :func:`~repro.sim.results.speedup`
+and :func:`~repro.sim.results.reduction`.
 
 :func:`summary_table` and :func:`speedup_table` render
 :func:`~repro.sim.results.format_table` ASCII tables for the ``repro
 sweep`` CLI: one row per run, and speedups of every front-end against
-the matching baseline run.
+the matching baseline run.  A table with nothing to show is ``""``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..sim.results import RunResult, format_table
+from ..sim.results import RunResult, format_table, reduction, speedup
 from ..svc.histogram import LatencyHistogram
 from .spec import ACCEL_SWEEP_DESIGNS
 
-__all__ = ["metrics_from_record", "summary_table", "speedup_table",
-           "scaling_table", "latency_table", "max_rate_under_slo",
-           "churn_table", "cluster_table", "accel_table",
+__all__ = ["summary_table", "speedup_table", "scaling_table",
+           "latency_table", "churn_table", "cluster_table", "accel_table",
            "failover_table", "hetero_table", "sweep_summary"]
-
-
-def metrics_from_record(record: dict) -> dict:
-    """The flat metrics dict the benchmark harness consumes.
-
-    Keys match the legacy ``benchmarks.common`` metrics payload
-    exactly, so figures produce identical tables whether a run was
-    simulated now, pulled from the store, or computed by a worker.
-    """
-    result = RunResult.from_dict(record["result"])
-    return {
-        "cycles_per_op": result.cycles_per_op,
-        "cycles": result.cycles,
-        "ops": result.ops,
-        "tlb_misses": result.tlb_misses,
-        "cache_misses": result.cache_misses,
-        "page_walks": result.page_walks,
-        "dram_accesses": result.mem.dram_accesses,
-        "llc_miss_rate": result.mem.llc_miss_rate,
-        "fast_miss_rate": result.fast_miss_rate,
-        "fast_table_bytes": result.fast_table_bytes,
-        "stb_hits": result.mem.stb_hits,
-        "attr": result.attr,
-        "prefetches_issued": result.mem.prefetches_issued,
-        "prefetch_accuracy": result.mem.prefetch_accuracy,
-        # multi-core / DRAM-channel observability (PR 2): single-core
-        # runs report num_cores=1, fairness None, and their own channel
-        # pressure, so the dict shape is uniform across sweeps
-        "num_cores": result.num_cores,
-        "throughput": result.throughput,
-        "fairness": result.fairness,
-        "dram_busy_fraction": result.mem.dram_busy_fraction,
-        "dram_max_queue_cycles": result.mem.dram_max_queue_cycles,
-        # open-loop service layer (PR 3): None for closed-loop runs, so
-        # the dict shape stays uniform across sweeps
-        "latency_p50": _field(result.service, "latency", "p50"),
-        "latency_p99": _field(result.service, "latency", "p99"),
-        "latency_p999": _field(result.service, "latency", "p999"),
-        "offered_rate": _field(result.service, "arrival_rate"),
-        "achieved_throughput": _field(result.service,
-                                      "achieved_throughput"),
-        # chaos / coherence telemetry (PR 4): None or 0 for quiet runs,
-        # so the dict shape stays uniform across sweeps
-        "oracle_checks": _field(result.chaos, "oracle", "checks"),
-        "oracle_violations": _field(result.chaos, "oracle", "violations"),
-        "ipb_overflows": _field(result.chaos, "ipb_overflows"),
-        "stlt_rows_scrubbed": _field(result.chaos, "stlt_rows_scrubbed"),
-        "chaos_events": (
-            sum(result.chaos.get("events", {}).values())
-            if result.chaos else None),
-        # mitigation telemetry (service layer, PR 4)
-        "svc_timeouts": _field(result.service, "timeouts"),
-        "svc_hedges": _field(result.service, "hedges"),
-        "svc_fallbacks": _field(result.service, "fallbacks"),
-        # cluster overlay (PR 5): None for single-node runs, so the
-        # dict shape stays uniform across sweeps
-        "nodes": _field(result.cluster, "nodes") or 1,
-        "cluster_throughput": _field(result.cluster,
-                                     "achieved_throughput"),
-        "cluster_p99": _field(result.cluster, "latency", "p99"),
-        "cluster_p999": _field(result.cluster, "latency", "p999"),
-        "cluster_fairness": _field(result.cluster, "fairness"),
-        "route_hits": _field(result.cluster, "route_hits"),
-        "route_stale_hits": _field(result.cluster, "route_stale_hits"),
-        "route_misses": _field(result.cluster, "route_misses"),
-        "moved_redirects": _field(result.cluster, "moved_redirects"),
-        "ask_redirects": _field(result.cluster, "ask_redirects"),
-        "migrations_committed": _field(result.cluster, "migration",
-                                       "committed"),
-        "route_violations": _field(result.cluster, "oracle_violations"),
-        # failover overlay (PR 9): None for single-node runs; zero for
-        # fault-free cluster runs, so the dict shape stays uniform
-        "cluster_writes": _field(result.cluster, "writes"),
-        "acked_writes": _field(result.cluster, "acked_writes"),
-        "acked_write_losses": _field(result.cluster, "acked_write_losses"),
-        "failover_violations": _field(result.cluster,
-                                      "failover_violations"),
-        "cluster_failed_requests": _field(result.cluster,
-                                          "failed_requests"),
-        "failover_promotions": _field(result.cluster, "failover",
-                                      "promotions"),
-        "post_promotion_moved": _field(result.cluster, "failover",
-                                       "post_promotion_moved"),
-        # heterogeneous fleets (repro.hetero): None for homogeneous
-        # runs, so the dict shape stays uniform across sweeps
-        "node_types": _field(result.cluster, "hetero", "node_types"),
-        "fleet_cost_units": _field(result.cluster, "hetero",
-                                   "fleet_cost_units"),
-        "accel_hit_fraction": _field(result.cluster, "hetero",
-                                     "accel_hit_fraction"),
-        "hetero_fallback_rate": _field(result.cluster, "hetero",
-                                       "fallback_rate"),
-        "cost_normalized_throughput": _field(
-            result.cluster, "hetero", "cost_normalized_throughput"),
-        "capability_violations": _field(result.cluster, "hetero",
-                                        "capability_violations"),
-        # rival translation designs (repro.accel): the backend's
-        # telemetry dict, or None for every other front-end
-        "accel": result.accel,
-    }
-
-
-def _field(block: Optional[dict], *path):
-    """Walk ``path`` into one of a result's dict blocks (``service``,
-    ``chaos`` or ``cluster``); None-safe for runs without the block."""
-    node = block
-    for key in path:
-        if not isinstance(node, dict):
-            return None
-        node = node.get(key)
-    return node
 
 
 def summary_table(report) -> str:
     """One row per sweep outcome: status, cycles/op, misses, wall time."""
     rows: List[List[str]] = []
     for outcome in report:
-        if outcome.record is not None:
-            metrics = metrics_from_record(outcome.record)
-            cpo = f"{metrics['cycles_per_op']:.1f}"
-            tlb = str(metrics["tlb_misses"])
-            miss = ("-" if metrics["fast_miss_rate"] is None
-                    else f"{metrics['fast_miss_rate']:.2%}")
+        result = outcome.result
+        if result is not None:
+            cpo = f"{result.cycles_per_op:.1f}"
+            tlb = str(result.tlb_misses)
+            miss = ("-" if result.fast_miss_rate is None
+                    else f"{result.fast_miss_rate:.2%}")
         else:
             cpo = tlb = miss = "-"
         rows.append([
@@ -179,7 +67,7 @@ def scaling_table(records: Iterable[dict]) -> str:
         relevant.append((config.get("program"), result.frontend,
                          result.num_cores, result))
     if not any(cores > 1 for _, _, cores, _ in relevant):
-        return "(no multi-core records)"
+        return ""
 
     singles = {(program, frontend): result.throughput
                for program, frontend, cores, result in relevant
@@ -247,11 +135,13 @@ def speedup_table(records: Iterable[dict]) -> str:
     the ratio, and each accelerated run becomes one row.  Groups without
     a baseline are skipped (nothing to normalise against).
     """
-    groups: Dict[Tuple, Dict[str, List[dict]]] = {}
+    groups: Dict[Tuple, Dict[str, List[Tuple[str, RunResult]]]] = {}
     for record in records:
         config = record.get("config", {})
         group = groups.setdefault(_group_key(config), {})
-        group.setdefault(config.get("frontend", "?"), []).append(record)
+        group.setdefault(config.get("frontend", "?"), []).append(
+            (record.get("label", ""),
+             RunResult.from_dict(record["result"])))
 
     rows: List[List[str]] = []
     for key in sorted(groups, key=repr):
@@ -259,23 +149,20 @@ def speedup_table(records: Iterable[dict]) -> str:
         baselines = group.get("baseline")
         if not baselines:
             continue
-        base = metrics_from_record(baselines[0])
+        base = baselines[0][1]
         program = key[0]
         for frontend in sorted(group):
             if frontend == "baseline":
                 continue
-            for record in group[frontend]:
-                metrics = metrics_from_record(record)
-                ratio = (base["cycles_per_op"] / metrics["cycles_per_op"]
-                         if metrics["cycles_per_op"] else float("inf"))
+            for label, result in group[frontend]:
                 rows.append([
                     str(program),
-                    record.get("label", ""),
-                    f"{metrics['cycles_per_op']:.1f}",
-                    f"{ratio:.2f}x",
+                    label,
+                    f"{result.cycles_per_op:.1f}",
+                    f"{speedup(base, result):.2f}x",
                 ])
     if not rows:
-        return "(no baseline-comparable records)"
+        return ""
     return format_table(["program", "run", "cycles/op", "speedup"], rows)
 
 
@@ -291,36 +178,33 @@ def accel_table(records: Iterable[dict]) -> str:
     with the stale-translation oracle armed, so "OK" means zero stale
     reads, not "unchecked".
     """
-    groups: Dict[Tuple, Dict[str, dict]] = {}
+    groups: Dict[Tuple, Dict[str, RunResult]] = {}
     for record in records:
         config = record.get("config", {})
         design = config.get("frontend")
         if design not in ACCEL_SWEEP_DESIGNS:
             continue
-        groups.setdefault(_group_key(config), {})[design] = record
+        groups.setdefault(_group_key(config), {})[design] = \
+            RunResult.from_dict(record["result"])
 
     rows: List[List[str]] = []
     for key in sorted(groups, key=repr):
         group = groups[key]
-        base_record = group.get("baseline")
-        if base_record is None:
+        base = group.get("baseline")
+        if base is None:
             continue
         if group.keys() <= {"baseline", "stlt"}:
             # without a rival design this is the plain speedup table
             continue
-        base = metrics_from_record(base_record)
         for design in ACCEL_SWEEP_DESIGNS:
-            record = group.get(design)
-            if record is None:
+            result = group.get(design)
+            if result is None:
                 continue
-            metrics = metrics_from_record(record)
-            ratio = (base["cycles_per_op"] / metrics["cycles_per_op"]
-                     if metrics["cycles_per_op"] else float("inf"))
-            walks = _reduction(base["page_walks"], metrics["page_walks"])
-            tlb = _reduction(base["tlb_misses"], metrics["tlb_misses"])
-            accel = metrics.get("accel") or {}
+            walks = reduction(base.page_walks, result.page_walks)
+            tlb = reduction(base.tlb_misses, result.tlb_misses)
+            accel = result.accel or {}
             if design == "stlt":
-                fmr = metrics.get("fast_miss_rate")
+                fmr = result.fast_miss_rate
                 hits = ("-" if fmr is None
                         else f"fast hit {1.0 - fmr:.0%}")
             elif design == "revelator":
@@ -330,31 +214,29 @@ def accel_table(records: Iterable[dict]) -> str:
                 hits = f"hits {accel.get('hits', 0)}"
             else:
                 hits = "-"
-            violations = metrics.get("oracle_violations")
+            violations = _oracle_violations(result)
             oracle = "OK" if not violations else f"{violations} VIOLATIONS"
             rows.append([
                 str(key[0]),
                 design,
-                f"{metrics['cycles_per_op']:.1f}",
-                f"{ratio:.2f}x",
+                f"{result.cycles_per_op:.1f}",
+                f"{speedup(base, result):.2f}x",
                 f"{walks:+.0%}",
                 f"{tlb:+.0%}",
                 hits,
                 oracle,
             ])
     if not rows:
-        return "(no accel head-to-head records)"
+        return ""
     return format_table(
         ["program", "design", "cycles/op", "speedup", "walks",
          "stlb miss", "telemetry", "oracle"],
         rows)
 
 
-def _reduction(base_count, other_count) -> float:
-    """Relative decrease of an event count (negative = increase)."""
-    if not base_count:
-        return 0.0
-    return (base_count - other_count) / base_count
+def _oracle_violations(result: RunResult) -> Optional[int]:
+    """The stale-translation oracle's violations; None without churn."""
+    return result.chaos["oracle"]["violations"] if result.chaos else None
 
 
 def latency_table(records: Iterable[dict]) -> str:
@@ -369,14 +251,14 @@ def latency_table(records: Iterable[dict]) -> str:
     """
     rows_in = []
     for record in records:
-        service = record.get("result", {}).get("service")
+        service = RunResult.from_dict(record["result"]).service
         if not service:
             continue
         config = record.get("config", {})
         rows_in.append((config.get("program"), config.get("frontend"),
                         service))
     if not rows_in:
-        return "(no open-loop records)"
+        return ""
 
     rows: List[List[str]] = []
     for program, frontend, service in sorted(
@@ -417,63 +299,60 @@ def churn_table(records: Iterable[dict]) -> str:
     telemetry (IPB overflows, STLT rows scrubbed, oracle verdict) rides
     along so a degradation is attributable at a glance.
     """
-    by_cell: Dict[Tuple, Dict[str, dict]] = {}
+    by_cell: Dict[Tuple, Dict[str, RunResult]] = {}
     for record in records:
         config = record.get("config", {})
         rate = config.get("churn_rate")
         if rate is None:
             continue
         cell = by_cell.setdefault((config.get("program"), rate), {})
-        cell[config.get("frontend", "?")] = record
+        cell[config.get("frontend", "?")] = \
+            RunResult.from_dict(record["result"])
     if not any(rate > 0 for _, rate in by_cell):
-        return "(no churn records)"
+        return ""
 
     # quiet-run speedups anchor the retention column
     quiet: Dict[Tuple, float] = {}
     for (program, rate), cell in by_cell.items():
         if rate != 0 or "baseline" not in cell:
             continue
-        base = metrics_from_record(cell["baseline"])
-        for frontend, record in cell.items():
-            if frontend == "baseline":
-                continue
-            accel = metrics_from_record(record)
-            if accel["cycles_per_op"]:
-                quiet[(program, frontend)] = (
-                    base["cycles_per_op"] / accel["cycles_per_op"])
+        for frontend, accel in cell.items():
+            if frontend != "baseline" and accel.cycles_per_op:
+                quiet[(program, frontend)] = speedup(cell["baseline"],
+                                                     accel)
 
     rows: List[List[str]] = []
     for (program, rate) in sorted(by_cell, key=lambda k: (str(k[0]), k[1])):
         cell = by_cell[(program, rate)]
-        if "baseline" not in cell:
+        base = cell.get("baseline")
+        if base is None:
             continue
-        base = metrics_from_record(cell["baseline"])
         for frontend in sorted(cell):
             if frontend == "baseline":
                 continue
-            accel = metrics_from_record(cell[frontend])
-            speedup = (base["cycles_per_op"] / accel["cycles_per_op"]
-                       if accel["cycles_per_op"] else float("inf"))
+            accel = cell[frontend]
+            ratio = speedup(base, accel)
             anchor = quiet.get((program, frontend))
-            retention = f"{speedup / anchor:.0%}" if anchor else "-"
-            violations = accel["oracle_violations"]
+            retention = f"{ratio / anchor:.0%}" if anchor else "-"
+            violations = _oracle_violations(accel)
             oracle = ("-" if violations is None
                       else ("OK" if violations == 0 else
                             f"{violations} VIOLATIONS"))
+            chaos = accel.chaos or {}
             rows.append([
                 str(program),
                 str(frontend),
                 f"{rate:g}",
-                f"{base['cycles_per_op']:.1f}",
-                f"{accel['cycles_per_op']:.1f}",
-                f"{speedup:.2f}x",
+                f"{base.cycles_per_op:.1f}",
+                f"{accel.cycles_per_op:.1f}",
+                f"{ratio:.2f}x",
                 retention,
-                str(accel["ipb_overflows"] or 0),
-                str(accel["stlt_rows_scrubbed"] or 0),
+                str(chaos.get("ipb_overflows", 0)),
+                str(chaos.get("stlt_rows_scrubbed", 0)),
                 oracle,
             ])
     if not rows:
-        return "(no churn records)"
+        return ""
     return format_table(
         ["program", "frontend", "churn", "base cyc/op", "accel cyc/op",
          "speedup", "retention", "IPB ovfl", "rows scrubbed", "oracle"],
@@ -494,13 +373,13 @@ def cluster_table(records: Iterable[dict]) -> str:
     """
     rows_in = []
     for record in records:
-        cluster = record.get("result", {}).get("cluster")
+        cluster = RunResult.from_dict(record["result"]).cluster
         if not cluster:
             continue
         config = record.get("config", {})
         rows_in.append((config.get("program"), cluster))
     if not rows_in:
-        return "(no cluster records)"
+        return ""
 
     anchors: Dict[Tuple, float] = {}
     for program, cluster in rows_in:
@@ -570,7 +449,7 @@ def failover_table(records: Iterable[dict]) -> str:
     """
     by_group: Dict[Tuple, dict] = {}
     for record in records:
-        cluster = record.get("result", {}).get("cluster")
+        cluster = RunResult.from_dict(record["result"]).cluster
         if not cluster:
             continue
         config = record.get("config", {})
@@ -581,7 +460,7 @@ def failover_table(records: Iterable[dict]) -> str:
         elif not config.get("node_fault_plan"):
             group["quiet"] = cluster
     if not any(group["faulted"] for group in by_group.values()):
-        return "(no failover records)"
+        return ""
 
     rows: List[List[str]] = []
     deltas: List[float] = []
@@ -663,7 +542,7 @@ def hetero_table(records: Iterable[dict]) -> str:
     """
     by_group: Dict[Tuple, dict] = {}
     for record in records:
-        cluster = record.get("result", {}).get("cluster")
+        cluster = RunResult.from_dict(record["result"]).cluster
         if not cluster:
             continue
         config = record.get("config", {})
@@ -674,7 +553,7 @@ def hetero_table(records: Iterable[dict]) -> str:
         else:
             group["homog"] = cluster
     if not any(group["mixed"] for group in by_group.values()):
-        return "(no hetero records)"
+        return ""
 
     rows: List[List[str]] = []
     raw_ratios: List[float] = []
@@ -741,29 +620,3 @@ def sweep_summary(report, wall_seconds: float) -> dict:
         "ok": report.ok,
     }
 
-
-def max_rate_under_slo(records: Iterable[dict],
-                       p99_slo: float) -> Dict[Tuple, float]:
-    """Per (program, frontend): the highest offered rate meeting the SLO.
-
-    Scans open-loop records and returns the maximum *absolute* arrival
-    rate (ops/cycle) whose measured p99 stays at or below ``p99_slo``
-    cycles — the capacity-at-SLO metric: a front-end that cuts per-op
-    service cycles sustains strictly more load before its tail blows
-    through the objective.  Groups with no record meeting the SLO are
-    absent from the result.
-    """
-    best: Dict[Tuple, float] = {}
-    for record in records:
-        service = record.get("result", {}).get("service")
-        if not service:
-            continue
-        p99 = service.get("latency", {}).get("p99")
-        rate = service.get("arrival_rate")
-        if p99 is None or rate is None or p99 > p99_slo:
-            continue
-        config = record.get("config", {})
-        group = (config.get("program"), config.get("frontend"))
-        if rate > best.get(group, 0.0):
-            best[group] = rate
-    return best

@@ -158,13 +158,6 @@ class RunOutcome:
             return None
         return RunResult.from_dict(self.record["result"])
 
-    @property
-    def metrics(self) -> Optional[dict]:
-        if self.record is None:
-            return None
-        from .reporting import metrics_from_record
-        return metrics_from_record(self.record)
-
 
 @dataclass
 class SweepReport:

@@ -334,7 +334,8 @@ def _load_points() -> List[SweepPoint]:
     STLT's shorter service times keep p99 flat to much higher absolute
     request rates than the baseline's, so at any fixed p99 SLO the
     accelerated service sustains strictly more load
-    (:func:`repro.exp.reporting.max_rate_under_slo`).
+    (:func:`repro.exp.reporting.latency_table` prints the curves;
+    ``benchmarks/bench_ext_latency.py`` pins the rate under an SLO).
     """
     import os
     num_keys = int(os.environ.get("REPRO_BENCH_KEYS", "20000"))

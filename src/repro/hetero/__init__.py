@@ -13,14 +13,12 @@ full Redis-model node.
 * :mod:`repro.hetero.pearson`    — frozen dual Pearson hash tables;
 * :mod:`repro.hetero.accel_node` — key-memory state machine + the
   management-instruction cost model;
-* :mod:`repro.hetero.capability` — per-node-class capability
-  descriptors (ops, key/value limits, capacity, cost units);
 * :mod:`repro.hetero.fleet`      — the ``--node-types`` grammar
-  (``4full+4accel``) and fleet cost accounting.
+  (``4full+4accel``), node-class cost units and fleet cost accounting.
 
-Dispatch itself lives in :mod:`repro.cluster` (topology surfaces the
-descriptors, the service layer routes and fences); this package is the
-leaf model with no cluster dependencies.
+Dispatch itself lives in :mod:`repro.cluster` (topology knows each
+node's class, the client pre-routes and the service layer fences);
+this package is the leaf model with no cluster dependencies.
 """
 
 from .accel_node import (
@@ -32,16 +30,9 @@ from .accel_node import (
     lookup_interval_cycles,
     lookup_latency_cycles,
 )
-from .capability import (
+from .fleet import (
     ACCEL_NODE_COST_UNITS,
     FULL_NODE_COST_UNITS,
-    OP_GET,
-    OP_SET,
-    NodeCapability,
-    accel_capability,
-    full_capability,
-)
-from .fleet import (
     NODE_CLASS_ACCEL,
     NODE_CLASS_FULL,
     NODE_CLASSES,
@@ -63,15 +54,10 @@ __all__ = [
     "NODE_CLASSES",
     "NODE_CLASS_ACCEL",
     "NODE_CLASS_FULL",
-    "NodeCapability",
-    "OP_GET",
-    "OP_SET",
-    "accel_capability",
     "class_counts",
     "dual_hash",
     "fleet_cost",
     "format_node_types",
-    "full_capability",
     "has_accel",
     "install_cycles",
     "lookup_interval_cycles",

@@ -11,6 +11,13 @@ line, never mid-run.
 Every fleet needs at least one full node: accelerators are GET-only
 read caches in front of a full backer, so an all-accelerator fleet
 could not serve a single write.
+
+Cost units are the currency of the asymmetric-scaling argument: a
+lookup accelerator is a hash pipeline plus a fixed SRAM, a sliver of a
+full node's silicon and DRAM, so a fleet's cost is the sum of its
+members' units and throughput is compared *per unit*, not per node.
+:data:`ACCEL_NODE_COST_UNITS` is pinned from the Table-I-style budget
+in :func:`repro.core.hwcost.kv_accel_cost` (see DESIGN.md section 14).
 """
 
 from __future__ import annotations
@@ -19,10 +26,11 @@ import re
 from typing import Dict, Sequence, Tuple
 
 from ..errors import HeteroError
-from .capability import ACCEL_NODE_COST_UNITS, FULL_NODE_COST_UNITS
 
 __all__ = [
+    "ACCEL_NODE_COST_UNITS",
     "ACCEL_SLOT_WEIGHT",
+    "FULL_NODE_COST_UNITS",
     "NODE_CLASS_ACCEL",
     "NODE_CLASS_FULL",
     "NODE_CLASSES",
@@ -39,6 +47,15 @@ NODE_CLASS_ACCEL = "accel"
 NODE_CLASSES = (NODE_CLASS_FULL, NODE_CLASS_ACCEL)
 
 _TERM_RE = re.compile(r"^(\d*)(full|accel)$")
+
+#: a full Redis-model node is the cost baseline
+FULL_NODE_COST_UNITS = 1.0
+
+#: relative cost of a lookup-accelerator node: the budget in
+#: :func:`repro.core.hwcost.kv_accel_cost` is dominated by the on-chip
+#: key/value SRAM — a quarter of a full node's cost at the default
+#: 4096-entry capacity, with no DRAM, no cores, no kernel
+ACCEL_NODE_COST_UNITS = 0.25
 
 _COST_UNITS = {
     NODE_CLASS_FULL: FULL_NODE_COST_UNITS,

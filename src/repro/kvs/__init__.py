@@ -7,7 +7,7 @@ memory accesses for every node they touch, so TLB and cache behaviour —
 the paper's entire subject — emerge from real traversals.
 """
 
-from .base import CoreContext, Index, SharedContext, SimContext
+from .base import CoreContext, Index, SimContext
 from .btree import BTreeIndex
 from .chained_hash import ChainedHashIndex
 from .open_hash import OpenHashIndex
@@ -20,7 +20,6 @@ __all__ = [
     "ChainedHashIndex",
     "CoreContext",
     "Index",
-    "SharedContext",
     "OpenHashIndex",
     "RBTreeIndex",
     "Record",

@@ -3,11 +3,12 @@
 The machine a run needs is split along the same line as the memory
 hierarchy (see :mod:`repro.mem.shared`):
 
-* :class:`SharedContext` — everything all cores see: the address space
-  (and its page table), the allocator, the record store, and the shared
-  memory levels (L3 + DRAM channel).  The kernel-side STLT/IPB and the
-  software SLB are also logically shared; they are wired up by the
-  engine because they depend on the chosen front-end.
+* the shared half — everything all cores see: the address space (and
+  its page table), the allocator, the record store, and the shared
+  memory levels (L3 + DRAM channel) that every core's memory system
+  holds.  The kernel-side STLT/IPB and the software SLB are also
+  logically shared; they are wired up by the engine because they
+  depend on the chosen front-end.
 * :class:`CoreContext` — one core's private half: its
   :class:`~repro.mem.hierarchy.MemorySystem` (L1/L2, TLBs, STB hook,
   prefetchers) with its own cycle clock, statistics, and attribution.
@@ -55,19 +56,6 @@ class CoreContext:
 
 
 @dataclass
-class SharedContext:
-    """Resources every core sees: one address space, one record store,
-    one allocator, and the shared memory levels (L3 + DRAM channel)."""
-
-    space: AddressSpace
-    alloc: BumpAllocator
-    records: RecordStore
-    shared_mem: SharedMemory
-    machine: MachineParams
-    slow_hash: HashSpec
-
-
-@dataclass
 class SimContext:
     """Everything an index structure needs to exist and be timed.
 
@@ -81,9 +69,7 @@ class SimContext:
     alloc: BumpAllocator
     records: RecordStore
     slow_hash: HashSpec
-    #: shared half of the split (None only for hand-built legacy contexts)
-    shared: Optional[SharedContext] = None
-    #: the per-core private halves; empty for hand-built legacy contexts
+    #: the per-core private halves
     cores: List[CoreContext] = field(default_factory=list)
     #: index into ``cores`` of the currently bound core
     active_core: int = 0
@@ -118,37 +104,21 @@ class SimContext:
             cores.append(CoreContext(core_id=core_id, mem=mem))
         alloc = BumpAllocator(space)
         records = RecordStore(alloc=alloc, mem=cores[0].mem)
-        spec = get_hash(slow_hash)
-        shared = SharedContext(
-            space=space,
-            alloc=alloc,
-            records=records,
-            shared_mem=shared_mem,
-            machine=machine,
-            slow_hash=spec,
-        )
         return cls(
             space=space,
             mem=cores[0].mem,
             alloc=alloc,
             records=records,
-            slow_hash=spec,
-            shared=shared,
+            slow_hash=get_hash(slow_hash),
             cores=cores,
         )
 
     # -- core binding -----------------------------------------------------
 
-    @property
-    def num_cores(self) -> int:
-        return len(self.cores) if self.cores else 1
-
     def bind_core(self, core_id: int) -> CoreContext:
         """Make ``core_id`` the active core: subsequent timed work on
         this context (index traversals, record accesses, hash charges)
         advances that core's clock and counters."""
-        if not self.cores:
-            raise KVSError("this context was built without core contexts")
         core = self.cores[core_id]
         self.active_core = core_id
         self.mem = core.mem
@@ -157,10 +127,6 @@ class SimContext:
 
     def core_mem(self, core_id: int) -> MemorySystem:
         """The private memory system of one core."""
-        if not self.cores:
-            if core_id == 0:
-                return self.mem
-            raise KVSError("this context was built without core contexts")
         return self.cores[core_id].mem
 
     # -- timed helpers ----------------------------------------------------

@@ -266,8 +266,7 @@ class Engine:
         open_loop = self.config.arrival_process != "closed"
         mc = MultiCoreEngine(self, capture_op_cycles=open_loop)
         outcome = mc.run()
-        result = outcome.per_core[0] if self.config.num_cores == 1 \
-            else outcome.aggregate
+        result = outcome.aggregate
         if open_loop:
             from ..svc.service import service_from_config
             service = service_from_config(

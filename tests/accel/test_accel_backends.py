@@ -159,6 +159,12 @@ class TestConfigAxis:
         assert report.total_bytes > 0
         assert any(component == "Total" for component, _ in report.rows())
 
+    def test_baseline_costs_nothing(self):
+        # the budget's names are the frontend values
+        assert accel_hardware_cost("baseline").total_bytes == 0
+        with pytest.raises(ValueError):
+            accel_hardware_cost("none")
+
     def test_backend_instances_report_cost_too(self):
         config = RunConfig(frontend="victima", **SMOKE)
         engine = Engine(config)

@@ -26,7 +26,6 @@ from repro.cluster.network import ClusterNetwork
 from repro.cluster.service import run_cluster
 from repro.cluster.topology import ClusterTopology
 from repro.errors import HeteroError
-from repro.hetero.capability import OP_GET, OP_SET
 from repro.hetero.fleet import NODE_CLASS_ACCEL, NODE_CLASS_FULL
 from repro.sim.config import RunConfig
 
@@ -176,26 +175,6 @@ class TestCapabilityProperties:
             orphans = topo.crash_node(victim)
             for slot in orphans:
                 assert not topo.is_accel(topo.owner(slot))
-
-    @settings(max_examples=60, deadline=None)
-    @given(classes=FLEETS, key_len=st.integers(min_value=1,
-                                               max_value=1024))
-    def test_eligibility_is_exactly_the_descriptor(self, classes,
-                                                   key_len):
-        """An accelerator's descriptor admits only small-key GETs; a
-        full node's admits everything — there is no third answer for
-        dispatch to disagree with."""
-        topo = ClusterTopology(len(classes), num_slots=SLOTS,
-                               node_classes=tuple(classes))
-        for node in topo.node_ids:
-            cap = topo.capability_of(node)
-            if topo.is_accel(node):
-                assert not cap.can_serve(OP_SET, key_len)
-                assert cap.can_serve(OP_GET, key_len) == \
-                    (key_len <= cap.max_key_bytes)
-            else:
-                assert cap.can_serve(OP_GET, key_len)
-                assert cap.can_serve(OP_SET, key_len)
 
     @settings(max_examples=40, deadline=None)
     @given(classes=FLEETS)

@@ -90,14 +90,9 @@ def render(records, store_path) -> dict:
     report = SweepRunner(store=store, jobs=1, run_fn=_no_run).run(points)
     tables = {"summary": summary_table(report)}
     for name, renderer in RENDERERS.items():
-        text = renderer(records)
-        tables[name] = None if _is_empty(text) else text
+        # an empty table is ""
+        tables[name] = renderer(records) or None
     return tables
-
-
-def _is_empty(text: str) -> bool:
-    """An empty table is the renderer's "(no ... records)" sentinel."""
-    return text.startswith("(no ")
 
 
 def _no_run(config):

@@ -202,21 +202,19 @@ class TestServiceRoundTrip:
                 is None, f"stale hit after changing {change}"
 
     def test_latency_metrics_surface_in_reporting(self, open_loop):
-        from repro.exp.reporting import metrics_from_record
+        # reporting re-hydrates the stored record's result
         config, result = open_loop
-        metrics = metrics_from_record(make_record(config, result))
-        assert metrics["latency_p50"] <= metrics["latency_p99"] \
-            <= metrics["latency_p999"]
-        assert metrics["achieved_throughput"] > 0.0
-        assert metrics["offered_rate"] > 0.0
+        record = make_record(config, result)
+        service = RunResult.from_dict(record["result"]).service
+        latency = service["latency"]
+        assert latency["p50"] <= latency["p99"] <= latency["p999"]
+        assert service["achieved_throughput"] > 0.0
+        assert service["arrival_rate"] > 0.0
 
     def test_closed_loop_records_have_no_latency_metrics(self):
-        from repro.exp.reporting import metrics_from_record
         config = RunConfig()
-        metrics = metrics_from_record(make_record(config,
-                                                  fake_run(config)))
-        assert metrics["latency_p99"] is None
-        assert metrics["offered_rate"] is None
+        record = make_record(config, fake_run(config))
+        assert RunResult.from_dict(record["result"]).service is None
 
 
 class TestMakeRecord:

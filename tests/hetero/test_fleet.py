@@ -3,12 +3,9 @@
 import pytest
 
 from repro.errors import HeteroError
-from repro.hetero.capability import (
-    ACCEL_NODE_COST_UNITS,
-    accel_capability,
-    full_capability,
-)
 from repro.hetero.fleet import (
+    ACCEL_NODE_COST_UNITS,
+    FULL_NODE_COST_UNITS,
     class_counts,
     fleet_cost,
     format_node_types,
@@ -68,19 +65,5 @@ class TestFleetAccounting:
         assert slot_weight("full") == 1
         assert slot_weight("accel") > 1
 
-
-class TestCapabilities:
-    def test_full_serves_everything(self):
-        cap = full_capability()
-        assert cap.can_serve("get", 10_000)
-        assert cap.can_serve("set", 10_000)
-
-    def test_accel_is_get_only_small_key(self):
-        cap = accel_capability()
-        assert cap.can_serve("get", 255)
-        assert not cap.can_serve("get", 256)
-        assert not cap.can_serve("set", 8)
-
     def test_accel_costs_a_fraction_of_a_full_node(self):
-        assert 0 < accel_capability().cost_units < \
-            full_capability().cost_units
+        assert 0 < ACCEL_NODE_COST_UNITS < FULL_NODE_COST_UNITS

@@ -335,7 +335,6 @@ class TestSweepCommand:
         assert "4 completed, 0 cached, 0 failed" in out
         assert "p99" in out
         assert "offered" in out
-        assert "no open-loop" not in out
 
     def test_accel_grid_is_a_config_error(self, capsys, tmp_path):
         # a design is a frontend value; a spec that still grids the
@@ -489,6 +488,20 @@ class TestChaosCommand:
         for needle in ("churn rate", "chaos events", "churn volume",
                        "IPB overflows", "oracle"):
             assert needle in out, f"chaos output missing {needle!r}"
+        assert "0 violations" in out
+
+    def test_chaos_prints_rival_telemetry(self, capsys):
+        # past the TLBs' reach the rival serves translations, and the
+        # text audit shows them beside the oracle's verdict
+        rc = main(["chaos", "--frontend", "victima", "--churn-rate", "0.01",
+                   "--keys", "10000", "--ops", "200", "--warmup-ops", "400"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        line = next(line for line in out.splitlines()
+                    if line.startswith("accel"))
+        assert line.startswith("accel         : victima (")
+        hits = int(line.split("hits=")[1].split(",")[0])
+        assert hits > 0
         assert "0 violations" in out
 
     def test_chaos_compare_baseline_reports_retained_speedup(self, capsys):
