@@ -26,7 +26,7 @@ Reproduction targets:
 from benchmarks.common import (
     bench_config,
     print_figure,
-    run_many,
+    run_keyed,
     run_once,
 )
 from repro.exp.spec import CHURN_SWEEP_RATES
@@ -48,7 +48,7 @@ def _sweep():
         for frontend in FRONTENDS
         for rate in CHURN_SWEEP_RATES
     }
-    return dict(zip(configs, run_many(list(configs.values()))))
+    return run_keyed(configs)
 
 
 def check_preconditions(runs: dict) -> None:

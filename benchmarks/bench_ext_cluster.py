@@ -28,7 +28,7 @@ from benchmarks.common import (
     BENCH_OPS,
     bench_config,
     print_figure,
-    run_many,
+    run_keyed,
     run_once,
 )
 from repro.exp.spec import CLUSTER_SWEEP_NODES
@@ -68,8 +68,7 @@ def _scaling_sweep():
                                offered_load=2.0)
         for nodes in CLUSTER_SWEEP_NODES
     }
-    results = run_many(list(configs.values()))
-    return {key: r.cluster for key, r in zip(configs, results)}
+    return {key: r.cluster for key, r in run_keyed(configs).items()}
 
 
 def test_ext_cluster_throughput_scaling(benchmark):
@@ -131,8 +130,7 @@ def _route_cache_pair():
                             offered_load=0.6, route_cache=on)
         for on in (True, False)
     }
-    results = run_many(list(configs.values()))
-    return {key: r.cluster for key, r in zip(configs, results)}
+    return {key: r.cluster for key, r in run_keyed(configs).items()}
 
 
 def check_route_cache_preconditions(runs: dict) -> None:
@@ -202,8 +200,7 @@ def _migration_pair():
                               migrate_rate=rate)
         for rate in (0.0, 0.02)
     }
-    results = run_many(list(configs.values()))
-    return {key: r.cluster for key, r in zip(configs, results)}
+    return {key: r.cluster for key, r in run_keyed(configs).items()}
 
 
 def test_ext_cluster_live_migration(benchmark):

@@ -19,7 +19,7 @@ service times):
   than the baseline — the per-op savings compound into *capacity*.
 """
 
-from benchmarks.common import bench_config, print_figure, run_many, run_once
+from benchmarks.common import bench_config, print_figure, run_keyed, run_once
 
 FRONTENDS = ("baseline", "slb", "stlt")
 LOADS = (0.3, 0.5, 0.7, 0.85, 0.95)
@@ -33,8 +33,7 @@ def _sweep():
         for frontend in FRONTENDS
         for load in LOADS
     }
-    results = run_many(list(configs.values()))
-    return {key: r.service for key, r in zip(configs, results)}
+    return {key: r.service for key, r in run_keyed(configs).items()}
 
 
 def check_preconditions(runs: dict) -> None:

@@ -23,7 +23,7 @@ sub-linearly with the shared channel saturating first for the baseline
 from benchmarks.common import (
     bench_config,
     print_figure,
-    run_many,
+    run_keyed,
     run_once,
 )
 
@@ -38,7 +38,7 @@ def _sweep():
         for frontend in FRONTENDS
         for cores in CORE_COUNTS
     }
-    return dict(zip(configs, run_many(list(configs.values()))))
+    return run_keyed(configs)
 
 
 def check_preconditions(runs: dict) -> None:
