@@ -16,11 +16,11 @@ armed) — and pins the headline:
   throughput merely stays within 10%; measured raw speedup is >1x
   because the accelerator's initiation interval beats a full node's
   per-op service time);
-* **the oracle verdict** — zero capability violations: no write, no
-  oversized key was ever *served* by an accelerator (the run would
+* **the oracle verdict** — zero capability violations: no write
+  was ever *served* by an accelerator (the run would
   have raised :class:`~repro.errors.HeteroError` otherwise);
 * **dispatch telemetry** — the accel hit fraction and the fallback
-  split (capacity / SET / oversized) behind the speedup, so a
+  split (capacity / SET) behind the speedup, so a
   regression is attributable.
 
 Sizes are pinned, not env-scaled: a throughput floor is only

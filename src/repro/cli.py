@@ -229,8 +229,6 @@ def _config_from_args(args: argparse.Namespace, frontend=None) -> RunConfig:
         nodes=nodes,
         replicas=getattr(args, "replicas", 0),
         route_cache=not getattr(args, "no_route_cache", False),
-        client_batch=getattr(args, "batch", 1),
-        replica_reads=getattr(args, "replica_reads", False),
         migrate_rate=getattr(args, "migrate_rate", 0.0),
         net_rtt_cycles=getattr(args, "net_rtt", 0.0),
         # failover knobs, present only on the cluster parser (its
@@ -245,7 +243,6 @@ def _config_from_args(args: argparse.Namespace, frontend=None) -> RunConfig:
         cluster_hedge=getattr(args, "cluster_hedge", None),
         # heterogeneous fleet knobs, present only on the cluster parser
         node_types=node_types,
-        hetero_big_key_fraction=getattr(args, "big_key_fraction", 0.0),
         exec_mode=getattr(args, "exec_mode", "reference"),
         seed=args.seed,
     )
@@ -421,9 +418,8 @@ def _print_cluster(result: RunResult) -> None:
     print(f"fleet         : {cluster.get('nodes')} node(s), "
           f"{cluster.get('replicas', 0)} replica(s)/slot, "
           f"{cluster.get('clients')} client(s) "
-          f"(batch {cluster.get('client_batch', 1)}, route cache "
-          f"{'on' if cluster.get('route_cache', True) else 'off'}"
-          f"{', replica reads' if cluster.get('replica_reads') else ''})")
+          f"(route cache "
+          f"{'on' if cluster.get('route_cache', True) else 'off'})")
     print(f"traffic       : {cluster.get('process')} arrivals, "
           f"{cluster.get('requests')} requests "
           f"(load {cluster.get('offered_load', 0.0):.2f})")
@@ -495,8 +491,7 @@ def _print_cluster(result: RunResult) -> None:
               f"{hetero.get('accel_hit_fraction', 0.0):.1%} hit "
               f"fraction)")
         print(f"fallbacks     : {fallbacks.get('capacity', 0)} capacity, "
-              f"{fallbacks.get('set', 0)} SET, "
-              f"{fallbacks.get('oversized', 0)} oversized "
+              f"{fallbacks.get('set', 0)} SET "
               f"({hetero.get('fallback_rate', 0.0):.1%} of requests, "
               f"{hetero.get('cap_reroutes', 0)} client pre-routes)")
         print(f"cost-normal.  : "
@@ -736,20 +731,9 @@ def build_parser() -> argparse.ArgumentParser:
              "at least one full node); fixes the node count, "
              "overriding --nodes")
     cluster_parser.add_argument(
-        "--big-key-fraction", type=float, default=0.0,
-        help="fraction of the keyspace marked oversized (> 255-byte "
-             "wire keys), ineligible for accelerator dispatch "
-             "(default: 0)")
-    cluster_parser.add_argument(
         "--no-route-cache", action="store_true",
         help="disable the client slot->node route cache (every request "
              "bootstraps through an arbitrary node)")
-    cluster_parser.add_argument(
-        "--batch", type=int, default=1,
-        help="requests a client pipelines per batch window (default: 1)")
-    cluster_parser.add_argument(
-        "--replica-reads", action="store_true",
-        help="serve GETs from slot replicas, rotating over the read set")
     cluster_parser.add_argument(
         "--migrate-rate", type=float, default=0.0,
         help="per-request probability that a live slot migration "
@@ -860,7 +844,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ReproError as exc:
         # expected failure modes get a clean one-line diagnosis and a
         # distinct exit code instead of a traceback; genuine bugs
-        # (TypeError and friends) still propagate loudly
+        # (TypeError and friends) still surface loudly
         print(f"repro: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exit_code_for(exc)
 

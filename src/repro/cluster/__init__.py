@@ -29,7 +29,7 @@ Modules
 * :mod:`~repro.cluster.network`   — seeded latency/bandwidth model
   with per-link contention queues;
 * :mod:`~repro.cluster.client`    — client population with per-client
-  route caches, request pipelining, and the replica-read policy;
+  route caches and the capability pre-route;
 * :mod:`~repro.cluster.migration` — live slot migration scheduled
   through the :mod:`repro.chaos` machinery (ASK-style redirects);
 * :mod:`~repro.cluster.failover`  — node-fault injection (crashes,

@@ -1,4 +1,4 @@
-"""Cluster clients: route caches, pipelining, and the replica policy.
+"""Cluster clients: route caches and the capability pre-route.
 
 The route cache is the cluster-scale STLT (DESIGN.md section 10).  A
 row maps a hash slot to the node last known to own it — the analogue
@@ -17,11 +17,6 @@ same three ways the fast path classifies translations:
 With the cache disabled every request goes through a bootstrap node —
 the paper's baseline, one level up: correctness by always asking the
 authority, throughput lost to the extra hop.
-
-Clients also own the *pipelining* state (``client_batch`` consecutive
-requests to the same node share one propagation window) and the
-replica-read policy (reads rotate deterministically over a slot's
-primary + replicas when enabled).
 
 Writes route like reads with one extra rule: only the slot's *primary*
 may acknowledge a write, so a cached row pointing at a replica counts
@@ -75,36 +70,21 @@ class RouteCache:
     def __len__(self) -> int:
         return len(self._routes)
 
-    def report(self) -> dict:
-        return {"hits": self.hits, "stale_hits": self.stale_hits,
-                "misses": self.misses, "entries": len(self._routes)}
-
 
 class ClusterClient:
-    """One request source: route cache, batch window, replica rotation."""
+    """One request source: a route cache and a bootstrap stream."""
 
     def __init__(self, client_id: int, num_nodes: int, *,
-                 route_cache: bool = True, batch: int = 1,
-                 replica_reads: bool = False,
-                 seed: int = 0) -> None:
-        if batch < 1:
-            raise ClusterError("client batch must be >= 1")
+                 route_cache: bool = True, seed: int = 0) -> None:
         if num_nodes < 1:
             raise ClusterError("clients need at least one node")
-        self.client_id = client_id
         self.name = f"client{client_id}"
         self.cache: Optional[RouteCache] = RouteCache() if route_cache \
             else None
-        self.batch = batch
-        self.replica_reads = replica_reads
-        #: deterministic per-client stream: bootstrap-node choices and
-        #: replica rotation (independent of every engine stream)
+        #: deterministic per-client stream of bootstrap-node choices
+        #: (independent of every engine stream)
         self.rng = random.Random(seed)
         self._num_nodes = num_nodes
-        # pipelining state: requests in the current window and the node
-        # the window is open against
-        self._window_left = 0
-        self._window_node: Optional[int] = None
         #: per-request attempts that timed out against this client
         self.timeouts = 0
         #: requests locally rerouted off an accelerator node by the
@@ -144,23 +124,18 @@ class ClusterClient:
                                    cached in topology.replicas_of(slot))
         if good:
             self.cache.hits += 1
-            node = cached
-            if is_read and self.replica_reads:
-                node = self.pick_read_node(slot, topology)
-            return node, "hit"
+            return cached, "hit"
         self.cache.stale_hits += 1
         return cached, "stale"
 
     def capability_route(self, slot: int, target: int,
-                         topology: ClusterTopology, is_write: bool,
-                         oversized: bool) -> int:
+                         topology: ClusterTopology, is_write: bool) -> int:
         """Capability-aware pre-route; a full-node target passes through.
 
         Clients know every node's class from the cluster bus, so
-        when the judged target is an accelerator and
-        the operation is one it cannot serve — any write, or a GET
-        whose wire key exceeds the 255-byte limit — the request goes
-        straight to the slot's full-class authority instead.  This is
+        when the judged target is an accelerator and the operation
+        is a write, which it cannot serve, the request goes straight
+        to the slot's full-class authority instead.  This is
         a *local* decision, not an extra hop: the ineligible op never
         touches the accelerator.  Capacity misses cannot be judged
         here (residency is the accelerator's secret) and fall back at
@@ -171,18 +146,7 @@ class ClusterClient:
         if is_write:
             self.cap_reroutes += 1
             return topology.write_authority(slot)
-        if oversized:
-            self.cap_reroutes += 1
-            return topology.backer_of(slot)
         return target
-
-    def pick_read_node(self, slot: int,
-                       topology: ClusterTopology) -> int:
-        """Rotate a read over the slot's primary + replicas."""
-        candidates = topology.read_set(slot)
-        if len(candidates) == 1:
-            return candidates[0]
-        return candidates[self.rng.randrange(len(candidates))]
 
     def on_moved(self, slot: int, owner: int) -> None:
         """A MOVED reply: invalidate the stale row, learn the truth."""
@@ -209,25 +173,3 @@ class ClusterClient:
         """
         if self.cache is not None:
             self.cache.learn(slot, node)
-
-    # ------------------------------------------------------------------
-    # pipelining
-    # ------------------------------------------------------------------
-
-    def begin_request(self, node: int) -> bool:
-        """Open/extend the batch window; True = this request is the
-        batch head (pays propagation), False = pipelined follower."""
-        if self.batch <= 1:
-            return True
-        if self._window_left > 0 and self._window_node == node:
-            self._window_left -= 1
-            return False
-        self._window_node = node
-        self._window_left = self.batch - 1
-        return True
-
-    def report(self) -> dict:
-        data = {"client": self.client_id, "batch": self.batch}
-        if self.cache is not None:
-            data["route_cache"] = self.cache.report()
-        return data

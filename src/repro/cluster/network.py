@@ -31,10 +31,6 @@ interval that ended by the current arrival
 (:meth:`ClusterNetwork.release`): a schedule holds the recent past, not
 the whole run.
 
-Pipelined requests (``client_batch > 1``) skip the propagation delay
-on every batch follower — the batch head pays the RTT, the followers
-ride the same window and pay serialization only.
-
 Faults (DESIGN.md section 13) are *endpoint* state, matching the
 fleet's traffic shape (every message has a client on one side):
 
@@ -250,17 +246,13 @@ class ClusterNetwork:
     # transfers
     # ------------------------------------------------------------------
 
-    def one_way(self, src: str, dst: str, nbytes: int, at: float,
-                propagate: bool = True) -> float:
+    def one_way(self, src: str, dst: str, nbytes: int, at: float) -> float:
         """Deliver ``nbytes`` from ``src`` to ``dst``, departing ``at``.
 
         Returns the delivery time — ``math.inf`` when either endpoint
         is partitioned (the message is dropped; nothing is reserved,
         the caller's timeout machinery pays the price).
-        ``propagate=False`` models a pipelined batch follower: it still
-        occupies the link for its serialization time but rides the
-        batch head's propagation window instead of paying its own
-        RTT/2.  A negative byte count is rejected before anything else,
+        A negative byte count is rejected before anything else,
         on every network and link state.
         """
         if nbytes < 0:
@@ -291,10 +283,7 @@ class ClusterNetwork:
         link.reservations += 1
         link.bytes += nbytes
         link.wait_cycles += wait
-        delivery = start + serialization
-        if propagate:
-            delivery += propagation
-        return delivery
+        return start + serialization + propagation
 
     def release(self, horizon: float) -> None:
         """Trim every link's schedule to ``horizon``: no later transfer

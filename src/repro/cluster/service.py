@@ -112,16 +112,6 @@ DEFAULT_CLUSTER_TIMEOUT = 8.0
 #: the accelerator's 255-byte reserve limit
 CANON_KEY_BYTES = 24
 
-#: modeled wire size of a key marked oversized by
-#: ``hetero_big_key_fraction`` — above the 255-byte limit, so such
-#: GETs can never be described to an accelerator's engine
-BIG_KEY_BYTES = 512
-
-#: the multiplicative hash marking oversized keys: a fixed 32-bit
-#: mixer over the key id, deterministic and deliberately decorrelated
-#: from the zipf popularity ranking (low ids are the hot keys)
-_BIG_KEY_MIX = 0x9E3779B1
-
 #: clients generating the open-loop request stream
 CLUSTER_CLIENTS = 8
 
@@ -134,11 +124,10 @@ CLUSTER_RETRIES = 2
 #: runs with all of them at their defaults: one quiet node under a
 #: closed loop, with no fleet, faults or accelerators of its own
 OVERLAY_FIELDS = (
-    "nodes", "replicas", "route_cache", "client_batch", "replica_reads",
+    "nodes", "replicas", "route_cache",
     "migrate_rate", "net_rtt_cycles", "arrival_process",
     "service_requests", "node_fault_plan", "failover_detect_cycles",
-    "repair_policy", "cluster_timeout", "cluster_hedge", "node_types",
-    "hetero_big_key_fraction")
+    "repair_policy", "cluster_timeout", "cluster_hedge", "node_types")
 
 #: requests between two trims of the link and pipeline schedules to the
 #: current arrival (:meth:`~repro.cluster.network.GapSchedule.release`):
@@ -155,9 +144,7 @@ class ClusterResult:
     nodes: int
     replicas: int
     clients: int
-    client_batch: int
     route_cache: bool
-    replica_reads: bool
     #: arrival process ("poisson" | "mmpp") of the cluster overlay
     process: str
     offered_load: float
@@ -481,7 +468,6 @@ def simulate_cluster(
     # fleet whose accelerator set is empty, so each accelerator check
     # below is a membership test that simply never fires
     node_classes = config.node_classes
-    big_fraction = config.hetero_big_key_fraction
     topology = ClusterTopology(nodes, config.replicas,
                                node_classes=node_classes)
     accel_nodes = topology.accel_nodes
@@ -498,8 +484,6 @@ def simulate_cluster(
         ClusterClient(
             i, nodes,
             route_cache=config.route_cache,
-            batch=config.client_batch,
-            replica_reads=config.replica_reads,
             seed=derive_seed(config.seed, f"client{i}"),
         )
         for i in range(CLUSTER_CLIENTS)
@@ -539,16 +523,6 @@ def simulate_cluster(
     migration = MigrationScheduler(
         topology, config.migrate_rate, config.seed,
         slot_source=lambda rng: slot_for(rng.randrange(config.num_keys)))
-
-    def _oversized(key_id: int) -> bool:
-        """Whether ``key_id`` is modeled oversized on the wire (above
-        the accelerator's 255-byte key limit).  A fixed multiplicative
-        hash marks the configured fraction deterministically per key
-        id — part of the workload definition, independent of the run
-        seed and decorrelated from zipf popularity.  Only accelerators
-        care: every reader sits behind an accelerator check."""
-        return ((key_id * _BIG_KEY_MIX) & 0xFFFFFFFF) \
-            < big_fraction * 4294967296.0
 
     # -- failover machinery -------------------------------------------
     # always built: an empty plan leaves the scheduler idle (no node is
@@ -724,13 +698,10 @@ def simulate_cluster(
     value_bytes = REQUEST_HEADER_BYTES + config.value_size
     failed_hist = LatencyHistogram(precision=precision)
     hetero_counters = {"accel_gets": 0, "accel_hits": 0,
-                       "fallback_capacity": 0, "fallback_set": 0,
-                       "fallback_oversized": 0}
+                       "fallback_capacity": 0, "fallback_set": 0}
     capability_checks = 0
     capability_violations = 0
-    # per-attempt hooks that would do nothing are skipped: a batch of 1
-    # opens no pipelining window, an unarmed scheduler no ASK window
-    pipelined = config.client_batch > 1
+    # an unarmed scheduler opens no ASK window: skip its per-attempt hook
     migrating = migration.active
 
     def _read_hedge(client: ClusterClient, slot: int, at: float,
@@ -759,8 +730,7 @@ def simulate_cluster(
 
     def _attempt(client: ClusterClient, slot: int, owner: int,
                  start: float, is_write: bool, use_cache: bool,
-                 req_bytes: int, resp_bytes: int, key_id: int,
-                 oversized: bool
+                 req_bytes: int, resp_bytes: int, key_id: int
                  ) -> Optional[Tuple[float, int, bool, bool]]:
         """One request attempt from ``start`` against ``slot``, whose
         primary is ``owner``.  Returns (delivery, serve_node,
@@ -776,14 +746,13 @@ def simulate_cluster(
             # node and let MOVED point at the promoted owner
             target = client.bootstrap_node()
         if target in accel_nodes:
-            # capability pre-route: writes and oversized-key GETs
-            # never touch an accelerator — the client knows every
-            # node's class, so this is local, not an extra hop
+            # capability pre-route: writes never touch an accelerator
+            # — the client knows every node's class, so this is
+            # local, not an extra hop
             target = client.capability_route(slot, target, topology,
-                                             is_write, oversized)
-        head = client.begin_request(target) if pipelined else True
+                                             is_write)
         t = network.one_way(client.name, servers[target].name,
-                            req_bytes, start, head)
+                            req_bytes, start)
         if math.isinf(t):
             if hedge_cycles is not None and not is_write:
                 alt = _read_hedge(client, slot, start + hedge_cycles,
@@ -817,12 +786,6 @@ def simulate_cluster(
                                 REDIRECT_BYTES, t)
             client.on_moved(slot, owner)
             serve_node = write_target if is_write else owner
-            if serve_node in accel_nodes:
-                # the MOVED reply named the owner; an ineligible GET
-                # still peels off to the backer before the re-send
-                serve_node = client.capability_route(
-                    slot, serve_node, topology, is_write, oversized)
-            head = True  # a redirected request restarts its window
             t = network.one_way(client.name, servers[serve_node].name,
                                 req_bytes, t)
             if math.isinf(t):
@@ -863,7 +826,7 @@ def simulate_cluster(
         capability_checks += 1
         if serve_node in accel_nodes:
             key = wire_key[key_id]
-            if is_write or oversized:
+            if is_write:
                 # the capability fence: dispatch makes this path
                 # unreachable; if a request ever lands here anyway the
                 # violation is recorded loudly (the run raises at the
@@ -899,7 +862,7 @@ def simulate_cluster(
         else:
             completion = server.serve(t)
         delivery = network.one_way(server.name, client.name,
-                                   resp_bytes, completion, head)
+                                   resp_bytes, completion)
         hedged = False
         if hedge_cycles is not None and not is_write \
                 and delivery - start > hedge_cycles:
@@ -935,14 +898,10 @@ def simulate_cluster(
         is_write = write_flags[index]
         if is_write:
             writes += 1
-        oversized = big_fraction > 0.0 and _oversized(key_id)
-        if owner in accel_nodes:
-            # demand-side fallback accounting: requests whose slot an
-            # accelerator owns but which only its backer can serve
-            if is_write:
+            if owner in accel_nodes:
+                # demand-side fallback accounting: writes whose slot an
+                # accelerator owns but which only its backer can serve
                 hetero_counters["fallback_set"] += 1
-            elif oversized:
-                hetero_counters["fallback_oversized"] += 1
         # a write carries the value up; a read carries it back
         req_bytes = value_bytes if is_write else REQUEST_HEADER_BYTES
         resp_bytes = REQUEST_HEADER_BYTES if is_write else value_bytes
@@ -952,7 +911,7 @@ def simulate_cluster(
         for attempt in range(attempts):
             outcome = _attempt(client, slot, owner, attempt_start,
                                is_write, attempt == 0, req_bytes,
-                               resp_bytes, key_id, oversized)
+                               resp_bytes, key_id)
             if outcome is not None:
                 break
             # the attempt died against an unreachable node: the client
@@ -1079,14 +1038,12 @@ def simulate_cluster(
         fallbacks = {
             "capacity": hetero_counters["fallback_capacity"],
             "set": hetero_counters["fallback_set"],
-            "oversized": hetero_counters["fallback_oversized"],
         }
         hetero_report = {
             "node_types": format_node_types(node_classes),
             "node_classes": list(node_classes),
             "fleet_cost_units": cost_units,
             "accel_keys": DEFAULT_ACCEL_KEYS,
-            "big_key_fraction": big_fraction,
             "accel_gets": accel_gets,
             "accel_hits": hetero_counters["accel_hits"],
             "accel_hit_fraction": (hetero_counters["accel_hits"]
@@ -1119,9 +1076,7 @@ def simulate_cluster(
         nodes=nodes,
         replicas=config.replicas,
         clients=len(clients),
-        client_batch=config.client_batch,
         route_cache=config.route_cache,
-        replica_reads=config.replica_reads,
         process=process,
         offered_load=config.offered_load,
         arrival_rate=rate,
@@ -1160,8 +1115,8 @@ def simulate_cluster(
     if capability_violations:
         raise HeteroError(
             f"capability oracle: {capability_violations} ineligible "
-            f"request(s) reached an accelerator node (writes and "
-            f"oversized keys must be dispatched to the backer)")
+            f"request(s) reached an accelerator node (writes must be "
+            f"dispatched to the backer)")
     if failover_violations:
         raise FailoverError(
             f"failover oracle: {failover_violations} acknowledged "

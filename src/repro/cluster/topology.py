@@ -243,7 +243,7 @@ class ClusterTopology:
         A full primary backs itself; an accelerator primary is a read
         cache whose slot is backed by a full node picked by slot index
         over the active full set — deterministic, and spreading each
-        accelerator's fallback traffic (writes, oversized keys,
+        accelerator's fallback traffic (writes and
         capacity misses) evenly across every full node instead of
         hot-spotting one ring successor.  When a full node crashes the
         spread recomputes over the survivors.  The backer is always
@@ -275,10 +275,6 @@ class ClusterTopology:
             if backer not in read_set:
                 read_set = read_set + (backer,)
         return SlotRoute(replicas, read_set, backer)
-
-    def backer_of(self, slot: int) -> int:
-        """The full node holding ``slot``'s authoritative data."""
-        return self.route(slot).backer
 
     def write_authority(self, slot: int) -> int:
         """The single node a write of ``slot`` must be served by."""

@@ -2,7 +2,7 @@
 
 Every error raised by the simulator derives from :class:`ReproError`, so
 callers can catch simulator-specific failures without masking genuine
-programming errors (``TypeError`` and friends propagate unchanged).
+programming errors (``TypeError`` and friends pass through unchanged).
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class HeteroError(ClusterError):
     grammar, zero counts, no full node, a count that disagrees with
     ``nodes``) and — the loud-failure case — by the capability oracle
     when a request is *served* by a node whose class cannot serve
-    it: a SET or an oversized-key GET answered by an
+    it: a SET answered by an
     accelerator, or an accelerator answering for a key its on-chip
     memory does not hold.  Capability misroutes must cost a
     deterministic fallback hop, never a wrong answer — the

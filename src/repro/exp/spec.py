@@ -549,7 +549,7 @@ def _hetero_points() -> List[SweepPoint]:
     reads the mixed/homogeneous ratio directly as speedup — raw and
     cost-normalized (an accel node costs 0.25 full-node units)
     (:func:`repro.exp.reporting.hetero_table`).  The capability oracle
-    is armed in every run: any write or oversized-key GET served by an
+    is armed in every run: any write served by an
     accelerator raises ``HeteroError`` and fails the sweep.
     """
     import os

@@ -6,9 +6,9 @@ accelerator node is the hwkvstore/McAccel pipeline — Pearson
 dual-hashed on-chip key memory, explicit reserve/associate/write
 management instructions, a 255-byte key limit, read/write modes with a
 drain cost — serving eligible small-key GETs at hash-pipeline speed
-for a fraction of a full node's cost.  Everything else (writes,
-oversized keys, capacity misses) falls back deterministically to a
-full Redis-model node.
+for a fraction of a full node's cost.  Everything else (writes and
+capacity misses) falls back deterministically to a full Redis-model
+node.
 
 * :mod:`repro.hetero.pearson`    — frozen dual Pearson hash tables;
 * :mod:`repro.hetero.accel_node` — key-memory state machine + the

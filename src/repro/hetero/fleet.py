@@ -68,7 +68,7 @@ _COST_UNITS = {
 #: than a full node's mean per-op service time, so an accelerator
 #: takes a proportionally larger primary-slot share — the fleet is
 #: *sized* by capacity, exactly like weighted shards in a production
-#: Redis Cluster.  Fallback traffic (writes, misses, oversized keys)
+#: Redis Cluster.  Fallback traffic (writes and capacity misses)
 #: still lands on full backers, which own proportionally fewer slots
 #: and so have the headroom to absorb it.
 ACCEL_SLOT_WEIGHT = 4

@@ -127,19 +127,12 @@ class RunConfig:
     #: (1 = the plain single-node path, untouched by the cluster layer)
     nodes: int = 1
     #: cluster: replica nodes per hash slot (ring successors of the
-    #: primary); reads may be served from replicas when
-    #: ``replica_reads`` is set
+    #: primary)
     replicas: int = 0
     #: cluster: whether clients keep a slot -> node route cache (the
     #: cluster-scale STLT); off = every request bootstraps through an
     #: arbitrary node and eats a MOVED hop
     route_cache: bool = True
-    #: cluster: requests a client pipelines per batch window (followers
-    #: share the batch head's propagation delay)
-    client_batch: int = 1
-    #: cluster: serve GETs from slot replicas (rotating over the
-    #: primary + replicas) instead of the primary only
-    replica_reads: bool = False
     #: cluster: per-request probability that a live slot migration
     #: starts (scheduled through the repro.chaos machinery; requests
     #: in the window take ASK redirects, cached routes go stale on
@@ -184,11 +177,6 @@ class RunConfig:
     #: time.  On a run that builds a fleet the spec's node count must
     #: equal ``nodes``
     node_types: Optional[str] = None
-    #: hetero: fraction of the keyspace modeled as *oversized on the
-    #: wire* (above the accelerator's 255-byte key limit), marked
-    #: deterministically per key id; such GETs always fall back to the
-    #: slot's full-class backer.  Inert on homogeneous fleets
-    hetero_big_key_fraction: float = 0.0
     #: how the engine loop executes (see EXEC_MODES): the two modes are
     #: bit-identical by contract.  Content-hashed like every other
     #: field, but deliberately absent from ``label`` — the label names
@@ -250,8 +238,6 @@ class RunConfig:
             raise ConfigError(
                 f"{self.replicas} replica(s) per slot need at least "
                 f"{self.replicas + 1} nodes (got {self.nodes})")
-        if self.client_batch < 1:
-            raise ConfigError("client batch must be >= 1")
         if not 0.0 <= self.migrate_rate <= 1.0:
             raise ConfigError("migration rate must be within [0, 1]")
         if self.net_rtt_cycles < 0:
@@ -297,9 +283,6 @@ class RunConfig:
                         f"least {self.replicas + 1} full nodes (only "
                         f"full nodes hold durable copies); "
                         f"{self.node_types!r} has {num_full}")
-        if not 0.0 <= self.hetero_big_key_fraction <= 1.0:
-            raise ConfigError(
-                "oversized-key fraction must be within [0, 1]")
         if self.exec_mode not in EXEC_MODES:
             raise ConfigError(
                 f"unknown exec mode {self.exec_mode!r}; "
@@ -469,10 +452,6 @@ class RunConfig:
                 base = f"{base}-r{self.replicas}"
             if not self.route_cache:
                 base = f"{base}-norc"
-            if self.client_batch > 1:
-                base = f"{base}-b{self.client_batch}"
-            if self.replica_reads:
-                base = f"{base}-rr"
             if self.migrate_rate > 0.0:
                 base = f"{base}~mig{self.migrate_rate:g}"
             if self.net_rtt_cycles > 0.0:
@@ -490,8 +469,6 @@ class RunConfig:
                 # the homogeneous run, bit for bit
                 counts = class_counts(self.node_classes)
                 base = f"{base}^{counts['full']}f{counts['accel']}a"
-                if self.hetero_big_key_fraction > 0.0:
-                    base = f"{base}~bk{self.hetero_big_key_fraction:g}"
         return base
 
 

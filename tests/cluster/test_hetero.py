@@ -9,7 +9,7 @@ Three layers:
   eligibility is exactly the capability descriptor;
 * end-to-end ``run_cluster`` — homogeneous runs bit-identical to the
   pre-hetero golden path, per-seed mixed-fleet determinism, zero
-  capability-oracle violations, capacity/oversized/SET fallbacks, and
+  capability-oracle violations, capacity/SET fallbacks, and
   an accelerator crash promoting cleanly.
 """
 
@@ -98,12 +98,12 @@ class TestHeteroTopology:
         topo = ClusterTopology(3, num_slots=SLOTS,
                                node_classes=("full", "full", "accel"))
         for slot in topo.slots_of(0):
-            assert topo.backer_of(slot) == 0
+            assert topo.write_authority(slot) == 0
 
     def test_accel_slots_spread_over_all_full_backers(self):
         topo = ClusterTopology(3, num_slots=SLOTS,
                                node_classes=("full", "full", "accel"))
-        backers = {topo.backer_of(s) for s in topo.slots_of(2)}
+        backers = {topo.write_authority(s) for s in topo.slots_of(2)}
         assert backers == {0, 1}
 
     def test_read_set_includes_the_backer(self):
@@ -112,7 +112,7 @@ class TestHeteroTopology:
         for slot in topo.slots_of(2):
             read = topo.read_set(slot)
             assert slot in topo.slots_of(read[0])
-            assert topo.backer_of(slot) in read
+            assert topo.write_authority(slot) in read
 
     def test_accel_crash_promotes_to_a_full_node(self):
         topo = ClusterTopology(3, num_slots=SLOTS,
@@ -184,8 +184,8 @@ class TestCapabilityProperties:
         b = ClusterTopology(len(classes), num_slots=SLOTS,
                             node_classes=tuple(classes))
         for slot in range(SLOTS):
-            assert a.backer_of(slot) == b.backer_of(slot)
-            assert not a.is_accel(a.backer_of(slot))
+            assert a.write_authority(slot) == b.write_authority(slot)
+            assert not a.is_accel(a.write_authority(slot))
 
 
 # ----------------------------------------------------------------------
@@ -239,13 +239,6 @@ class TestHeteroRuns:
         assert accel["installs"] > 0
         assert accel["resident_keys"] <= 16
 
-    def test_oversized_keys_never_reach_the_accel(self):
-        cluster = run_cluster(
-            _mixed(measure_ops=200, hetero_big_key_fraction=0.3)).cluster
-        hetero = cluster["hetero"]
-        assert hetero["fallbacks"]["oversized"] > 0
-        assert hetero["capability_violations"] == 0
-
     def test_accel_crash_promotes_to_a_full_node(self):
         cluster = run_cluster(_mixed(
             measure_ops=200,
@@ -269,10 +262,9 @@ class TestHeteroRuns:
         assert classes == ["full", "full", "accel"]
 
     def test_label_encodes_the_fleet(self):
-        config = _mixed(hetero_big_key_fraction=0.25)
+        config = _mixed()
         label = config.label
         assert "2f1a" in label
-        assert "bk0.25" in label
 
     def test_bad_spec_fails_at_config_time(self):
         with pytest.raises(HeteroError):

@@ -67,11 +67,6 @@ class TestLatencyMath:
         delivery = net.one_way("a", "b", 80, at=0.0)
         assert delivery == pytest.approx(80 / 8.0 + RTT / 2.0)
 
-    def test_follower_skips_propagation(self):
-        net = ClusterNetwork(RTT, bytes_per_cycle=8.0)
-        delivery = net.one_way("a", "b", 80, at=0.0, propagate=False)
-        assert delivery == pytest.approx(80 / 8.0)
-
     def test_round_trip_pays_both_directions(self):
         net = ClusterNetwork(RTT, bytes_per_cycle=8.0)
         arrive = net.one_way("a", "b", 64, at=0.0)
@@ -240,8 +235,7 @@ steps = st.one_of(
     st.tuples(st.just("send"), st.sampled_from(ENDPOINTS),
               st.sampled_from(ENDPOINTS),
               st.integers(min_value=0, max_value=4096),
-              st.floats(min_value=0.0, max_value=5_000.0),
-              st.booleans()),
+              st.floats(min_value=0.0, max_value=5_000.0)),
     st.tuples(st.just("partition"), st.sampled_from(ENDPOINTS)),
     st.tuples(st.just("heal"), st.sampled_from(ENDPOINTS)),
     st.tuples(st.just("degrade"), st.sampled_from(ENDPOINTS),
@@ -281,8 +275,8 @@ class TestAgainstReference:
                 net.restore(step[1])
                 degraded.pop(step[1], None)
             else:
-                _, src, dst, nbytes, at, propagate = step
-                got = net.one_way(src, dst, nbytes, at, propagate)
+                _, src, dst, nbytes, at = step
+                got = net.one_way(src, dst, nbytes, at)
                 if src in partitioned or dst in partitioned:
                     assert got == math.inf
                     totals["drops"] += 1
@@ -297,9 +291,7 @@ class TestAgainstReference:
                 serialization = nbytes * bw / 8.0
                 start = schedules.setdefault(
                     (src, dst), GapSchedule()).claim(at, serialization)
-                want = start + serialization
-                if propagate:
-                    want += rtt * lat / 2.0
+                want = start + serialization + rtt * lat / 2.0
                 assert got == want
                 wait += start - at
                 totals["transfers"] += 1

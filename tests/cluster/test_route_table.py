@@ -1,7 +1,7 @@
 """The topology's route table is never stale.
 
 :class:`~repro.cluster.topology.ClusterTopology` answers
-``replicas_of`` / ``read_set`` / ``backer_of`` / ``write_authority`` /
+``replicas_of`` / ``read_set`` / ``write_authority`` /
 ``durable_set`` from a per-slot route table and ``full_nodes`` from a
 per-ring-generation cache.  The routing oracle of the cluster overlay
 reads the same table, so it cannot catch a stale entry; this module
@@ -77,7 +77,6 @@ def walk_durable_set(topo, slot):
 def assert_slot_matches_walk(topo, slot):
     assert topo.replicas_of(slot) == walk_replicas(topo, slot)
     assert topo.read_set(slot) == walk_read_set(topo, slot)
-    assert topo.backer_of(slot) == walk_backer(topo, slot)
     assert topo.write_authority(slot) == walk_backer(topo, slot)
     assert topo.durable_set(slot) == walk_durable_set(topo, slot)
 

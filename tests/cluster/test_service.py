@@ -11,7 +11,7 @@ from repro.cluster.service import (
     _node_config,
     simulate_cluster,
 )
-from repro.errors import ClusterError, ReproError
+from repro.errors import ClusterError, ConfigError, ReproError
 from repro.sim.config import RunConfig
 from repro.sim.engine import Engine, run_experiment
 from tests.exp.test_key_coverage import ALTERNATES
@@ -196,6 +196,23 @@ class TestClusterResultRoundTrip:
     def test_unknown_fields_are_rejected_loudly(self):
         with pytest.raises(ReproError):
             ClusterResult.from_dict({"definitely_not_a_field": 1})
+
+
+#: RunConfig fields deleted with client pipelining, replica-read
+#: rotation and oversized keys, at the defaults stored records carry
+REMOVED_KNOBS = {"client_batch": 1, "replica_reads": False,
+                 "hetero_big_key_fraction": 0.0}
+
+
+class TestRemovedKnobs:
+    @pytest.mark.parametrize("name", sorted(REMOVED_KNOBS))
+    def test_stored_config_with_the_knob_is_rejected(self, name):
+        # a stored record that still carries the knob must re-simulate,
+        # not load as if the field had never existed
+        data = _config(nodes=2).to_dict()
+        data[name] = REMOVED_KNOBS[name]
+        with pytest.raises(ConfigError, match=repr(name)):
+            RunConfig.from_dict(data)
 
 
 class TestStoreIntegration:

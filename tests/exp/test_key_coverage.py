@@ -44,8 +44,6 @@ ALTERNATES = {
     "nodes": 3,
     "replicas": 1,
     "route_cache": False,
-    "client_batch": 4,
-    "replica_reads": True,
     "migrate_rate": 0.01,
     "net_rtt_cycles": 250.0,
     "node_fault_plan": ("crash:node=0,at=0.5",),
@@ -54,7 +52,6 @@ ALTERNATES = {
     "cluster_timeout": 10.0,
     "cluster_hedge": 3.0,
     "node_types": "1full",
-    "hetero_big_key_fraction": 0.25,
     "exec_mode": "batched",
     "seed": 99,
     "machine": dataclasses.replace(SCALED_MACHINE, line_bytes=128),

@@ -574,10 +574,20 @@ class TestClusterCommand:
         assert args.nodes == 3
         assert args.replicas == 0
         assert args.no_route_cache is False
-        assert args.batch == 1
         assert args.migrate_rate == 0.0
         assert args.net_rtt == 0.0
         assert args.arrival == "poisson"
+
+    @pytest.mark.parametrize("flags", [
+        ["--batch", "4"], ["--replica-reads"],
+        ["--big-key-fraction", "0.2"]])
+    def test_removed_knob_flags_are_gone(self, flags, capsys):
+        # clients neither pipeline nor rotate reads, and every key
+        # fits the accelerator's limit: the flags are usage errors
+        with pytest.raises(SystemExit) as exc:
+            main(["cluster"] + flags + CLUSTER_ARGS)
+        assert exc.value.code == 2
+        assert flags[0] in capsys.readouterr().err
 
     def test_single_quiet_node_is_a_usage_error(self, capsys):
         rc = main(["cluster", "--nodes", "1"] + CLUSTER_ARGS)
@@ -697,7 +707,6 @@ class TestHeteroCommand:
 
     def test_mixed_fleet_json_carries_hetero_payload(self, capsys):
         rc = main(["cluster", "--json", "--node-types", "2full+1accel",
-                   "--big-key-fraction", "0.2",
                    "--cores", "2"] + CLUSTER_ARGS)
         assert rc == 0
         record = json.loads(capsys.readouterr().out)
@@ -706,7 +715,6 @@ class TestHeteroCommand:
         hetero = record["result"]["cluster"]["hetero"]
         assert hetero["node_types"] == "2full+1accel"
         assert hetero["accel_keys"] == 4096
-        assert hetero["big_key_fraction"] == 0.2
         assert hetero["capability_violations"] == 0
 
     def test_sweep_list_includes_hetero(self, capsys):
