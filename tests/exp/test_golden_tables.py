@@ -136,6 +136,23 @@ def test_every_table_has_rows(golden):
     assert filled == {"summary"} | set(RENDERERS)
 
 
+def _rows(text):
+    return {tuple(line.split()) for line in text.splitlines()[2:]}
+
+
+def test_each_workload_anchors_on_its_own_runs(golden):
+    """Records of other sweeps rendered beside a sweep's own neither
+    take over its anchors nor add rows: retention compares with the
+    same workload's quiet run, scaling with the same workload's
+    one-core run, and fleets are left to the cluster table."""
+    every = _records(golden, "all")
+    assert churn_table(every) == churn_table(_records(golden, "churn"))
+    cores = scaling_table(_records(golden, "cores"))
+    assert _rows(cores) <= _rows(scaling_table(every))
+    for name in ("failover", "hetero", "scale"):
+        assert scaling_table(_records(golden, name)) == ""
+
+
 def capture() -> dict:
     """Simulate each sweep's subset and render its tables."""
     import tempfile
