@@ -32,6 +32,7 @@ from typing import List
 
 from repro.sim.config import RunConfig
 from repro.sim.engine import run_experiment
+from repro.sim.results import reduction, speedup
 
 #: the pinned floor: stlt must beat the shared baseline by at
 #: least this much on the smoke config (measured 1.455x; pinned with
@@ -59,12 +60,6 @@ SIZES = (
 )
 
 
-def _reduction(base: int, measured: int) -> float:
-    if base <= 0:
-        return 0.0
-    return round(100.0 * (base - measured) / base, 1)
-
-
 def measure_size(name: str, size: dict) -> dict:
     out = {"name": name, **size, "designs": {}}
     anchor = None
@@ -78,16 +73,16 @@ def measure_size(name: str, size: dict) -> dict:
         }
         if result.accel is not None:
             row["telemetry"] = result.accel
+        # ratios of the unrounded results; only what is stored rounds
         if design == "baseline":
-            anchor = row
+            anchor = result
             row["speedup"] = 1.0
         else:
-            row["speedup"] = round(
-                anchor["cycles_per_op"] / row["cycles_per_op"], 3)
-            row["walk_reduction_pct"] = _reduction(
-                anchor["page_walks"], row["page_walks"])
-            row["stlb_miss_reduction_pct"] = _reduction(
-                anchor["stlb_misses"], row["stlb_misses"])
+            row["speedup"] = round(speedup(anchor, result), 3)
+            row["walk_reduction_pct"] = round(
+                100.0 * reduction(anchor.page_walks, result.page_walks), 1)
+            row["stlb_miss_reduction_pct"] = round(
+                100.0 * reduction(anchor.tlb_misses, result.tlb_misses), 1)
         out["designs"][design] = row
     return out
 
