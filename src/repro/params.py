@@ -251,7 +251,6 @@ SEED_NAMESPACES = {
     "workload_ops": 0x5EED,
     # open-loop service layer (repro.svc.service)
     "svc_arrival": 0xA221,
-    "svc_keystream": 0x5E12,
     # chaos (repro.chaos): event positions vs target payloads, kept
     # independent so changing what an event does never shifts when
     # later events fire

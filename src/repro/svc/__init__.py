@@ -13,9 +13,8 @@ engine captured), all deterministic per seed.
   histogram with bounded-relative-error quantiles;
 * :mod:`repro.svc.arrival`   — arrival processes (Poisson, bursty
   MMPP-style modulated Poisson);
-* :mod:`repro.svc.dispatch`  — dispatch policies (round-robin,
-  key-hash sharding, join-shortest-queue);
-* :mod:`repro.svc.service`   — the queueing simulation itself plus
+* :mod:`repro.svc.service`   — the queueing simulation itself, with
+  its two dispatch policies (round-robin, join-shortest-queue), plus
   :class:`ServiceResult` (percentiles, offered vs achieved
   throughput, per-core queue statistics).
 
@@ -25,16 +24,9 @@ per-op capture hook is armed, so every golden regression keeps holding.
 """
 
 from .arrival import ARRIVAL_PROCESSES, make_arrivals
-from .dispatch import (
-    DISPATCH_POLICIES,
-    Dispatcher,
-    JoinShortestQueueDispatcher,
-    KeyHashDispatcher,
-    RoundRobinDispatcher,
-    make_dispatcher,
-)
 from .histogram import LatencyHistogram
 from .service import (
+    DISPATCH_POLICIES,
     Mitigation,
     ServiceResult,
     mitigation_from_config,
@@ -45,14 +37,9 @@ from .service import (
 __all__ = [
     "ARRIVAL_PROCESSES",
     "DISPATCH_POLICIES",
-    "Dispatcher",
-    "JoinShortestQueueDispatcher",
-    "KeyHashDispatcher",
     "LatencyHistogram",
-    "RoundRobinDispatcher",
     "ServiceResult",
     "make_arrivals",
-    "make_dispatcher",
     "Mitigation",
     "mitigation_from_config",
     "service_from_config",

@@ -118,15 +118,14 @@ class TestFleetRuns:
 
 
 #: RunConfig fields that reach every node engine as given.  Some of them
-#: (offered_load, svc_backoff, the key space) are read by the overlay
-#: too; a field only the overlay reads belongs in OVERLAY_FIELDS instead
+#: (offered_load, the key space) are read by the overlay too; a field
+#: only the overlay reads belongs in OVERLAY_FIELDS instead
 ENGINE_FIELDS = frozenset({
     "program", "frontend", "distribution", "value_size", "num_keys",
     "measure_ops", "warmup_ops", "stlt_rows", "stlt_ways", "fast_hash",
     "prefetchers", "num_cores", "offered_load", "dispatch_policy",
     "churn_rate", "fault_plan", "svc_timeout", "svc_retries",
-    "svc_backoff", "svc_hedge", "svc_fallback", "exec_mode", "seed",
-    "machine",
+    "svc_hedge", "svc_fallback", "exec_mode", "seed", "machine",
 })
 
 

@@ -38,7 +38,6 @@ ALTERNATES = {
     "fault_plan": ("slowdown:core=0,factor=2",),
     "svc_timeout": 6.0,
     "svc_retries": 2,
-    "svc_backoff": 1.5,
     "svc_hedge": 4.0,
     "svc_fallback": True,
     "nodes": 3,

@@ -1,75 +1,55 @@
-"""Dispatch policies: balance, affinity, shortest-queue greed."""
+"""Dispatch policies through the queueing loop: balance, shortest-queue
+greed, and the names ``simulate_service`` accepts.
+
+Constant service times and hand-placed arrivals make each pick
+visible in the per-core request counts.
+"""
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.sim.config import DISPATCH_POLICIES as CONFIG_POLICIES
-from repro.svc.dispatch import (
-    DISPATCH_POLICIES,
-    JoinShortestQueueDispatcher,
-    KeyHashDispatcher,
-    RoundRobinDispatcher,
-    make_dispatcher,
-)
+from repro.svc.service import DISPATCH_POLICIES, simulate_service
 
 
-class TestFactory:
-    def test_config_and_factory_policy_lists_agree(self):
-        """RunConfig validates against the same names the factory
-        builds — the two lists must never drift apart."""
-        assert tuple(CONFIG_POLICIES) == tuple(DISPATCH_POLICIES)
+def requests_per_core(service, arrivals, policy):
+    result = simulate_service(
+        service, arrivals, policy, process="poisson", offered_load=0.7,
+        arrival_rate=0.01, closed_loop_throughput=0.0143)
+    assert result.dispatch == policy
+    return [core["requests"] for core in result.per_core]
 
-    @pytest.mark.parametrize("policy", DISPATCH_POLICIES)
-    def test_every_policy_constructs(self, policy):
-        dispatcher = make_dispatcher(policy, 4)
-        assert dispatcher.name == policy
-        assert dispatcher.num_cores == 4
+
+class TestPolicyNames:
+    def test_the_two_policies(self):
+        assert DISPATCH_POLICIES == ("round_robin", "jsq")
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ConfigError):
-            make_dispatcher("random", 4)
+        with pytest.raises(ConfigError, match="key_hash"):
+            requests_per_core([[10]] * 4, [0.0], "key_hash")
 
     def test_zero_cores_rejected(self):
         with pytest.raises(ConfigError):
-            RoundRobinDispatcher(0)
+            requests_per_core([], [0.0], "round_robin")
 
 
 class TestRoundRobin:
     def test_rotates_evenly(self):
-        d = RoundRobinDispatcher(3)
-        picks = [d.pick(i, key_id=99, depths=[0, 0, 0])
-                 for i in range(9)]
-        assert picks == [0, 1, 2, 0, 1, 2, 0, 1, 2]
-
-
-class TestKeyHash:
-    def test_same_key_always_same_core(self):
-        d = KeyHashDispatcher(4)
-        cores = {d.pick(i, key_id=123, depths=[0] * 4)
-                 for i in range(50)}
-        assert len(cores) == 1
-
-    def test_injected_hash_controls_the_shard(self):
-        d = KeyHashDispatcher(4, key_hash=lambda k: k * 7 + 1)
-        assert d.pick(0, key_id=1, depths=[0] * 4) == (1 * 7 + 1) % 4
-
-    def test_spreads_distinct_keys(self):
-        d = KeyHashDispatcher(4)
-        cores = {d.pick(i, key_id=key, depths=[0] * 4)
-                 for i, key in enumerate(range(100))}
-        assert cores == {0, 1, 2, 3}
+        # request i lands on core i mod 3 whatever the queues hold: the
+        # slow core 0 still gets every third request
+        assert requests_per_core([[1000], [10], [10]], [0.0] * 7,
+                                 "round_robin") == [3, 2, 2]
 
 
 class TestJoinShortestQueue:
     def test_picks_minimum_depth(self):
-        d = JoinShortestQueueDispatcher(4)
-        assert d.pick(0, key_id=0, depths=[3, 1, 2, 5]) == 1
+        # t=0: r0 -> core 0 (empty queues tie to the lowest id), r1 ->
+        # core 1.  t=20: core 1 has finished r1, core 0 still holds r0,
+        # so r2 and, after r2 finishes at 30, r3 join core 1
+        assert requests_per_core([[1000], [10]], [0.0, 0.0, 20.0, 40.0],
+                                 "jsq") == [1, 3]
 
     def test_ties_break_to_lowest_core(self):
-        d = JoinShortestQueueDispatcher(4)
-        assert d.pick(0, key_id=0, depths=[2, 1, 1, 1]) == 1
-
-    def test_depth_vector_shape_enforced(self):
-        d = JoinShortestQueueDispatcher(4)
-        with pytest.raises(ConfigError):
-            d.pick(0, key_id=0, depths=[0, 0])
+        # arrivals far apart: every queue is empty at each arrival, so
+        # every request ties and goes to core 0
+        assert requests_per_core([[10]] * 4, [0.0, 100.0, 200.0],
+                                 "jsq") == [3, 0, 0, 0]

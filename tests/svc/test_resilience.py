@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.sim.config import RunConfig
-from repro.svc.dispatch import DISPATCH_POLICIES, make_dispatcher
 from repro.svc.service import (
+    BACKOFF,
+    DISPATCH_POLICIES,
     Mitigation,
     ServiceResult,
     mitigation_from_config,
@@ -23,12 +24,9 @@ from repro.svc.service import (
 )
 
 
-def run_service(service, arrivals, keys=None, cores=1,
-                policy="round_robin", mitigation=None):
-    if keys is None:
-        keys = [0] * len(arrivals)
+def run_service(service, arrivals, policy="round_robin", mitigation=None):
     return simulate_service(
-        service, arrivals, keys, make_dispatcher(policy, cores),
+        service, arrivals, policy,
         process="poisson", offered_load=0.7, arrival_rate=0.01,
         closed_loop_throughput=0.0143, mitigation=mitigation)
 
@@ -41,7 +39,6 @@ class TestMitigationValidation:
         dict(timeout_cycles=0.0),
         dict(timeout_cycles=-5.0),
         dict(retries=-1),
-        dict(backoff=0.5),
         dict(hedge_cycles=0.0),
         dict(fallback=True),                 # needs slo_cycles
         dict(slo_cycles=-1.0),
@@ -51,7 +48,7 @@ class TestMitigationValidation:
             Mitigation(**kwargs)
 
     def test_round_trip(self):
-        m = Mitigation(timeout_cycles=600.0, retries=2, backoff=1.5,
+        m = Mitigation(timeout_cycles=600.0, retries=2,
                        hedge_cycles=400.0, fallback=True, slo_cycles=600.0)
         assert Mitigation.from_dict(m.to_dict()) == m
 
@@ -61,8 +58,7 @@ class TestMitigationValidation:
         policy=st.sampled_from(DISPATCH_POLICIES),
         disabled=st.one_of(
             st.just(Mitigation()),
-            st.builds(Mitigation, retries=st.integers(0, 4),
-                      backoff=st.floats(1.0, 4.0)),
+            st.builds(Mitigation, retries=st.integers(0, 4)),
             st.builds(Mitigation, slo_cycles=st.floats(0.0, 2_000.0))),
         seed=st.integers(0, 2 ** 16),
     )
@@ -76,9 +72,8 @@ class TestMitigationValidation:
                    for _ in range(cores)]
         # whole-cycle arrivals: completions coincide with arrivals too
         arrivals = sorted(float(rng.randrange(20_000)) for _ in range(200))
-        keys = [rng.randrange(64) for _ in arrivals]
-        a = run_service(service, arrivals, keys, cores=cores, policy=policy)
-        b = run_service(service, arrivals, keys, cores=cores, policy=policy,
+        a = run_service(service, arrivals, policy=policy)
+        b = run_service(service, arrivals, policy=policy,
                         mitigation=disabled)
         assert a.to_dict() == b.to_dict()
         assert a.mitigation is None
@@ -93,7 +88,7 @@ class TestTimeoutRetry:
         # 1000 > timeout 300 -> the client waits its 300-cycle budget
         # out, then retries on core 1: 300 + 100 = 400 total.
         m = Mitigation(timeout_cycles=300.0, retries=1)
-        result = run_service([[1000], [100]], [0.0, 0.0, 0.0], cores=2,
+        result = run_service([[1000], [100]], [0.0, 0.0, 0.0],
                              mitigation=m)
         assert result.timeouts == 1
         assert result.retries == 1
@@ -107,7 +102,7 @@ class TestTimeoutRetry:
         # the timed-out attempt must consume no crawler cycles: core 0
         # serves exactly its one surviving request
         m = Mitigation(timeout_cycles=300.0, retries=1)
-        result = run_service([[1000], [100]], [0.0, 0.0, 0.0], cores=2,
+        result = run_service([[1000], [100]], [0.0, 0.0, 0.0],
                              mitigation=m)
         assert result.per_core[0]["requests"] == 1
         assert result.per_core[0]["busy_fraction"] * result.makespan \
@@ -122,9 +117,10 @@ class TestTimeoutRetry:
         assert result.per_core[0]["requests"] == 3
 
     def test_backoff_grows_attempt_budgets(self):
-        # budgets 100, 200 (backoff 2): a request seeing an 150-cycle
+        # budgets 100, 100 x BACKOFF (200): a request seeing a 150-cycle
         # backlog times out once, then its 200-cycle budget holds
-        m = Mitigation(timeout_cycles=100.0, retries=3, backoff=2.0)
+        assert BACKOFF == 2.0
+        m = Mitigation(timeout_cycles=100.0, retries=3)
         result = run_service([[150]], [0.0, 0.0], mitigation=m)
         assert result.timeouts == 1
 
@@ -135,7 +131,7 @@ class TestHedging:
         # its hedge copy lands on core 1 at t=200 and completes at 300,
         # beating the primary's 2000
         m = Mitigation(hedge_cycles=200.0)
-        result = run_service([[1000], [100]], [0.0, 0.0, 0.0], cores=2,
+        result = run_service([[1000], [100]], [0.0, 0.0, 0.0],
                              mitigation=m)
         assert result.hedges == 1
         assert result.hedge_wins == 1
@@ -146,7 +142,7 @@ class TestHedging:
 
     def test_hedge_copies_both_consume_server_time(self):
         m = Mitigation(hedge_cycles=200.0)
-        result = run_service([[1000], [100]], [0.0, 0.0, 0.0], cores=2,
+        result = run_service([[1000], [100]], [0.0, 0.0, 0.0],
                              mitigation=m)
         # 3 arrivals, one duplicated: 4 services charged in total (the
         # losing primary still runs to completion — no cancellation)
@@ -165,7 +161,7 @@ class TestFallback:
         # round robin would alternate; after request 0 parks 1000
         # cycles on core 0, request 2 (round-robin back to core 0)
         # reroutes to core 1 up front, before losing any time
-        result = run_service([[1000], [100]], [0.0, 0.0, 0.0], cores=2,
+        result = run_service([[1000], [100]], [0.0, 0.0, 0.0],
                              mitigation=m)
         assert result.fallbacks >= 1
         assert result.per_core[0]["requests"] == 1
@@ -186,7 +182,7 @@ class TestEndToEnd:
 
         plain = run_experiment(RunConfig(**self.CONFIG))
         mitigated = run_experiment(RunConfig(
-            svc_timeout=4.0, svc_retries=2, svc_backoff=1.5,
+            svc_timeout=4.0, svc_retries=2,
             svc_hedge=3.0, svc_fallback=True, **self.CONFIG))
         return plain, mitigated
 
@@ -204,7 +200,7 @@ class TestEndToEnd:
         from repro.sim.engine import run_experiment
 
         config = RunConfig(
-            svc_timeout=4.0, svc_retries=2, svc_backoff=1.5,
+            svc_timeout=4.0, svc_retries=2,
             svc_hedge=3.0, svc_fallback=True, **self.CONFIG)
         a = run_experiment(config)
         b = run_experiment(config)
@@ -236,8 +232,8 @@ class TestMitigationFromConfig:
                            svc_hedge=4.0, svc_fallback=True, **self.BASE)
         m = mitigation_from_config(config, mean_service=100.0)
         assert m == Mitigation(timeout_cycles=600.0, retries=2,
-                               backoff=2.0, hedge_cycles=400.0,
-                               fallback=True, slo_cycles=600.0)
+                               hedge_cycles=400.0, fallback=True,
+                               slo_cycles=600.0)
 
     def test_fallback_slo_defaults_to_four_means(self):
         config = RunConfig(svc_fallback=True, **self.BASE)

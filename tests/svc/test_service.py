@@ -16,16 +16,13 @@ from repro.sim.config import ARRIVAL_PROCESSES as CONFIG_ARRIVALS
 from repro.sim.config import RunConfig
 from repro.svc.arrival import ARRIVAL_PROCESSES as SVC_ARRIVALS
 from repro.svc.arrival import poisson_arrivals
-from repro.svc.dispatch import make_dispatcher
 from repro.svc.service import ServiceResult, simulate_service
 
 
-def run_service(service, arrivals, keys=None, cores=1, policy="round_robin",
+def run_service(service, arrivals, policy="round_robin",
                 rate=0.01, load=0.7, capacity=0.0143):
-    if keys is None:
-        keys = [0] * len(arrivals)
     return simulate_service(
-        service, arrivals, keys, make_dispatcher(policy, cores),
+        service, arrivals, policy,
         process="poisson", offered_load=load, arrival_rate=rate,
         closed_loop_throughput=capacity)
 
@@ -62,8 +59,7 @@ class TestExactTimelines:
         assert result.mean_latency == pytest.approx((10 + 30 + 10) / 3)
 
     def test_two_cores_round_robin_split(self):
-        result = run_service([[100], [100]], [0.0, 0.0, 0.0, 0.0],
-                             cores=2)
+        result = run_service([[100], [100]], [0.0, 0.0, 0.0, 0.0])
         # each core serves two back-to-back requests
         assert [c["requests"] for c in result.per_core] == [2, 2]
         assert result.makespan == 200.0
@@ -75,18 +71,10 @@ class TestExactTimelines:
         # jsq sees the empty queue (latency 10), oblivious round-robin
         # walks into the busy core (latency 1980)
         arrivals = [0.0, 0.0, 20.0]
-        rr = run_service([[1000], [10]], arrivals, cores=2)
-        jsq = run_service([[1000], [10]], arrivals, cores=2,
-                          policy="jsq")
+        rr = run_service([[1000], [10]], arrivals)
+        jsq = run_service([[1000], [10]], arrivals, policy="jsq")
         assert jsq.mean_latency < rr.mean_latency
         assert jsq.latency["p50"] < rr.latency["p50"]
-
-    def test_key_hash_affinity(self):
-        # all requests carry one key -> one core does all the work
-        result = run_service([[100], [100]], [0.0, 50.0, 100.0],
-                             keys=[5, 5, 5], cores=2, policy="key_hash")
-        requests = sorted(c["requests"] for c in result.per_core)
-        assert requests == [0, 3]
 
 
 class TestQueueingShapes:
@@ -119,17 +107,9 @@ class TestQueueingShapes:
 
 
 class TestValidation:
-    def test_core_sequence_count_must_match(self):
-        with pytest.raises(ConfigError):
-            run_service([[10], [10]], [0.0], cores=1)
-
     def test_empty_service_sequence_rejected(self):
         with pytest.raises(ConfigError):
             run_service([[]], [0.0])
-
-    def test_misaligned_keys_rejected(self):
-        with pytest.raises(ConfigError):
-            run_service([[10]], [0.0, 1.0], keys=[1])
 
     def test_unsorted_arrivals_rejected(self):
         with pytest.raises(ConfigError):
@@ -192,3 +172,13 @@ class TestRunConfigServiceFields:
             RunConfig(offered_load=4.5)
         with pytest.raises(ConfigError):
             RunConfig(service_requests=0)
+
+    def test_removed_options_are_rejected(self):
+        # retries back off by a fixed factor and requests carry no key
+        # stream, so neither the knob nor key-hash dispatch is left
+        stored = RunConfig().to_dict()
+        stored["svc_backoff"] = 1.5
+        with pytest.raises(ConfigError, match="svc_backoff"):
+            RunConfig.from_dict(stored)
+        with pytest.raises(ConfigError, match="key_hash"):
+            RunConfig(dispatch_policy="key_hash")

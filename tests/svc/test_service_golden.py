@@ -4,8 +4,8 @@
 
 * seeded synthetic per-core service sequences over the cross product
   of five mitigations (none, timeout + retry, hedge, fallback, all
-  three), the three dispatch policies, both arrival processes and 1, 2
-  and 4 cores.  Core 1 of a multi-core run is a 4x slow core, so the
+  three), the two dispatch policies, both arrival processes and 1, 2
+  and 4 cores: 60 timelines.  Core 1 of a multi-core run is a 4x slow core, so the
   queues build up and every mitigation fires somewhere.  Arrivals land
   on whole cycles, so completions and arrivals coincide;
 * two ``run_experiment`` open-loop runs: an unmitigated 2-core ``jsq``
@@ -33,8 +33,7 @@ import pytest
 from repro.sim.config import RunConfig
 from repro.sim.engine import run_experiment
 from repro.svc.arrival import make_arrivals
-from repro.svc.dispatch import DISPATCH_POLICIES, make_dispatcher
-from repro.svc.service import Mitigation, simulate_service
+from repro.svc.service import DISPATCH_POLICIES, Mitigation, simulate_service
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "data" / \
     "golden_svc.json"
@@ -43,10 +42,10 @@ REQUESTS = 300
 OFFERED_LOAD = 0.85
 MITIGATIONS = {
     "none": None,
-    "retry": Mitigation(timeout_cycles=600.0, retries=2, backoff=1.5),
+    "retry": Mitigation(timeout_cycles=600.0, retries=2),
     "hedge": Mitigation(hedge_cycles=400.0),
     "fallback": Mitigation(fallback=True, slo_cycles=600.0),
-    "all": Mitigation(timeout_cycles=600.0, retries=2, backoff=1.5,
+    "all": Mitigation(timeout_cycles=600.0, retries=2,
                       hedge_cycles=400.0, fallback=True, slo_cycles=600.0),
 }
 PROCESSES = ("poisson", "mmpp")
@@ -67,8 +66,7 @@ E2E = {
                           churn_rate=0.01),
     "e2e/mitigated_slowdown": dict(
         _E2E_BASE, fault_plan=("slowdown:core=1,factor=4",),
-        svc_timeout=4.0, svc_retries=2, svc_backoff=1.5, svc_hedge=3.0,
-        svc_fallback=True),
+        svc_timeout=4.0, svc_retries=2, svc_hedge=3.0, svc_fallback=True),
 }
 NAMES = SYNTHETIC + sorted(E2E)
 
@@ -90,9 +88,8 @@ def synthetic_case(name: str) -> dict:
     # (a request completing at the arrival instant has left) is pinned
     arrivals = [float(round(t)) for t in make_arrivals(
         process, rate, REQUESTS, seed=rng.randrange(1 << 30))]
-    key_ids = [rng.randrange(1_000) for _ in range(REQUESTS)]
     result = simulate_service(
-        service, arrivals, key_ids, make_dispatcher(policy, n),
+        service, arrivals, policy,
         process=process, offered_load=OFFERED_LOAD, arrival_rate=rate,
         closed_loop_throughput=capacity,
         mitigation=MITIGATIONS[mitigation])

@@ -83,7 +83,6 @@ class TestDeriveSeed:
     FROZEN = {
         "workload_ops": 0x5EED,      # repro.workloads.ycsb (seed repo)
         "svc_arrival": 0xA221,       # repro.svc.service (PR 3)
-        "svc_keystream": 0x5E12,     # repro.svc.service (PR 3)
         "chaos_schedule": 0xC4A0,    # repro.chaos.schedule (PR 4)
         "chaos_target": 0x7A26,      # repro.chaos.injector (PR 4)
     }
