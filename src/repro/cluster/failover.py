@@ -205,13 +205,10 @@ class FailoverScheduler:
     def __init__(self, topology: ClusterTopology, network: ClusterNetwork,
                  plan: Tuple[NodeFaultSpec, ...], seed: int,
                  total_requests: int,
-                 detect_cycles: float = DEFAULT_DETECT_CYCLES,
-                 node_name: Callable[[int], str] =
-                 lambda n: f"node{n}") -> None:
+                 detect_cycles: float = DEFAULT_DETECT_CYCLES) -> None:
         self.topology = topology
         self.network = network
         self.detect_cycles = float(detect_cycles)
-        self._node_name = node_name
         self._initial_nodes = topology.num_nodes
         total = max(total_requests, 1)
         #: scripted actions: (request index, sequence tiebreak, action,
@@ -307,7 +304,7 @@ class FailoverScheduler:
                 or self._last_live_full(node):
             return False
         self.crashed.add(node)
-        self.network.partition(self._node_name(node))
+        self.network.partition(f"node{node}")
         self._pending[node] = now + self.detect_cycles
         self.events["node_crash"] += 1
         if self.on_crash is not None:
@@ -319,7 +316,7 @@ class FailoverScheduler:
             return False
         self.crashed.discard(node)
         if node not in self.isolated:
-            self.network.heal(self._node_name(node))
+            self.network.heal(f"node{node}")
         if node in self.demoted:
             # rejoin the ring, stealing an equal share back; each
             # stolen slot syncs from its live previous owner
@@ -339,7 +336,7 @@ class FailoverScheduler:
                 or self._last_live_full(node):
             return False
         self.isolated.add(node)
-        self.network.partition(self._node_name(node))
+        self.network.partition(f"node{node}")
         self._pending.setdefault(node, now + self.detect_cycles)
         self.events["link_partition"] += 1
         return True
@@ -349,7 +346,7 @@ class FailoverScheduler:
             return False
         self.isolated.discard(node)
         if node not in self.crashed:
-            self.network.heal(self._node_name(node))
+            self.network.heal(f"node{node}")
         if node in self.demoted:
             # demoted behind the partition: its authority is gone (the
             # slot epochs moved on), so it rejoins like a restart —
@@ -366,13 +363,13 @@ class FailoverScheduler:
         return True
 
     def _apply_degrade(self, node: int, fault: NodeFaultSpec) -> bool:
-        self.network.degrade(self._node_name(node), fault.factor,
+        self.network.degrade(f"node{node}", fault.factor,
                              fault.bandwidth_div)
         self.events["link_degrade"] += 1
         return True
 
     def _apply_restore(self, node: int) -> bool:
-        self.network.restore(self._node_name(node))
+        self.network.restore(f"node{node}")
         self.events["link_restore"] += 1
         return True
 
