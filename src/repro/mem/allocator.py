@@ -15,7 +15,8 @@ paper's workloads.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, List
+from itertools import chain, cycle
+from typing import Dict, List, Sequence
 
 from ..errors import AllocationError, ConfigError
 from ..params import PAGE_BYTES
@@ -82,6 +83,64 @@ class BumpAllocator:
         self.bytes_allocated += cls
         self.objects_live += 1
         return va
+
+    def alloc_rows(self, sizes: Sequence[int], n: int) -> List[List[int]]:
+        """Run ``n`` rounds of ``for size in sizes: alloc(size)`` at once.
+
+        Returns one list per position of ``sizes``: the VAs that loop
+        hands out at that position, round by round.  Cursors, limits,
+        ``_size_of`` (its insertion order too), the counters, the
+        address space and its page table end exactly as the loop leaves
+        them.  Each class's refill points follow from its cursor and
+        run size; ``_refill`` is called for them in the order the loop
+        reaches them, since the runs of all classes share one region
+        sequence.  The loop would hand out a class's freed objects
+        first, so a class of ``sizes`` with freed objects is refused.
+        """
+        classes = [_SMALL_CLASS[size] if 0 < size <= _SMALL_MAX
+                   else self.size_class(size) for size in sizes]
+        if any(self._free.get(cls) for cls in classes):
+            raise AllocationError("alloc_rows over a class with freed objects")
+        # the j-th object of a class with k positions in a round is
+        # allocated in round j // k, at its (j % k)-th position
+        positions_of: Dict[int, List[int]] = {}
+        for pos, cls in enumerate(classes):
+            positions_of.setdefault(cls, []).append(pos)
+        # objects that still fit the class's current run, objects per run
+        room = {cls: (self._limit.get(cls, 0) - self._cursor.get(cls, 0))
+                // cls for cls in positions_of}
+        per_run = {cls: max(_RUN_PAGES * PAGE_BYTES, cls) // cls
+                   for cls in positions_of}
+        refills = []
+        for cls, positions in positions_of.items():
+            k = len(positions)
+            refills.extend((j // k, positions[j % k], cls) for j in
+                           range(room[cls], n * k, per_run[cls]))
+        refills.sort()
+        bases: Dict[int, List[int]] = {cls: [] for cls in positions_of}
+        for _, _, cls in refills:
+            bases[cls].append(self._refill(cls))
+        rows: List[List[int]] = [[] for _ in sizes]
+        for cls, positions in positions_of.items():
+            k = len(positions)
+            left = n * k
+            cursor = self._cursor.get(cls, 0)
+            take = min(left, room[cls])
+            vas = list(range(cursor, cursor + take * cls, cls))
+            left -= take
+            for base in bases[cls]:
+                take = min(left, per_run[cls])
+                vas.extend(range(base, base + take * cls, cls))
+                left -= take
+            if vas:
+                self._cursor[cls] = vas[-1] + cls
+            for t, pos in enumerate(positions):
+                rows[pos] = vas[t::k]
+        self._size_of.update(zip(chain.from_iterable(zip(*rows)),
+                                 cycle(classes)))
+        self.bytes_allocated += n * sum(classes)
+        self.objects_live += n * len(classes)
+        return rows
 
     def free(self, va: int) -> None:
         """Return an object to its size-class free list."""

@@ -1,7 +1,7 @@
 """Unit tests for the size-class heap allocator."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AllocationError, ConfigError
@@ -185,3 +185,70 @@ class TestAgainstReference:
         for _ in range(per_run + 1):
             assert fast.alloc(64) == ref.alloc(64)
             assert fast.space._next_user_va == ref.space._next_user_va
+
+
+def _run_script(script, allocators):
+    """Apply a ``steps`` script to allocators kept in lockstep."""
+    live = []
+    for op, arg, count in script:
+        for _ in range(count):
+            if op == "alloc":
+                va = allocators[0].alloc(arg)
+                for other in allocators[1:]:
+                    assert other.alloc(arg) == va
+                live.append(va)
+            elif live:
+                va = live.pop(arg % len(live))
+                for allocator in allocators:
+                    allocator.free(va)
+
+
+def _heap_state(allocator):
+    return (allocator._cursor, allocator._limit, allocator._free,
+            allocator._size_of, list(allocator._size_of),
+            allocator.bytes_allocated, allocator.objects_live,
+            allocator.space._next_user_va, allocator.space.frames._next)
+
+
+class TestAllocRows:
+    """``alloc_rows(sizes, n)`` against ``n`` rounds of ``alloc`` on the
+    reference allocator, after a ``steps`` script has left the heap
+    part-way through its runs, and some classes with freed objects,
+    which ``alloc_rows`` refuses."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(prefix=steps, sizes=st.lists(alloc_sizes, max_size=4),
+           n=st.integers(0, 1500))
+    # two classes refilling in turn, over several runs each
+    @example(prefix=[], sizes=[24, 64], n=3000)
+    # a repeated class (33 and 40 bytes), part-way through its run
+    @example(prefix=[("alloc", 40, 20)], sizes=[40, 33, 24], n=2000)
+    # page-multiple classes: 2, 8 and 17 pages
+    @example(prefix=[("alloc", 4097, 3)],
+             sizes=[4097, 8 * PAGE_BYTES, 64, _RUN_PAGES * PAGE_BYTES + 1],
+             n=40)
+    # a class with a freed object
+    @example(prefix=[("alloc", 60, 3), ("free", 1, 1)], sizes=[24, 60], n=5)
+    def test_matches_rounds_of_alloc(self, prefix, sizes, n):
+        fast = BumpAllocator(AddressSpace())
+        ref = ReferenceAllocator(AddressSpace())
+        _run_script(prefix, [fast, ref])
+        if any(fast._free.get(linear_scan_class(size)) for size in sizes):
+            with pytest.raises(AllocationError):
+                fast.alloc_rows(sizes, n)
+            assert _heap_state(fast) == _heap_state(ref)
+            return
+        rows = fast.alloc_rows(sizes, n)
+        expected = [[] for _ in sizes]
+        for _ in range(n):
+            for row, size in zip(expected, sizes):
+                row.append(ref.alloc(size))
+        assert rows == expected
+        assert _heap_state(fast) == _heap_state(ref)
+
+    def test_rejects_what_alloc_rejects(self):
+        alloc = BumpAllocator(AddressSpace())
+        with pytest.raises(ConfigError):
+            alloc.alloc_rows([24, 0], 3)
+        assert alloc.objects_live == 0
+        assert alloc.space._next_user_va == AddressSpace()._next_user_va
