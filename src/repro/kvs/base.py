@@ -24,15 +24,16 @@ unmodified.  The multi-core engine switches the active core with
 All of them share the same semantic the paper requires of an
 STLT-accelerable structure: a key goes in, the matching record comes out.
 ``lookup`` is the *timed* path (it drives the simulated memory system);
-``build_insert`` installs a key without timing, used to populate stores
-before measurement; ``insert``/``remove`` are the timed mutation paths.
+``build_insert`` installs a key without timing, and ``populate`` a whole
+key set, to build stores before measurement; ``insert``/``remove`` are
+the timed mutation paths.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from ..errors import KVSError
 from ..hashes.registry import HashSpec, get_hash
@@ -143,8 +144,8 @@ class Index(abc.ABC):
     """A key -> record index structure over simulated memory."""
 
     name: str = "index"
-    #: whether the index hashes keys with ``ctx.slow_hash`` (the engine
-    #: then hashes its whole key set in bulk before populating)
+    #: whether the index hashes keys with ``ctx.slow_hash`` (then
+    #: :meth:`populate` hashes the whole key set in bulk first)
     hashes_keys: bool = False
 
     def __init__(self, ctx: SimContext) -> None:
@@ -174,6 +175,22 @@ class Index(abc.ABC):
     @abc.abstractmethod
     def probe(self, key: bytes) -> Optional[Record]:
         """Untimed functional lookup for verification."""
+
+    def populate(self, keys: Sequence[bytes],
+                 value_size: int) -> List[Record]:
+        """Untimed store build: a fresh record per key, installed in key
+        order by ``create`` and :meth:`build_insert`; returns the
+        records."""
+        if self.hashes_keys:
+            self.ctx.slow_hash.prime(keys)
+        create = self.ctx.records.create
+        build_insert = self.build_insert
+        records = []
+        for key in keys:
+            record = create(key, value_size)
+            build_insert(key, record)
+            records.append(record)
+        return records
 
     # -- shared helpers ----------------------------------------------------
 

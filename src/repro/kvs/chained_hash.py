@@ -18,7 +18,7 @@ node -> record).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..errors import KVSError
 from ..mem.types import AccessKind
@@ -157,6 +157,24 @@ class ChainedHashIndex(Index):
         buckets[idx] = _Node(self.ctx.alloc.alloc(NODE_BYTES), record, h,
                              buckets[idx])
         self.size += 1
+
+    def populate(self, keys: Sequence[bytes], value_size: int,
+                 external: bool = False) -> List[Record]:
+        """:meth:`Index.populate` in one allocator pass: each key's
+        record (Redis: key record and value, ``external``) and node, in
+        the per-key loop's order; then each node is prepended to its
+        bucket in key order, its hash read from the primed memo."""
+        memo = self.ctx.slow_hash.prime(keys)
+        records, node_vas = self.ctx.records.create_many(
+            keys, value_size, external, NODE_BYTES)
+        buckets = self._buckets
+        mask = self._mask
+        for key, record, va in zip(keys, records, node_vas):
+            h = memo[key]
+            idx = h & mask
+            buckets[idx] = _Node(va, record, h, buckets[idx])
+        self.size += len(records)
+        return records
 
     def probe(self, key: bytes) -> Optional[Record]:
         h = self._hash(key)

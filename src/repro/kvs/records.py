@@ -18,7 +18,8 @@ access helpers the index structures and front-ends share:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from itertools import repeat
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import KVSError
 from ..mem.allocator import BumpAllocator
@@ -113,6 +114,39 @@ class RecordStore:
                         value_va + RECORD_HEADER_BYTES)
         self.by_va[va] = record
         return record
+
+    def create_many(
+        self, keys: Sequence[bytes], value_size: int, external: bool,
+        node_bytes: int,
+    ) -> Tuple[List[Record], List[int]]:
+        """``create`` (``create_external`` when ``external``) of every key
+        in order, each key's index node of ``node_bytes`` allocated right
+        after its record, in one :meth:`BumpAllocator.alloc_rows` pass:
+        the allocations and ``by_va`` entries of the per-key loop, in
+        its order.  The keys share one length.  Returns the records and
+        the node VAs."""
+        lengths = set(map(len, keys))
+        if len(lengths) > 1:
+            raise KVSError("a bulk create takes keys of one length")
+        if 0 in lengths:
+            raise KVSError("record keys must be non-empty")
+        if value_size < 0:
+            raise KVSError("value size cannot be negative")
+        key_len = lengths.pop() if lengths else 0
+        header = RECORD_HEADER_BYTES
+        if external:
+            vas, value_vas, node_vas = self.alloc.alloc_rows(
+                (header + key_len, header + value_size, node_bytes),
+                len(keys))
+            records = [Record(va, key, value_size, header, 0,
+                              value_va + header)
+                       for va, key, value_va in zip(vas, keys, value_vas)]
+        else:
+            vas, node_vas = self.alloc.alloc_rows(
+                (header + key_len + value_size, node_bytes), len(keys))
+            records = list(map(Record, vas, keys, repeat(value_size)))
+        self.by_va.update(zip(vas, records))
+        return records, node_vas
 
     def destroy(self, record: Record) -> None:
         if record.va not in self.by_va:

@@ -22,6 +22,8 @@ tuned per experiment.
 
 from __future__ import annotations
 
+from typing import List, Sequence
+
 from ..errors import KVSError
 from ..mem.types import AccessKind
 from .base import SimContext
@@ -76,11 +78,11 @@ class RedisModel:
 
     # -- data plane ----------------------------------------------------------
 
-    def populate(self, key: bytes, value_size: int) -> Record:
-        """Untimed install of a key during store construction."""
-        record = self.ctx.records.create_external(key, value_size)
-        self.index.build_insert(key, record)
-        return record
+    def populate(self, keys: Sequence[bytes],
+                 value_size: int) -> List[Record]:
+        """Untimed install of ``keys`` during store construction: each
+        key's record, value and dict node, in key order."""
+        return self.index.populate(keys, value_size, external=True)
 
     def insert_new(self, key: bytes, value_size: int) -> Record:
         """SET of a fresh key: allocate and link into the dict (timed)."""

@@ -76,8 +76,10 @@ class Engine:
             self.index = make_index(config.program, self.ctx,
                                     expected_keys=config.num_keys)
 
-        self.records: List[Record] = []
-        self._populate()
+        store = self.redis if self.redis is not None else self.index
+        #: the populated keys' records in key order, then one per SET
+        self.records: List[Record] = store.populate(
+            key_range(config.num_keys), config.value_size)
 
         #: per-core STUs (stlt/stlt_va front-ends only; None otherwise)
         self.stus: List[Optional[STU]] = [None] * config.num_cores
@@ -98,24 +100,6 @@ class Engine:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-
-    def _populate(self) -> None:
-        keys = key_range(self.config.num_keys)
-        if self.index.hashes_keys:
-            self.ctx.slow_hash.prime(keys)
-        value_size = self.config.value_size
-        append = self.records.append
-        if self.redis is not None:
-            populate = self.redis.populate
-            for key in keys:
-                append(populate(key, value_size))
-            return
-        create = self.ctx.records.create
-        build_insert = self.index.build_insert
-        for key in keys:
-            record = create(key, value_size)
-            build_insert(key, record)
-            append(record)
 
     def _build_frontends(self) -> List[LookupFrontend]:
         """One front-end per core over the shared fast-path tables.

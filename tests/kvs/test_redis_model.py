@@ -25,11 +25,11 @@ class TestConstruction:
 
 class TestCommands:
     def test_populate_and_lookup(self, redis):
-        rec = redis.populate(key_bytes(1), 64)
+        rec, = redis.populate([key_bytes(1)], 64)
         assert redis.index.lookup(key_bytes(1)) is rec
 
     def test_values_are_external_allocations(self, redis):
-        rec = redis.populate(key_bytes(2), 64)
+        rec, = redis.populate([key_bytes(2)], 64)
         assert rec.external_value_va is not None
 
     def test_begin_command_charges_overhead(self, redis, redis_ctx):
