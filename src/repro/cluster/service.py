@@ -165,7 +165,8 @@ class ClusterResult:
     #: the merged log-bucketed latency distribution
     histogram: dict
     #: per-node statistics: node, closed_loop_throughput, requests,
-    #: busy_fraction, mean_latency
+    #: busy_fraction (a full node's, averaged over its cores),
+    #: mean_latency
     per_node: List[dict]
     #: Jain fairness over per-node served-request counts
     fairness: float
@@ -994,11 +995,13 @@ def simulate_cluster(
     per_node = []
     for i, server in enumerate(servers):
         merged.merge(server.histogram)
+        # a full node's busy cycles are summed over its cores
+        cores = 1 if topology.is_accel(i) else len(server.op_cycles)
         entry = {
             "node": i,
             "closed_loop_throughput": node_capacities[i],
             "requests": server.served,
-            "busy_fraction": (server.busy / last_delivery
+            "busy_fraction": (server.busy / last_delivery / cores
                               if last_delivery else 0.0),
             "mean_latency": (server.latency_sum / server.served
                              if server.served else 0.0),

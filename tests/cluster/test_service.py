@@ -73,6 +73,18 @@ class TestFleetRuns:
             cluster["requests"]
         assert 0.0 < cluster["fairness"] <= 1.0
 
+    def test_busy_fraction_is_per_core_on_two_core_nodes(self):
+        # the busiest node serves past half of its two cores' time, so
+        # its busy cycles summed over both cores exceed the makespan
+        config = _config(nodes=3, replicas=1, migrate_rate=0.01,
+                         net_rtt_cycles=300.0, num_keys=4000,
+                         measure_ops=400, warmup_ops=800, seed=1)
+        busy = [n["busy_fraction"]
+                for n in run_experiment(config).cluster["per_node"]]
+        assert len(busy) == 3
+        assert all(0.0 <= b <= 1.0 for b in busy), busy
+        assert max(busy) > 0.5
+
     def test_fleet_is_deterministic_per_seed(self):
         config = _config(nodes=2, net_rtt_cycles=100.0,
                          migrate_rate=0.02, replicas=1)
