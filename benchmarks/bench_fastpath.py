@@ -61,6 +61,10 @@ SIZES = (
     # Redis GETs through the same kernel, at the small size
     ("redis", dict(program="redis", num_keys=2_000, measure_ops=1_000,
                    warmup_ops=1_000), 5),
+    # ... and on the baseline front-end, through the chained-hash kernel
+    ("redis_baseline", dict(program="redis", frontend="baseline",
+                            num_keys=2_000, measure_ops=1_000,
+                            warmup_ops=1_000), 5),
 )
 
 
@@ -73,11 +77,12 @@ def check_fused(name: str, engine: Engine) -> None:
             f"precondition failed: the {name} config is not fused "
             "(BatchedOpExecutor.fused is False), so both modes run the "
             "reference loop; bench a config the fast path fuses "
-            "(frontend stlt or stlt_va)")
+            "(frontend stlt or stlt_va on any program, or baseline on "
+            "redis or unordered_map)")
 
 
 def measure_size(name: str, size: dict, pairs: int) -> dict:
-    config = RunConfig(frontend="stlt", **size)
+    config = RunConfig(**{"frontend": "stlt", **size})
     spec = WorkloadSpec(distribution=config.distribution,
                         value_size=config.value_size)
     check_fused(name, Engine(config))
@@ -117,7 +122,7 @@ def run_bench(smoke_only: bool = False) -> dict:
     sizes: List[dict] = []
     for name, size, pairs in SIZES:
         sizes.append(measure_size(name, size, pairs))
-        print(f"{name:>8}: ref={sizes[-1]['reference']['us_per_op']:.2f}"
+        print(f"{name:>14}: ref={sizes[-1]['reference']['us_per_op']:.2f}"
               f"us/op batched={sizes[-1]['batched']['us_per_op']:.2f}"
               f"us/op speedup={sizes[-1]['speedup']:.2f}x")
         if smoke_only:

@@ -69,7 +69,6 @@ class ChainedHashIndex(Index):
             self.num_buckets * BUCKET_PTR_BYTES
         )
         self._buckets: List[Optional[_Node]] = [None] * self.num_buckets
-        self.chain_visits = 0
 
     # -- helpers -----------------------------------------------------------
 
@@ -91,7 +90,6 @@ class ChainedHashIndex(Index):
         node = self._buckets[idx]
         while node is not None:
             ctx.mem.access(node.va, NODE_BYTES, kind=AccessKind.INDEX)
-            self.chain_visits += 1
             if not self.cache_node_hash or node.hash == h:
                 ctx.records.access_for_compare(node.record)
                 ctx.charge_compare()

@@ -22,7 +22,7 @@ tuned per experiment.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from ..errors import KVSError
 from ..mem.types import AccessKind
@@ -63,18 +63,25 @@ class RedisModel:
         """Parse/dispatch work happening before the key is looked up."""
         mem = self.ctx.mem
         mem.tick(COMMAND_OVERHEAD_CYCLES, attr="command")
-        # the request is read from the (hot) query buffer; the cursor
-        # walks the buffer like Redis's qb_pos does
-        self._buf_cursor = (self._buf_cursor + REQUEST_BYTES) % (8 * 1024)
-        mem.access(self._query_buf_va + self._buf_cursor, REQUEST_BYTES,
-                   kind=AccessKind.OTHER)
+        va, size = self.request_span()
+        mem.access(va, size, kind=AccessKind.OTHER)
 
     def end_command(self, value_size: int) -> None:
         """Reply construction after the value is in hand."""
-        mem = self.ctx.mem
-        mem.access(self._reply_buf_va + self._buf_cursor,
-                   min(value_size + 32, REQUEST_BYTES * 4), write=True,
-                   kind=AccessKind.OTHER)
+        va, size = self.reply_span(value_size)
+        self.ctx.mem.access(va, size, write=True, kind=AccessKind.OTHER)
+
+    def request_span(self) -> Tuple[int, int]:
+        """Move to the next request; returns the (VA, bytes) it is read
+        from in the (hot) query buffer, whose cursor walks the buffer
+        like Redis's qb_pos does."""
+        self._buf_cursor = (self._buf_cursor + REQUEST_BYTES) % (8 * 1024)
+        return self._query_buf_va + self._buf_cursor, REQUEST_BYTES
+
+    def reply_span(self, value_size: int) -> Tuple[int, int]:
+        """The (VA, bytes) the current request's reply is written to."""
+        return (self._reply_buf_va + self._buf_cursor,
+                min(value_size + 32, REQUEST_BYTES * 4))
 
     # -- data plane ----------------------------------------------------------
 

@@ -45,28 +45,36 @@ and at the end of the run.  The clock and the DRAM channel are always
 exact: the commit phase advances the clock per op (in a local, synced
 into ``mem.now`` before every delegated call).  Per-op cycle
 deltas on the per-op loop (fault charging, open-loop capture) read
-``stats.total_cycles + acc_cycles``; the single-core slice stamps the
-core clock instead (see :meth:`BatchedOpExecutor.run_interleave`).
+``stats.total_cycles`` plus the view's ``pending()`` cycles; the
+single-core slice stamps the core clock instead (see
+:meth:`BatchedOpExecutor.run_interleave`).
 
 Fusion covers GETs of the ``stlt``/``stlt_va`` front-ends — the
 paper's design point and the hot loop of every paper-scale sweep — on
-the kernel programs and on Redis, and there is one all-hit GET kernel,
-:meth:`BatchedOpExecutor._run_hot_ops`.  A
+the kernel programs and on Redis, through one all-hit GET kernel,
+:meth:`BatchedOpExecutor._run_hot_ops`; and GETs of the baseline
+front-end on the two chained-hash programs, Redis and unordered_map,
+through :meth:`BatchedOpExecutor._run_chain_ops`, which walks the live
+index in plain Python and times every access of the reference lookup
+with immediate counters.  A
 single-core run without a chaos injector, captured or not, runs each
-measurement window through it as one slice; multi-core and chaos runs
-call it with a one-op slice from :meth:`BatchedOpExecutor.do_get`,
-after a per-op preamble (a disabled STU or a detached STLT takes the
-reference ``Engine.do_get``).  SETs run the reference ``Engine.do_set``.
+measurement window through its kernel as one slice; multi-core and
+chaos runs call it with a one-op slice from
+:meth:`BatchedOpExecutor.do_get`, after the all-hit kernel's per-op
+preamble (a disabled STU or a detached STLT takes the reference
+``Engine.do_get``).  SETs run the reference ``Engine.do_set``.
 Redis's command framing stays the model's own code too: with the core
 bound and ``mem.now`` synced, ``RedisModel.begin_command`` runs before
 each GET's shape phase and ``end_command`` after its execute phase (or
-at the end of the general kernel, after a bail).  One geometry rule
-covers both value layouts: the span ``RecordStore.access_value`` reads,
-the value bytes plus, for an out-of-line value, the robj header before
-them.  A config with nothing to fuse (the other front-ends, Redis's
-baseline engine and the rival translation designs among them) never
-gets here: ``MultiCoreEngine.run`` runs its own reference loop for
-it.  Chaos runs work unmodified: OS churn mutates the shared
+at the end of the general kernel, after a bail); the chained-hash
+kernel times the same query and reply spans, which the model's
+``request_span``/``reply_span`` give.  One geometry rule covers both
+value layouts: the span ``RecordStore.access_value`` reads, the value
+bytes plus, for an out-of-line value, the robj header before them.  A
+config with nothing to fuse (slb, stlt_sw, the baselines of the other
+index structures and the rival translation designs) never gets here:
+``MultiCoreEngine.run`` runs its own reference loop for it.  Chaos
+runs work unmodified: OS churn mutates the shared
 structures in place (the view aliases them), an ``STLTresize`` that
 swaps the table object is caught by the per-op view resync, and the
 per-op flush around ``after_op`` keeps every counter exact when the
@@ -81,7 +89,9 @@ from ..core.counters import ProbabilisticCounterPolicy
 from ..core.row import COUNTER_MAX, ROW_BYTES, SUBINT_BITS, SUBINT_MASK
 from ..errors import KVSError, ReproError
 from ..kvs.base import KEY_COMPARE_CYCLES
+from ..kvs.chained_hash import BUCKET_PTR_BYTES, NODE_BYTES, ChainedHashIndex
 from ..kvs.records import RECORD_HEADER_BYTES
+from ..kvs.redis_model import COMMAND_OVERHEAD_CYCLES
 from ..mem.types import AccessKind
 from ..params import PAGE_BYTES, PAGE_SHIFT
 from ..workloads.keys import key_bytes
@@ -90,28 +100,27 @@ from ..workloads.ycsb import Operation
 _LINE_SHIFT = 6
 _PAGE_OFF_MASK = PAGE_BYTES - 1
 _GET = Operation.GET
+_INDEX = AccessKind.INDEX
+_RECORD = AccessKind.RECORD
+_VALUE = AccessKind.VALUE
+_OTHER = AccessKind.OTHER
 
 
-class _CoreView:
-    """One core's hoisted references for the fused GET kernel."""
+class _MemView:
+    """One core's hoisted private memory levels for a fused kernel.
+
+    The chained-hash kernel uses it as it is: it keeps no deferred
+    counters, so :meth:`pending` and :meth:`flush` have nothing to fold.
+    """
 
     __slots__ = (
         "mem", "stats", "attr",
         "l1_sets", "l1_mask", "l1_latency",
         "dtlb_sets", "dtlb_nsets", "dtlb_latency",
-        "frontend", "stu", "stb", "stb_buf", "stb_cap",
-        "ipb", "ipb_buf", "va_only",
-        "index", "by_va", "records", "oracle", "space",
-        "load_va_cycles", "ipb_probe_cycles", "counter_store_cycles",
-        "stlt", "stlt_vas", "stlt_subints", "stlt_counters", "stlt_ptes",
-        "stlt_set_mask", "stlt_ways", "stlt_base_pa",
-        "counter_policy", "randbelow", "getrandbits", "crs",
-        "fast_const", "fast_stlt_attr", "hash_cost", "ro",
-        "n_fast", "acc_stlt_c", "acc_transl",
-        "acc_rec_c", "acc_val_c", "acc_dtlb", "acc_l1", "acc_stb",
+        "frontend",
     )
 
-    def __init__(self, engine, core_id: int, hash_cost: int) -> None:
+    def __init__(self, engine, core_id: int) -> None:
         mem = engine.ctx.core_mem(core_id)
         self.mem = mem
         self.stats = mem.stats
@@ -124,8 +133,54 @@ class _CoreView:
         self.dtlb_sets = dtlb_view.sets
         self.dtlb_nsets = dtlb_view.num_sets
         self.dtlb_latency = dtlb_view.latency
-        frontend = engine.frontends[core_id]
-        self.frontend = frontend
+        self.frontend = engine.frontends[core_id]
+        _MemView.verify(self)
+
+    def sliceable(self) -> bool:
+        """Whether a single-core run may hand the kernel whole windows."""
+        return True
+
+    def pending(self) -> int:
+        """Cycles accumulated in the view but not yet flushed."""
+        return 0
+
+    def flush(self) -> None:
+        """Fold the deferred accumulators into the real counters."""
+
+    def verify(self) -> None:
+        """Drift guard: the view must alias the live structures.
+
+        A view over copies (or over a structure some refactor started
+        rebinding) would silently diverge from the reference mode; this
+        is checked at construction (and on every STLT resync).
+        """
+        if not (self.l1_sets is self.mem.l1._sets
+                and self.dtlb_sets is self.mem.tlbs.l1._sets):
+            raise ReproError(
+                "batched-mode kernel view does not alias the live "
+                "simulation structures; the fast path would drift")
+
+
+class _CoreView(_MemView):
+    """One core's hoisted references for the fused all-hit GET kernel."""
+
+    __slots__ = (
+        "stu", "stb", "stb_buf", "stb_cap",
+        "ipb", "ipb_buf", "va_only",
+        "index", "by_va", "records", "oracle", "space",
+        "load_va_cycles", "ipb_probe_cycles", "counter_store_cycles",
+        "stlt", "stlt_vas", "stlt_subints", "stlt_counters", "stlt_ptes",
+        "stlt_set_mask", "stlt_ways", "stlt_base_pa",
+        "counter_policy", "randbelow", "getrandbits", "crs",
+        "fast_const", "fast_stlt_attr", "hash_cost", "ro",
+        "n_fast", "acc_stlt_c", "acc_transl",
+        "acc_rec_c", "acc_val_c", "acc_dtlb", "acc_l1", "acc_stb",
+    )
+
+    def __init__(self, engine, core_id: int, hash_cost: int) -> None:
+        super().__init__(engine, core_id)
+        mem = self.mem
+        frontend = self.frontend
         stu = frontend.stu
         self.stu = stu
         self.stb = stu.stb
@@ -210,49 +265,97 @@ class _CoreView:
         )
         self.verify()
 
-    def verify(self) -> None:
-        """Drift guard: the view must alias the live structures.
+    def sliceable(self) -> bool:
+        # a disabled STU or a detached STLT takes the per-op preamble
+        return self.stu.enabled and self.crs.num_rows != 0
 
-        A view over copies (or over a structure some refactor started
-        rebinding) would silently diverge from the reference mode; this
-        is checked at construction and on every resync.
-        """
+    def verify(self) -> None:
         stlt = self.stlt
-        ok = (
-            self.stlt_vas is stlt._vas
-            and self.stlt_subints is stlt._subints
-            and self.stlt_counters is stlt._counters
-            and self.stlt_ptes is stlt._ptes
-            and len(stlt._vas) == stlt.num_rows
-            and self.l1_sets is self.mem.l1._sets
-            and self.dtlb_sets is self.mem.tlbs.l1._sets
-            and self.ipb_buf is self.stu.ipb._buf
-            and self.stb_buf is self.stu.stb._buf
-            and self.by_va is self.records.by_va
-        )
-        if not ok:
+        if not (self.stlt_vas is stlt._vas
+                and self.stlt_subints is stlt._subints
+                and self.stlt_counters is stlt._counters
+                and self.stlt_ptes is stlt._ptes
+                and len(stlt._vas) == stlt.num_rows
+                and self.ipb_buf is self.stu.ipb._buf
+                and self.stb_buf is self.stu.stb._buf
+                and self.by_va is self.records.by_va):
             raise ReproError(
                 "batched-mode kernel view does not alias the live "
                 "simulation structures; the fast path would drift")
+        super().verify()
+
+    def pending(self) -> int:
+        return (self.n_fast * self.fast_const + self.acc_stlt_c
+                + self.acc_transl + self.acc_rec_c + self.acc_val_c)
+
+    def flush(self) -> None:
+        """Every term below mirrors one ``+= 1`` / tick of the reference
+        path (see the execute phase in ``_run_hot_ops``)."""
+        nf = self.n_fast
+        if not nf:
+            return
+        stats = self.stats
+        stats.total_cycles += self.pending()
+        stats.reads += 3 * nf
+        stats.dtlb_hits += self.acc_dtlb
+        stats.l1_hits += self.acc_l1
+        attr = self.attr
+        attr["hash"] = attr.get("hash", 0) + nf * self.hash_cost
+        attr["stlt"] = (attr.get("stlt", 0) + nf * self.fast_stlt_attr
+                        + self.acc_stlt_c)
+        attr["translation"] = attr.get("translation", 0) + self.acc_transl
+        attr["record"] = attr.get("record", 0) + self.acc_rec_c
+        attr["value"] = attr.get("value", 0) + self.acc_val_c
+        attr["compare"] = (attr.get("compare", 0)
+                           + nf * KEY_COMPARE_CYCLES)
+        frontend = self.frontend
+        frontend.gets += nf
+        frontend.fast_hits += nf
+        stu = self.stu
+        stu.load_va_count += nf
+        stu.load_va_hits += nf
+        stlt = self.stlt
+        stlt.lookups += nf
+        stlt.hits += nf
+        self.ipb.probes += nf
+        self.counter_policy.updates += nf
+        self.stb.inserts += self.acc_stb
+        oracle = self.oracle
+        oracle.checks += nf
+        oracle.fast_checks += nf
+        self.n_fast = 0
+        self.acc_stlt_c = 0
+        self.acc_transl = 0
+        self.acc_rec_c = 0
+        self.acc_val_c = 0
+        self.acc_dtlb = 0
+        self.acc_l1 = 0
+        self.acc_stb = 0
 
 
 class BatchedOpExecutor:
-    """The fused GET kernel and the batched interleave loop."""
+    """The fused GET kernels and the batched interleave loop."""
 
     def __init__(self, engine) -> None:
         self.engine = engine
         config = engine.config
-        #: full fusion only for the hardware-STLT front-ends, on the
-        #: kernel programs and Redis alike; everything else — the rival
-        #: translation designs included — runs MultiCoreEngine's
-        #: reference loop (identical by construction)
-        self.fused = (
-            config.frontend in ("stlt", "stlt_va")
-            and all(getattr(f, "integer_transform", None) is None
-                    for f in engine.frontends)
-        )
+        #: fusion covers the hardware-STLT front-ends, on the kernel
+        #: programs and Redis alike (the all-hit kernel), and the
+        #: baseline front-end on the chained-hash programs, Redis and
+        #: unordered_map (the chained-hash kernel); everything else —
+        #: the rival translation designs included — runs
+        #: MultiCoreEngine's reference loop (identical by construction)
+        stlt = (config.frontend in ("stlt", "stlt_va")
+                and all(getattr(f, "integer_transform", None) is None
+                        for f in engine.frontends))
+        self._chained = (config.frontend == "baseline"
+                         and type(engine.index) is ChainedHashIndex)
+        self.fused = stlt or self._chained
         #: key id -> (key bytes, fast-hash integer, STLT row base, subint)
         self._hot: Dict[int, Tuple[bytes, int, int, int]] = {}
+        #: key id -> (key bytes, slow hash, hash cost): the chained-hash
+        #: kernel's per-key memo
+        self._keys: Dict[int, Tuple[bytes, int, int]] = {}
         #: key id -> (record, row_va, value_size, rspan_end, value_va,
         #: vspan_end, value vpn): the shape phase's record-derived
         #: geometry, revalidated on every use (record identity at the
@@ -260,13 +363,18 @@ class BatchedOpExecutor:
         #: and ``external_value_va`` are immutable after construction,
         #: so identity implies the memoised spans)
         self._geo: Dict[int, tuple] = {}
-        self._views: List[_CoreView] = []
+        self._views: List[_MemView] = []
         #: record pages with a proven-live translation; the oracle's
         #: fast-hit check memo.  Only positive lookups are cached, and
         #: the invalidation hook evicts on unmap/migrate, so membership
         #: always implies the page is mapped right now.
         self._mapped = set()
-        if self.fused:
+        if self._chained:
+            self._run_ops = self._run_chain_ops
+            self._views = [_MemView(engine, core_id)
+                           for core_id in range(config.num_cores)]
+        elif stlt:
+            self._run_ops = self._run_hot_ops
             spec = engine.frontends[0].fast_hash
             self._hash = spec
             self._hash_cost = spec.cost_cycles(24)  # key_bytes() is 24 B
@@ -296,10 +404,9 @@ class BatchedOpExecutor:
         views = self._views
         do_get = self.do_get
         do_set = engine.do_set
-        flush = self._flush
+        run_ops = self._run_ops
         if (n == 1 and injector is None and 0 <= warmup < total
-                and views[0].stu.enabled
-                and views[0].crs.num_rows != 0):
+                and views[0].sliceable()):
             # the single-core shape (no chaos, closed loop or captured):
             # with no injector nothing can disable the STU or swap the
             # STLT object mid-run (the performance monitor is a
@@ -312,17 +419,16 @@ class BatchedOpExecutor:
             stream = streams[0]
             stamps = [] if capture else None
             try:
-                g, s = self._run_hot_ops(v, 0, stream[:warmup], value_size)
+                g, s = run_ops(v, 0, stream[:warmup], value_size)
                 state.gets += g
                 state.sets += s
-                flush(v)
+                v.flush()
                 state.mark()
-                g, s = self._run_hot_ops(v, 0, stream[warmup:], value_size,
-                                         stamps)
+                g, s = run_ops(v, 0, stream[warmup:], value_size, stamps)
                 state.gets += g
                 state.sets += s
             finally:
-                flush(v)
+                v.flush()
             if capture:
                 # the reference captures total_cycles deltas; the slice
                 # stamps the clock.  They agree here: on one core with
@@ -339,11 +445,11 @@ class BatchedOpExecutor:
                     state = states[core_id]
                     v = views[core_id]
                     if i == warmup:
-                        flush(v)
+                        v.flush()
                         state.mark()
                     need_delta = faulted or (capture and measured)
                     if need_delta:
-                        before = v.stats.total_cycles + self._pending(v)
+                        before = v.stats.total_cycles + v.pending()
                     op, key_id = streams[core_id][i]
                     if op is get_op:
                         do_get(core_id, key_id)
@@ -356,23 +462,21 @@ class BatchedOpExecutor:
                     if faulted:
                         extra = injector.fault_cycles(
                             core_id, i,
-                            v.stats.total_cycles + self._pending(v)
-                            - before)
+                            v.stats.total_cycles + v.pending() - before)
                         if extra:
                             v.mem.charge(extra, attr="fault")
                     if capture and measured:
                         state.op_cycles.append(
-                            v.stats.total_cycles + self._pending(v)
-                            - before)
+                            v.stats.total_cycles + v.pending() - before)
                     if injector is not None:
                         # the injector may read (and mutate) anything:
                         # counters must be exact around the churn hook
-                        flush(v)
+                        v.flush()
                         engine.bind_core(core_id)
                         injector.after_op(core_id, i)
         finally:
             for v in views:
-                flush(v)
+                v.flush()
 
     def _run_hot_ops(self, v: _CoreView, core_id: int, ops,
                      value_size: int, stamps=None):
@@ -709,58 +813,6 @@ class BatchedOpExecutor:
             v.acc_stb += a_stb
         return g, s
 
-    @staticmethod
-    def _pending(v: _CoreView) -> int:
-        """Cycles accumulated in ``v`` but not yet flushed."""
-        return (v.n_fast * v.fast_const + v.acc_stlt_c + v.acc_transl
-                + v.acc_rec_c + v.acc_val_c)
-
-    def _flush(self, v: _CoreView) -> None:
-        """Fold the deferred all-hit accumulators into the real
-        counters.  Every term below mirrors one ``+= 1`` / tick of the
-        reference path (see the execute phase in ``_run_hot_ops``)."""
-        nf = v.n_fast
-        if not nf:
-            return
-        stats = v.stats
-        stats.total_cycles += (nf * v.fast_const + v.acc_stlt_c
-                               + v.acc_transl + v.acc_rec_c + v.acc_val_c)
-        stats.reads += 3 * nf
-        stats.dtlb_hits += v.acc_dtlb
-        stats.l1_hits += v.acc_l1
-        attr = v.attr
-        attr["hash"] = attr.get("hash", 0) + nf * self._hash_cost
-        attr["stlt"] = (attr.get("stlt", 0) + nf * v.fast_stlt_attr
-                        + v.acc_stlt_c)
-        attr["translation"] = attr.get("translation", 0) + v.acc_transl
-        attr["record"] = attr.get("record", 0) + v.acc_rec_c
-        attr["value"] = attr.get("value", 0) + v.acc_val_c
-        attr["compare"] = (attr.get("compare", 0)
-                           + nf * KEY_COMPARE_CYCLES)
-        frontend = v.frontend
-        frontend.gets += nf
-        frontend.fast_hits += nf
-        stu = v.stu
-        stu.load_va_count += nf
-        stu.load_va_hits += nf
-        stlt = v.stlt
-        stlt.lookups += nf
-        stlt.hits += nf
-        v.ipb.probes += nf
-        v.counter_policy.updates += nf
-        v.stb.inserts += v.acc_stb
-        oracle = v.oracle
-        oracle.checks += nf
-        oracle.fast_checks += nf
-        v.n_fast = 0
-        v.acc_stlt_c = 0
-        v.acc_transl = 0
-        v.acc_rec_c = 0
-        v.acc_val_c = 0
-        v.acc_dtlb = 0
-        v.acc_l1 = 0
-        v.acc_stb = 0
-
     # ------------------------------------------------------------------
     # per-op executors
     # ------------------------------------------------------------------
@@ -768,6 +820,9 @@ class BatchedOpExecutor:
     def do_get(self, core_id: int, key_id: int) -> None:
         engine = self.engine
         v = self._views[core_id]
+        if self._chained:
+            self._run_chain_ops(v, core_id, ((_GET, key_id),), 0)
+            return
         stu = v.stu
         stlt = stu.stlt
         if not stu.enabled or stlt is None or v.crs.num_rows == 0:
@@ -779,7 +834,7 @@ class BatchedOpExecutor:
         if stlt is not v.stlt:
             # chaos STLTresize swapped the table: flush anything already
             # accumulated against the old object, drop the geometry memo
-            self._flush(v)
+            v.flush()
             self._hot.clear()
             v.sync_stlt(stlt)
         self._run_hot_ops(v, core_id, ((_GET, key_id),), 0)
@@ -931,3 +986,189 @@ class BatchedOpExecutor:
                            record.header_bytes + size, kind=AccessKind.VALUE)
         if engine.redis is not None:
             engine.redis.end_command(size)
+
+    # ------------------------------------------------------------------
+    # the chained-hash kernel (the baseline front-end on Redis and
+    # unordered_map; immediate counters)
+    # ------------------------------------------------------------------
+
+    def _run_chain_ops(self, v: _MemView, core_id: int, ops,
+                       value_size: int, stamps=None):
+        """The fused chained-hash GET kernel: ``Engine.do_get`` over
+        ``BaselineFrontend`` and ``ChainedHashIndex.lookup`` as one flat
+        loop, for a slice of ``core_id``'s stream.
+
+        Each GET walks the live index in plain Python and times, in the
+        reference order, every access the reference issues: the Redis
+        query buffer, the bucket pointer, each node, each compared
+        record's key region, the value span and the Redis reply buffer,
+        with the command, hash and compare ticks between them.  Every
+        counter is written as the reference writes it, so there is
+        nothing to flush, and an op that raises (a lost key, an oracle
+        violation) leaves them where the reference would.  With a
+        ``stamps`` list, the core clock is appended before every op,
+        SETs included, and once after the last.  Returns ``(gets,
+        sets)`` executed.
+        """
+        engine = self.engine
+        redis = engine.redis
+        index = engine.index
+        buckets = index._buckets
+        mask = index._mask
+        table_va = index.table_va
+        # Redis compares the key of every node it visits
+        compare_all = not index.cache_node_hash
+        slow_hash = engine.ctx.slow_hash
+        by_va = engine.ctx.records.by_va
+        oracle = engine.oracle
+        memo = self._keys
+        get_op = _GET
+        mem = v.mem
+        stats = v.stats
+        attr = v.attr
+        frontend = v.frontend
+        l1_sets = v.l1_sets
+        l1_mask = v.l1_mask
+        l1_lat = v.l1_latency
+        dtlb_sets = v.dtlb_sets
+        dtlb_nsets = v.dtlb_nsets
+        dtlb_lat = v.dtlb_latency
+        access = mem.access
+        translate = mem._translate
+        line_access = mem._line_access
+
+        def span(now: int, va: int, size: int, kind: AccessKind,
+                 write: bool = False) -> int:
+            """``MemorySystem.access(va, size, write, kind)`` issued at
+            cycle ``now``; returns the clock after it.
+
+            A span on one page takes one inline D-TLB probe and inline
+            L1 probes over its lines; misses go to ``_translate`` /
+            ``_line_access`` with the reference's ``at=`` stamps.  A
+            span over two pages is ``access`` itself, so its multi-page
+            loop exists once."""
+            last = va + size - 1
+            vpn = va >> PAGE_SHIFT
+            if last >> PAGE_SHIFT != vpn:
+                mem.now = now
+                access(va, size, write, kind)
+                return mem.now
+            if write:
+                stats.writes += 1
+            else:
+                stats.reads += 1
+            dset = dtlb_sets[vpn % dtlb_nsets]
+            pfn = dset.pop(vpn, None)
+            if pfn is not None:
+                dset[vpn] = pfn
+                stats.dtlb_hits += 1
+                t = dtlb_lat
+            else:
+                mem.now = now  # the page walk issues at "now"
+                pfn, t, _hit, _walked = translate(vpn)
+            ln = ((pfn << PAGE_SHIFT) | (va & _PAGE_OFF_MASK)) >> _LINE_SHIFT
+            line_end = ln + (last >> _LINE_SHIFT) - (va >> _LINE_SHIFT)
+            c = t
+            while True:
+                ls = l1_sets[ln & l1_mask]
+                if ln in ls:
+                    ls.remove(ln)
+                    ls.appendleft(ln)
+                    stats.l1_hits += 1
+                    c += l1_lat
+                else:
+                    c += line_access(ln, True, now + c)
+                if ln == line_end:
+                    break
+                ln += 1
+            stats.total_cycles += c
+            attr["translation"] = attr.get("translation", 0) + t
+            name = kind._value_
+            attr[name] = attr.get(name, 0) + c - t
+            return now + c
+
+        g = s = 0
+        now = mem.now
+        try:
+            for op, key_id in ops:
+                if stamps is not None:
+                    stamps.append(now)
+                if op is not get_op:
+                    mem.now = now
+                    engine.bind_core(core_id)
+                    engine.do_set(core_id, key_id, value_size)
+                    now = mem.now
+                    s += 1
+                    continue
+                g += 1
+                if redis is not None:
+                    # RedisModel.begin_command
+                    now += COMMAND_OVERHEAD_CYCLES
+                    stats.total_cycles += COMMAND_OVERHEAD_CYCLES
+                    attr["command"] = (attr.get("command", 0)
+                                       + COMMAND_OVERHEAD_CYCLES)
+                    va, size = redis.request_span()
+                    now = span(now, va, size, _OTHER)
+                frontend.gets += 1
+                try:
+                    key, h, c = memo[key_id]
+                except KeyError:
+                    key = key_bytes(key_id)
+                    h = slow_hash(key)
+                    c = slow_hash.cost_cycles(len(key))
+                    memo[key_id] = (key, h, c)
+                now += c
+                stats.total_cycles += c
+                attr["hash"] = attr.get("hash", 0) + c
+                idx = h & mask
+                now = span(now, table_va + idx * BUCKET_PTR_BYTES,
+                           BUCKET_PTR_BYTES, _INDEX)
+                node = buckets[idx]
+                record = None
+                while node is not None:
+                    now = span(now, node.va, NODE_BYTES, _INDEX)
+                    if compare_all or node.hash == h:
+                        candidate = node.record
+                        now = span(now, candidate.va,
+                                   candidate.header_bytes
+                                   + len(candidate.key), _RECORD)
+                        now += KEY_COMPARE_CYCLES
+                        stats.total_cycles += KEY_COMPARE_CYCLES
+                        attr["compare"] = (attr.get("compare", 0)
+                                           + KEY_COMPARE_CYCLES)
+                        if candidate.key == key:
+                            record = candidate
+                            break
+                    node = node.next
+                if record is None:
+                    raise KVSError(f"GET lost key id {key_id}")
+                # the stale-translation oracle (untimed); the record's
+                # key matched, so its happy path is the by_va identity;
+                # canonical check_get on any failure
+                if by_va.get(record.va) is record:
+                    oracle.checks += 1
+                else:
+                    oracle.check_get(key, record, fast_hit=False)
+                # RecordStore.access_value
+                size = record.value_size
+                if size:
+                    ext = record.external_value_va
+                    if ext is None:
+                        now = span(now, record.va + record.header_bytes
+                                   + len(key), size, _VALUE)
+                    else:
+                        now = span(now, ext - record.header_bytes,
+                                   record.header_bytes + size, _VALUE)
+                if redis is not None:
+                    # RedisModel.end_command
+                    va, size = redis.reply_span(size)
+                    now = span(now, va, size, _OTHER, True)
+            if stamps is not None:
+                stamps.append(now)
+        finally:
+            # an exception inside a reference-path call can leave
+            # ``mem.now`` ahead of the local (the call advanced it after
+            # the sync); the local is ahead in every normal flow
+            if now > mem.now:
+                mem.now = now
+        return g, s

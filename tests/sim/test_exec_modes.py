@@ -8,12 +8,14 @@ The contract (DESIGN.md section 11):
   seam existed; its ``redis/*`` entries before Redis GETs were fused)
   and differentially against reference mode over a hypothesis-driven
   matrix of front-ends, programs, cores, churn, distributions and
-  cluster sizes, plus a full matrix of the fused Redis configs.
+  cluster sizes, plus a full matrix of the fused Redis configs (the
+  STLT front-ends' all-hit kernel and the baseline's chained-hash
+  kernel) and unordered_map's baseline in both kernel shapes.
 * both modes observe the identical prefill state
   (:meth:`Engine.prefill_digest`), and a mid-run
-  ``notify_record_moved`` invalidation and a disabled STU behave
-  identically in both modes — the seams through which the modes could
-  silently drift apart.
+  ``notify_record_moved`` invalidation (on the STLT and the baseline
+  front-ends) and a disabled STU behave identically in both modes — the
+  seams through which the modes could silently drift apart.
 """
 
 import dataclasses
@@ -163,31 +165,49 @@ class TestBatchedDifferential:
         assert bat.to_dict() == ref.to_dict()
 
 
-#: the STLT front-ends whose Redis GETs the fused kernel serves; the
+#: the STLT front-ends whose Redis GETs the all-hit kernel serves; the
 #: ids keep the "-none" suffix the cells carried while a separate accel
 #: axis sat beside frontend, so the test ids stay stable
-REDIS_FUSED = [pytest.param("stlt", id="stlt-none"),
-               pytest.param("stlt_va", id="stlt_va-none")]
+REDIS_STLT = [pytest.param("stlt", id="stlt-none"),
+              pytest.param("stlt_va", id="stlt_va-none")]
+#: ... and the baseline front-end, whose GETs the chained-hash kernel
+#: serves
+REDIS_FUSED = REDIS_STLT + [pytest.param("baseline", id="baseline")]
+#: configs the batched mode must leave to the reference loop: the
+#: baselines of the other index structures, and the rival designs,
+#: which run baseline front-ends with a resolver attached
+UNFUSED = [dict(program=program, frontend="baseline")
+           for program in ("dense_hash_map", "ordered_map", "btree")] + [
+    dict(program=program, frontend=frontend)
+    for program in ("redis", "unordered_map")
+    for frontend in ("victima", "pcax", "revelator")]
 #: long enough for latest's SETs and churn's events to land in both
 #: windows, small enough to run the whole matrix
 REDIS_MATRIX_SIZE = dict(num_keys=300, warmup_ops=150, measure_ops=200)
 
 
 class TestRedisFusedKernel:
-    """Redis GETs on the STLT front-ends run the fused kernel, with the
-    command framing as the model's own calls; every state the two modes
-    can reach must stay identical."""
+    """Redis GETs on the STLT front-ends run the all-hit kernel, with
+    the command framing as the model's own calls, and on the baseline
+    front-end the chained-hash kernel; every state the two modes can
+    reach must stay identical."""
 
-    @pytest.mark.parametrize("frontend", REDIS_FUSED)
+    @pytest.mark.parametrize("frontend", REDIS_STLT)
     def test_stlt_frontends_are_fused(self, frontend):
         config = RunConfig(program="redis", frontend=frontend,
                            exec_mode="batched", **SMOKE)
         assert BatchedOpExecutor(Engine(config)).fused
 
-    def test_baseline_is_not_fused(self):
-        config = RunConfig(program="redis", frontend="baseline",
+    @pytest.mark.parametrize("program", ["redis", "unordered_map"])
+    def test_chained_hash_baseline_is_fused(self, program):
+        config = RunConfig(program=program, frontend="baseline",
                            exec_mode="batched", **SMOKE)
-        assert not BatchedOpExecutor(Engine(config)).fused
+        assert BatchedOpExecutor(Engine(config)).fused
+
+    def test_other_baselines_and_rival_designs_are_not_fused(self):
+        for fields in UNFUSED:
+            config = RunConfig(exec_mode="batched", **fields, **SMOKE)
+            assert not BatchedOpExecutor(Engine(config)).fused, fields
 
     @pytest.mark.parametrize("capture", [False, True])
     # 4,000 B: the out-of-line value's robj crosses a page
@@ -224,6 +244,21 @@ class TestRedisFusedKernel:
         assert bat == ref
         assert ref["aggregate"]["attr"]["fault"] > 0
 
+    # the chained-hash kernel's two shapes: one slice per window (one
+    # core, no injector) and one-op slices (two cores under churn)
+    @pytest.mark.parametrize("num_cores,churn_rate", [(1, 0.0), (2, 0.03)],
+                             ids=["slice", "per_op"])
+    def test_unordered_map_baseline_is_identical(self, num_cores,
+                                                 churn_rate):
+        config = RunConfig(
+            program="unordered_map", frontend="baseline",
+            num_cores=num_cores, churn_rate=churn_rate,
+            distribution="latest", value_size=4_000, **REDIS_MATRIX_SIZE)
+        ref = full_state(*run_mode(config, "reference", capture=True))
+        bat = full_state(*run_mode(config, "batched", capture=True))
+        assert bat == ref
+        assert ref["aggregate"]["sets"] > 0
+
 
 class TestDisabledSTU:
     """A disabled STU (the performance monitor's switch, Sec. III-F)
@@ -246,7 +281,7 @@ class TestDisabledSTU:
         def sweep() -> int:
             """GET every key; returns the fast hits it scored."""
             if executor is not None:
-                executor._flush(executor._views[0])
+                executor._views[0].flush()
             before = frontend.fast_hits
             for key_id in range(self.KEYS):
                 if executor is not None:
@@ -255,7 +290,7 @@ class TestDisabledSTU:
                     engine.bind_core(0)
                     engine.do_get(0, key_id)
             if executor is not None:
-                executor._flush(executor._views[0])
+                executor._views[0].flush()
             return frontend.fast_hits - before
 
         hits = [sweep()]
@@ -327,10 +362,11 @@ class TestRecordMovedMidRun:
     KEYS = 120
     MOVED_KEY = 7
 
-    def _drive(self, exec_mode: str) -> dict:
-        config = RunConfig(frontend="stlt", exec_mode=exec_mode,
-                           num_keys=self.KEYS, measure_ops=30,
-                           warmup_ops=0)
+    def _drive(self, exec_mode: str, frontend: str = "stlt",
+               program: str = "unordered_map") -> dict:
+        config = RunConfig(program=program, frontend=frontend,
+                           exec_mode=exec_mode, num_keys=self.KEYS,
+                           measure_ops=30, warmup_ops=0)
         engine = Engine(config)
         executor = BatchedOpExecutor(engine) \
             if exec_mode == "batched" else None
@@ -356,7 +392,7 @@ class TestRecordMovedMidRun:
         for key_id in range(self.KEYS):
             get(key_id)
         if executor is not None:
-            executor._flush(executor._views[0])
+            executor._views[0].flush()
         mem = engine.ctx.core_mem(0)
         return {
             "stats": mem.stats.to_dict(),
@@ -367,6 +403,9 @@ class TestRecordMovedMidRun:
             "fast_hits": engine.frontends[0].fast_hits,
             "oracle": (engine.oracle.checks, engine.oracle.fast_checks),
             "moved_va": record.va,
+            "old_va": old_va,
+            "redis": None if engine.redis is None
+            else engine.redis._buf_cursor,
         }
 
     def test_invalidation_behaves_identically(self):
@@ -375,3 +414,12 @@ class TestRecordMovedMidRun:
         assert bat == ref
         # the move really happened and the refreshed row serves hits
         assert ref["stats"]["accesses"] > 0
+
+    @pytest.mark.parametrize("program", ["unordered_map", "redis"])
+    def test_invalidation_behaves_identically_on_baseline(self, program):
+        # the chained-hash kernel reads the moved record's VA off its
+        # node: nothing it memoises may hold the old one
+        ref = self._drive("reference", "baseline", program)
+        bat = self._drive("batched", "baseline", program)
+        assert bat == ref
+        assert ref["moved_va"] != ref["old_va"]
