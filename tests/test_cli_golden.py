@@ -9,7 +9,10 @@ it simulates nothing: it pins ``_print_result``, ``_print_service``,
 the chaos telemetry lines, ``_print_cluster`` and the baseline
 comparison lines byte for byte, where the other CLI tests only look
 for substrings.  Every replayed run must carry its stored label, so
-the command must still build the same configurations.
+the command must still build the same configurations.  A second test
+re-simulates every case (about 2 s) and compares each run's
+``to_dict()`` with its stored result, so a stored result that the code
+no longer computes fails instead of replaying.
 
 Regenerate (only for a deliberate, documented change of the text or of
 simulated results; it simulates every case, about 3 s)::
@@ -87,14 +90,20 @@ def invoke(argv, run_fn) -> str:
     return out.getvalue()
 
 
-def replay(case: dict) -> str:
-    """Re-print a stored case without simulating."""
+def replay(case: dict, simulate: bool = False) -> str:
+    """Re-print a stored case without simulating; with ``simulate``,
+    re-simulate each run instead and require its stored result."""
     runs = iter(case["runs"])
 
     def stored(config):
         run = next(runs)
         assert config.label == run["label"], "the command built another run"
-        return RunResult.from_dict(run["result"])
+        if not simulate:
+            return RunResult.from_dict(run["result"])
+        result = run_experiment(config)
+        assert json.loads(json.dumps(result.to_dict())) == run["result"], (
+            f"{run['label']} no longer simulates to its stored result")
+        return result
 
     text = invoke(case["argv"], stored)
     assert next(runs, None) is None, "the command skipped a stored run"
@@ -132,6 +141,14 @@ def test_stdout_matches_frozen_text(golden, name):
     got = replay(golden[name])
     assert got.splitlines() == want.splitlines()
     assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stored_runs_match_a_fresh_simulation(golden, name):
+    """The replay trusts the stored results; this re-simulates each run
+    of the case through the real ``run_experiment``, so a stored result
+    that the code no longer computes fails here."""
+    assert replay(golden[name], simulate=True) == golden[name]["stdout"]
 
 
 def test_the_cases_print_every_block(golden):
