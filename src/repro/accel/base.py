@@ -56,8 +56,12 @@ class TranslationAccel:
     name: str = "none"
 
     def __init__(self, engine: "Engine") -> None:
-        self.engine = engine
+        # what the backends read of the engine, all of it while they
+        # build; no reference back, since the engine holds the backend
+        # (``engine.accel``) and the pair would be a cycle
         self.config = engine.config
+        self.ctx = engine.ctx
+        self.index = engine.index
 
     # -- construction ---------------------------------------------------
 
@@ -129,10 +133,10 @@ def charged_walk(mem, vpn: int):
 
     Returns ``(pfn | None, walk_cycles)``; the caller decides how much
     of the latency is *exposed* (Revelator hides it behind the
-    speculative data fetch) — the walker's PTE loads and the walk-count
+    speculative data fetch) — the walk's PTE loads and the walk-count
     statistics happen either way, exactly as in the reference path.
     """
-    pfn, walk_cycles = mem.walker.walk(vpn)
+    pfn, walk_cycles = mem.walk(vpn)
     mem.stats.page_walks += 1
     mem.stats.walk_cycles += walk_cycles
     return pfn, walk_cycles

@@ -101,7 +101,7 @@ class RevelatorAccel(TranslationAccel):
 
     def build_frontends(self) -> "List[LookupFrontend]":
         from ..sim.frontend import make_frontend  # avoid an import cycle
-        ctx = self.engine.ctx
+        ctx = self.ctx
         frontends = []
         for core in ctx.cores:
             resolver = _RevelatorResolver(
@@ -110,7 +110,7 @@ class RevelatorAccel(TranslationAccel):
             core.mem.attach_accel(resolver)
             self.resolvers.append(resolver)
             frontends.append(
-                make_frontend("baseline", ctx, self.engine.index))
+                make_frontend("baseline", ctx, self.index))
         return frontends
 
     def report(self) -> dict:

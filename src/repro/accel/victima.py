@@ -82,7 +82,7 @@ class VictimaAccel(TranslationAccel):
     def build_frontends(self) -> "List[LookupFrontend]":
         from ..sim.frontend import make_frontend  # avoid an import cycle
         config = self.config
-        ctx = self.engine.ctx
+        ctx = self.ctx
         l2_latency = config.machine.l2.latency
         frontends = []
         for core in ctx.cores:
@@ -92,7 +92,7 @@ class VictimaAccel(TranslationAccel):
             core.mem.attach_accel(resolver)
             self.resolvers.append(resolver)
             frontends.append(
-                make_frontend("baseline", ctx, self.engine.index))
+                make_frontend("baseline", ctx, self.index))
         return frontends
 
     def report(self) -> dict:

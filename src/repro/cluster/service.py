@@ -874,104 +874,112 @@ def simulate_cluster(
                 hedged = True
         return delivery, serve_node, served_via_ask, hedged
 
-    for index, (arrival, key_id) in enumerate(zip(arrivals, key_ids)):
-        current_index[0] = index
-        if not index % RELEASE_STRIDE:
-            # every claim of this request and of the later ones departs
-            # at or after its arrival, and arrivals never decrease: the
-            # intervals that ended by now are never looked at again
-            network.release(arrival)
-            for schedule in accel_schedules:
-                schedule.release(arrival)
-        # each scheduler's due test skips a no-op before_request
-        if index >= failover.next_due:
-            failover.before_request(index, arrival)
-        if index >= migration.next_due:
-            migration.before_request(index)
-        slot = slot_for(key_id)
-        # only the two schedulers above move a slot, never an attempt:
-        # one owner read serves the whole request
-        owner = topology.owner(slot)
-        client = clients[index % CLUSTER_CLIENTS]
-        is_write = write_flags[index]
-        if is_write:
-            writes += 1
-            if owner in accel_nodes:
-                # demand-side fallback accounting: writes whose slot an
-                # accelerator owns but which only its backer can serve
-                hetero_counters["fallback_set"] += 1
-        # a write carries the value up; a read carries it back
-        req_bytes = value_bytes if is_write else REQUEST_HEADER_BYTES
-        resp_bytes = REQUEST_HEADER_BYTES if is_write else value_bytes
+    try:
+        for index, (arrival, key_id) in enumerate(zip(arrivals, key_ids)):
+            current_index[0] = index
+            if not index % RELEASE_STRIDE:
+                # every claim of this request and of the later ones departs
+                # at or after its arrival, and arrivals never decrease: the
+                # intervals that ended by now are never looked at again
+                network.release(arrival)
+                for schedule in accel_schedules:
+                    schedule.release(arrival)
+            # each scheduler's due test skips a no-op before_request
+            if index >= failover.next_due:
+                failover.before_request(index, arrival)
+            if index >= migration.next_due:
+                migration.before_request(index)
+            slot = slot_for(key_id)
+            # only the two schedulers above move a slot, never an attempt:
+            # one owner read serves the whole request
+            owner = topology.owner(slot)
+            client = clients[index % CLUSTER_CLIENTS]
+            is_write = write_flags[index]
+            if is_write:
+                writes += 1
+                if owner in accel_nodes:
+                    # demand-side fallback accounting: writes whose slot an
+                    # accelerator owns but which only its backer can serve
+                    hetero_counters["fallback_set"] += 1
+            # a write carries the value up; a read carries it back
+            req_bytes = value_bytes if is_write else REQUEST_HEADER_BYTES
+            resp_bytes = REQUEST_HEADER_BYTES if is_write else value_bytes
 
-        attempt_start = arrival
-        outcome = None
-        for attempt in range(attempts):
-            outcome = _attempt(client, slot, owner, attempt_start,
-                               is_write, attempt == 0, req_bytes,
-                               resp_bytes, key_id)
-            if outcome is not None:
-                break
-            # the attempt died against an unreachable node: the client
-            # waits out its budget, drops the dead row and retries
-            # through a bootstrap node with exponential backoff
-            client.on_timeout(slot)
-            if timeout_cycles is None:
-                break  # unreachable without timeouts: fail fast
-            attempt_start += timeout_cycles * (BACKOFF ** attempt)
+            attempt_start = arrival
+            outcome = None
+            for attempt in range(attempts):
+                outcome = _attempt(client, slot, owner, attempt_start,
+                                   is_write, attempt == 0, req_bytes,
+                                   resp_bytes, key_id)
+                if outcome is not None:
+                    break
+                # the attempt died against an unreachable node: the client
+                # waits out its budget, drops the dead row and retries
+                # through a bootstrap node with exponential backoff
+                client.on_timeout(slot)
+                if timeout_cycles is None:
+                    break  # unreachable without timeouts: fail fast
+                attempt_start += timeout_cycles * (BACKOFF ** attempt)
 
-        if outcome is None:
-            # out of attempts: the request fails; the time burned
-            # waiting still counts against the tail and the makespan
-            failed_requests += 1
-            latency = max(attempt_start - arrival, 0.0)
-            failed_hist.record(latency)
-            total_latency += latency
-            if attempt_start > last_delivery:
-                last_delivery = attempt_start
-            continue
+            if outcome is None:
+                # out of attempts: the request fails; the time burned
+                # waiting still counts against the tail and the makespan
+                failed_requests += 1
+                latency = max(attempt_start - arrival, 0.0)
+                failed_hist.record(latency)
+                total_latency += latency
+                if attempt_start > last_delivery:
+                    last_delivery = attempt_start
+                continue
 
-        delivery, serve_node, served_via_ask, hedged = outcome
-        server = servers[serve_node]
-        if not served_via_ask and not hedged:
-            # even when this request fell back to the backer, the route
-            # to learn for an accelerator-owned slot is the accelerator:
-            # the next GET must try the fast path first
-            client.on_served(
-                slot, owner if owner in accel_nodes else serve_node)
+            delivery, serve_node, served_via_ask, hedged = outcome
+            server = servers[serve_node]
+            if not served_via_ask and not hedged:
+                # even when this request fell back to the backer, the route
+                # to learn for an accelerator-owned slot is the accelerator:
+                # the next GET must try the fast path first
+                client.on_served(
+                    slot, owner if owner in accel_nodes else serve_node)
 
-        if is_write:
-            # the primary acks and synchronously replicates to the
-            # slot's current replica set — the copies the oracle audits
-            holders = {serve_node} | set(topology.replicas_of(slot))
-            record = acked.get(key_id)
-            if record is None:
-                acked[key_id] = _AckedWrite(holders)
-                slot_keys.setdefault(slot, set()).add(key_id)
+            if is_write:
+                # the primary acks and synchronously replicates to the
+                # slot's current replica set — the copies the oracle audits
+                holders = {serve_node} | set(topology.replicas_of(slot))
+                record = acked.get(key_id)
+                if record is None:
+                    acked[key_id] = _AckedWrite(holders)
+                    slot_keys.setdefault(slot, set()).add(key_id)
+                else:
+                    record.holders = holders
+                    record.had_replica = len(holders) > 1
+                acked_writes += 1
+                if owner in accel_nodes:
+                    # write-invalidation: the acked value supersedes
+                    # whatever copy the accelerator still serves
+                    servers[owner].invalidate(delivery, wire_key[key_id])
             else:
-                record.holders = holders
-                record.had_replica = len(holders) > 1
-            acked_writes += 1
-            if owner in accel_nodes:
-                # write-invalidation: the acked value supersedes
-                # whatever copy the accelerator still serves
-                servers[owner].invalidate(delivery, wire_key[key_id])
-        else:
-            record = acked.get(key_id)
-            if record is not None and serve_node not in record.holders:
-                # a legal route served a key whose latest acked value
-                # it does not hold — reading inside a data-loss window
-                counters["lost_reads"] += 1
+                record = acked.get(key_id)
+                if record is not None and serve_node not in record.holders:
+                    # a legal route served a key whose latest acked value
+                    # it does not hold — reading inside a data-loss window
+                    counters["lost_reads"] += 1
 
-        latency = delivery - arrival
-        server.histogram.record(latency)
-        server.latency_sum += latency
-        total_latency += latency
-        if delivery > last_delivery:
-            last_delivery = delivery
+            latency = delivery - arrival
+            server.histogram.record(latency)
+            server.latency_sum += latency
+            total_latency += latency
+            if delivery > last_delivery:
+                last_delivery = delivery
 
-    migration.drain(count)
-    failover.drain(last_delivery)
+        migration.drain(count)
+        failover.drain(last_delivery)
+    finally:
+        # the callbacks close over the topology and the scheduler that
+        # hold them; clearing them breaks that cycle, so a finished (or
+        # failed) run is freed as soon as its last reference goes
+        topology.on_owner_change = None
+        failover.on_crash = failover.on_promotion = None
+        failover.on_membership_change = None
 
     # -- the failover oracle's verdict --------------------------------
     failover_violations = 0
@@ -1187,6 +1195,9 @@ def run_cluster(config):
         per_node_results.append(result)
         capacities.append(result.throughput)
         captures.append(outcome.op_cycles)
+        # the engine graph is acyclic, so this frees the node's store
+        # now, before the next node's is built
+        del engine, mc
 
     cluster = simulate_cluster(config, capacities, captures)
     if config.nodes == 1:

@@ -53,7 +53,9 @@ class OSInterface:
         self._invalidated_vpns: List[int] = []
         self.scrubs = 0
         self.rows_scrubbed = 0
-        space.invalidation_hooks.append(self._on_page_invalidate)
+        # held weakly by the space, so the manager is freed with its
+        # engine
+        space.add_invalidation_hook(self._on_page_invalidate)
 
     # ------------------------------------------------------------------
     # system calls

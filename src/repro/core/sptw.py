@@ -1,6 +1,6 @@
 """SPTW: the simplified page-table walker used by ``insertSTLT``.
 
-Section III-D2: the SPTW reuses the core's page-table walker but, on a
+Section III-D2: the SPTW reuses the core's page walk but, on a
 page fault, returns a null PTE instead of raising an interrupt.  STLT is
 only a cache, so an ``insertSTLT`` whose VA has no valid translation is
 simply a hint the hardware ignores.
@@ -43,7 +43,7 @@ class SimplifiedPTW:
             if pfn is not None:
                 self.tlb_shortcuts += 1
                 return make_pte(pfn), cycles
-        pfn, walk_cycles = self.mem.walker.walk(vpn)
+        pfn, walk_cycles = self.mem.walk(vpn)
         cycles += walk_cycles
         self.walks += 1
         if pfn is None:

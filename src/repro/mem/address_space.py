@@ -14,6 +14,8 @@ loads and stores cannot reach it).
 
 from __future__ import annotations
 
+import types
+import weakref
 from typing import Callable, List, Optional
 
 from ..errors import AddressError, ConfigError
@@ -48,9 +50,10 @@ class AddressSpace:
         self.page_table = PageTable(self.frames.alloc)
         self._next_user_va = USER_BASE
         self._next_kernel_va = KERNEL_BASE
-        #: observers called with the vpn of every invalidated page, before
-        #: the PTE changes — the hook point for flush_tlb_* (Sec. III-D1)
-        self.invalidation_hooks: List[Callable[[int], None]] = []
+        #: observers of every invalidated page (add_invalidation_hook),
+        #: each a zero-argument callable that returns the hook, or None
+        #: once a weakly held hook's object is gone
+        self._invalidation_hooks: List[Callable[[], Optional[Callable]]] = []
 
     # -- region allocation ---------------------------------------------
 
@@ -86,9 +89,27 @@ class AddressSpace:
 
     # -- OS mutation events ----------------------------------------------
 
+    def add_invalidation_hook(self, hook: Callable[[int], None]) -> None:
+        """Call ``hook(vpn)`` for every invalidated page, before its PTE
+        changes: the hook point for flush_tlb_* (Sec. III-D1).
+
+        A bound method is held through :class:`weakref.WeakMethod`: its
+        object (a memory system, the kernel's STLT manager, a fast-path
+        memo) holds this space, and a strong reference back would make
+        every engine a reference cycle that only the cyclic collector
+        frees.  Once that object is gone its hook is skipped.  Any
+        other callable is held strongly.
+        """
+        if isinstance(hook, types.MethodType):
+            self._invalidation_hooks.append(weakref.WeakMethod(hook))
+        else:
+            self._invalidation_hooks.append(lambda: hook)
+
     def _fire_invalidation(self, vpn: int) -> None:
-        for hook in self.invalidation_hooks:
-            hook(vpn)
+        for ref in self._invalidation_hooks:
+            hook = ref()
+            if hook is not None:
+                hook(vpn)
 
     def unmap_page(self, vaddr: int) -> None:
         """Unmap the page containing ``vaddr`` (e.g. madvise/munmap)."""

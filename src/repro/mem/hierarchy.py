@@ -2,7 +2,7 @@
 
 This is the timing heart of the simulator.  A :class:`MemorySystem` is
 the *per-core private* half of the machine — L1/L2 caches, L1/L2 TLBs,
-the STB hook, the prefetchers, the page-table walker, and the core's own
+the STB hook, the prefetchers, the page-table walk, and the core's own
 cycle clock, statistics, and cycle attribution.  The levels every core
 shares (L3, the DRAM channel, the L3 prefetch-tracking set) live in a
 :class:`~repro.mem.shared.SharedMemory` injected at construction; a
@@ -16,7 +16,8 @@ Every simulated memory access of the key-value store flows through
    shared TLB.  On an L2 miss, if a system translation buffer (STB) has
    been attached by the STLT runtime, it is probed next (Fig. 8b of the
    paper); a hit refills the TLBs and skips the walk entirely.  Otherwise
-   the hardware page-table walker loads PTEs through the data caches.
+   the hardware page walk (:meth:`MemorySystem.walk`) loads PTEs
+   through the data caches.
 2. Each cache line spanned by the access is looked up in L1/L2/L3, and
    on a full miss fetched from DRAM (which models channel queueing).
 
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from typing import Optional, Set
 
-from ..errors import PageFault
+from ..errors import AddressError, PageFault
 from ..params import (
     CACHE_LINE_BYTES,
     PAGE_BYTES,
@@ -44,7 +45,13 @@ from ..params import (
 )
 from .address_space import AddressSpace
 from .cache import Cache
-from .page_table import PageTableWalker
+from .page_table import (
+    ENTRIES_PER_TABLE,
+    LEVEL_BITS,
+    MAX_VPN,
+    PTE_BYTES,
+    PageTableWalker,
+)
 from .prefetch import DistanceTLBPrefetcher, StreamPrefetcher, VLDPPrefetcher
 from .shared import SharedMemory
 from .stats import MemoryStats
@@ -57,9 +64,10 @@ assert (1 << _LINE_SHIFT) == CACHE_LINE_BYTES
 #: within that page is ``line & _PAGE_LINE_MASK``
 _PAGE_LINE_SHIFT = PAGE_SHIFT - _LINE_SHIFT
 _PAGE_LINE_MASK = (1 << _PAGE_LINE_SHIFT) - 1
+_INDEX_MASK = ENTRIES_PER_TABLE - 1
 
 
-class MemorySystem:
+class MemorySystem(PageTableWalker):
     """Timing model of one core's private slice of the Table III machine.
 
     ``shared`` carries the levels all cores see (L3 + DRAM channel);
@@ -92,7 +100,6 @@ class MemorySystem:
         self.l3 = shared.l3
         self.dram = shared.dram
         self.tlbs = TLBHierarchy(TLB(machine.dtlb), TLB(machine.stlb))
-        self.walker = PageTableWalker(space.page_table, self._pte_cache_access)
         #: the one record of this core's memory events
         self.stats = MemoryStats()
         #: miss-path latency sums: an L2 hit, a line that reached L3, an
@@ -131,8 +138,9 @@ class MemorySystem:
 
         # the OS always flushes stale translations before changing a PTE
         # (flush_tlb_*); the STLT-specific IPB protocol is layered on top
-        # by repro.core.os_interface
-        space.invalidation_hooks.append(self._on_page_invalidate)
+        # by repro.core.os_interface.  The space holds the hook weakly,
+        # so this system is freed with its engine
+        space.add_invalidation_hook(self._on_page_invalidate)
 
     def _on_page_invalidate(self, vpn: int) -> None:
         self.tlbs.invalidate(vpn)
@@ -274,26 +282,86 @@ class MemorySystem:
             self._insert_l3(pf_line)
             self._prefetched_lines.add(pf_line)
 
-    def _pte_cache_access(self, paddr: int) -> int:
-        """PTE loads issued by the page-table walker (cacheable).
-
-        Most PTE loads hit L1 (upper-level entries are shared by every
-        walk), so the L1 probe runs inline and only a miss enters
-        ``_line_access``.
-        """
-        line = paddr >> _LINE_SHIFT
-        l1 = self.l1
-        s = l1._sets[line & l1._set_mask]
-        if line in s:
-            s.remove(line)
-            s.appendleft(line)
-            self.stats.l1_hits += 1
-            return l1.latency
-        return self._line_access(line)
-
     # ------------------------------------------------------------------
     # translation path
     # ------------------------------------------------------------------
+
+    def walk(self, vpn: int) -> "tuple[Optional[int], int]":
+        """Timed page walk: returns ``(pfn_or_None, cycles)``.
+
+        Modern cores cache PTEs in the data caches (the paper modified
+        SniperSim to model that), so each PTE load goes through this
+        core's L1/L2/L3 at the PTE's physical address: the PTE at
+        ``index`` of a node sits at ``pfn * PAGE_BYTES + index *
+        PTE_BYTES``.  Every timed walk runs here (``_translate``, the
+        SPTW and the accel backends), so the four radix levels (PML4,
+        PDPT, PD, PT) are unrolled, each PTE charged as the walk
+        reaches it.  Most PTE loads hit L1 (upper-level entries are
+        shared by every walk), so each level probes L1 inline and only
+        a miss enters ``_line_access``, at ``now``.  A non-present
+        entry ends the walk with a None pfn: the regular access path
+        raises :class:`PageFault` on it, the SPTW returns a null PTE.
+        The caller counts the walk.
+        """
+        if not 0 <= vpn <= MAX_VPN:
+            raise AddressError(
+                f"vpn {vpn:#x} outside the 48-bit address space")
+        l1 = self.l1
+        sets = l1._sets
+        mask = l1._set_mask
+        hit = l1.latency
+        stats = self.stats
+        node = self.space.page_table.root
+        index = (vpn >> (3 * LEVEL_BITS)) & _INDEX_MASK
+        line = (node.pfn * PAGE_BYTES + index * PTE_BYTES) >> _LINE_SHIFT
+        s = sets[line & mask]
+        if line in s:
+            s.remove(line)
+            s.appendleft(line)
+            stats.l1_hits += 1
+            cycles = hit
+        else:
+            cycles = self._line_access(line)
+        node = node.entries.get(index)
+        if node is None:
+            return None, cycles
+        index = (vpn >> (2 * LEVEL_BITS)) & _INDEX_MASK
+        line = (node.pfn * PAGE_BYTES + index * PTE_BYTES) >> _LINE_SHIFT
+        s = sets[line & mask]
+        if line in s:
+            s.remove(line)
+            s.appendleft(line)
+            stats.l1_hits += 1
+            cycles += hit
+        else:
+            cycles += self._line_access(line)
+        node = node.entries.get(index)
+        if node is None:
+            return None, cycles
+        index = (vpn >> LEVEL_BITS) & _INDEX_MASK
+        line = (node.pfn * PAGE_BYTES + index * PTE_BYTES) >> _LINE_SHIFT
+        s = sets[line & mask]
+        if line in s:
+            s.remove(line)
+            s.appendleft(line)
+            stats.l1_hits += 1
+            cycles += hit
+        else:
+            cycles += self._line_access(line)
+        node = node.entries.get(index)
+        if node is None:
+            return None, cycles
+        index = vpn & _INDEX_MASK
+        line = (node.pfn * PAGE_BYTES + index * PTE_BYTES) >> _LINE_SHIFT
+        s = sets[line & mask]
+        if line in s:
+            s.remove(line)
+            s.appendleft(line)
+            stats.l1_hits += 1
+            cycles += hit
+        else:
+            cycles += self._line_access(line)
+        return node.entries.get(index), cycles
 
     def _translate(self, vpn: int) -> "tuple[int, int, bool, bool]":
         """Translate a vpn that missed the D-TLB; returns (pfn, cycles,
@@ -304,7 +372,7 @@ class MemorySystem:
         starts at the L1 miss; ``dtlb_misses`` sums the STLB outcomes.
         The STLB probe and the TLB fills run inline (see _line_access).
         Past an STLB miss the STB, then the accel backend or the page
-        walker supply the pfn.  Accel backends tick the clock inside
+        walk supply the pfn.  Accel backends tick the clock inside
         ``resolve``, so callers re-read ``now`` after this returns.
         """
         stats = self.stats
@@ -342,7 +410,7 @@ class MemorySystem:
                 pfn, accel_cycles, walked = self.accel.resolve(self, vpn)
                 cycles += accel_cycles
             else:
-                pfn, walk_cycles = self.walker.walk(vpn)
+                pfn, walk_cycles = self.walk(vpn)
                 cycles += walk_cycles
                 stats.page_walks += 1
                 stats.walk_cycles += walk_cycles

@@ -1,12 +1,12 @@
-"""A 4-level x86-64 radix page table and its hardware walker.
+"""A 4-level x86-64 radix page table and its hardware walker's face.
 
 The table is the real data structure, not an abstraction: each level is a
 512-entry node living in its own physical frame, and every timed walk
-charges the memory system one cache access at the physical address of
-each PTE it touches.  Modern cores cache page-table entries in
-the data caches; the paper modified SniperSim to model exactly that, and
-so do we — the walker's PTE loads go through L1/L2/L3 like any other
-physical access.
+(:meth:`repro.mem.hierarchy.MemorySystem.walk`) charges the memory
+system one cache access at the physical address of each PTE it touches.
+Modern cores cache page-table entries in the data caches; the paper
+modified SniperSim to model exactly that, and so do we — the walk's PTE
+loads go through L1/L2/L3 like any other physical access.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Tuple
 
 from ..errors import AddressError, PageFault
-from ..params import PAGE_BYTES, PAGE_SHIFT, VA_BITS
+from ..params import PAGE_SHIFT, VA_BITS
 
 #: Bits of VPN consumed by each radix level (PML4, PDPT, PD, PT).
 LEVEL_BITS = 9
@@ -107,57 +107,17 @@ class PageTable:
 
 
 class PageTableWalker:
-    """Hardware page-table walker charging cache accesses for PTE loads.
+    """The hardware page-table walker: ``walk(vpn)`` returns ``(pfn or
+    None, cycles)``, a None pfn when the page is unmapped.
 
-    ``cache_access`` is supplied by the memory system; it takes a physical
-    address and returns the access latency in cycles while updating the
-    data-cache state and statistics.
+    :class:`repro.mem.hierarchy.MemorySystem` is the one walker: every
+    core walks through its own data caches, so the timed walk is a
+    method of the core's memory system rather than an object holding
+    one of its methods (which would make each memory system a
+    reference cycle).  The class stays as the named seam the e2e
+    benchmark's tracer wraps (``benchmarks/e2e/trace.py`` times
+    ``PageTableWalker.walk`` and every override of it).
     """
 
-    def __init__(
-        self, page_table: PageTable, cache_access: Callable[[int], int]
-    ) -> None:
-        self.page_table = page_table
-        self._cache_access = cache_access
-        self.walks = 0
-        self.walk_cycles = 0
-        self.faults = 0
-
     def walk(self, vpn: int) -> Tuple[Optional[int], int]:
-        """Timed walk: returns ``(pfn_or_None, cycles)``.
-
-        A None pfn means the address is unmapped (a fault).  The regular
-        memory-access path treats that as a bug in the simulated program;
-        the simplified walker used by ``insertSTLT`` turns it into a null
-        PTE (see :class:`repro.core.sptw.SimplifiedPTW`).
-        """
-        if not 0 <= vpn <= MAX_VPN:
-            raise AddressError(f"vpn {vpn:#x} outside the 48-bit address space")
-        # every timed walk runs here, so the four levels (PML4, PDPT,
-        # PD, PT) are unrolled, each PTE charged as the walk reaches it;
-        # the PTE at ``index`` of a node sits at ``pfn * PAGE_BYTES +
-        # index * PTE_BYTES``, and a non-present entry ends the walk
-        access = self._cache_access
-        pfn = None
-        node = self.page_table.root
-        index = (vpn >> (3 * LEVEL_BITS)) & (ENTRIES_PER_TABLE - 1)
-        cycles = access(node.pfn * PAGE_BYTES + index * PTE_BYTES)
-        node = node.entries.get(index)
-        if node is not None:
-            index = (vpn >> (2 * LEVEL_BITS)) & (ENTRIES_PER_TABLE - 1)
-            cycles += access(node.pfn * PAGE_BYTES + index * PTE_BYTES)
-            node = node.entries.get(index)
-            if node is not None:
-                index = (vpn >> LEVEL_BITS) & (ENTRIES_PER_TABLE - 1)
-                cycles += access(node.pfn * PAGE_BYTES + index * PTE_BYTES)
-                node = node.entries.get(index)
-                if node is not None:
-                    index = vpn & (ENTRIES_PER_TABLE - 1)
-                    cycles += access(
-                        node.pfn * PAGE_BYTES + index * PTE_BYTES)
-                    pfn = node.entries.get(index)
-        self.walks += 1
-        self.walk_cycles += cycles
-        if pfn is None:
-            self.faults += 1
-        return pfn, cycles
+        raise NotImplementedError

@@ -32,9 +32,10 @@ the *interpreter* overhead of the reference path instead:
   ``physical_access`` calls), and from there to the reference engine
   methods;
 * the stale-translation oracle's page-mapped checks are memoised in a
-  set evicted by an :attr:`AddressSpace.invalidation_hooks` observer
-  (only *positive* translations are cached: ``remap_page`` fires no
-  hook but can only add mappings back);
+  set evicted by an invalidation hook
+  (:meth:`AddressSpace.add_invalidation_hook`; only *positive*
+  translations are cached: ``remap_page`` fires no hook but can only
+  add mappings back);
 * ``key_bytes``, the fast-hash integer, and the STLT set geometry are
   memoised per key id, and the fixed 24-byte hash cost is precomputed.
 
@@ -370,17 +371,19 @@ class BatchedOpExecutor:
         #: always implies the page is mapped right now.
         self._mapped = set()
         if self._chained:
-            self._run_ops = self._run_chain_ops
             self._views = [_MemView(engine, core_id)
                            for core_id in range(config.num_cores)]
         elif stlt:
-            self._run_ops = self._run_hot_ops
             spec = engine.frontends[0].fast_hash
             self._hash = spec
             self._hash_cost = spec.cost_cycles(24)  # key_bytes() is 24 B
             self._views = [_CoreView(engine, core_id, self._hash_cost)
                            for core_id in range(config.num_cores)]
-            engine.ctx.space.invalidation_hooks.append(self._mapped.discard)
+            # held weakly by the space: the memo goes with the executor
+            engine.ctx.space.add_invalidation_hook(self._on_page_invalidate)
+
+    def _on_page_invalidate(self, vpn: int) -> None:
+        self._mapped.discard(vpn)
 
     # ------------------------------------------------------------------
     # the batched interleave loop (the reference loop with the fused
@@ -404,7 +407,9 @@ class BatchedOpExecutor:
         views = self._views
         do_get = self.do_get
         do_set = engine.do_set
-        run_ops = self._run_ops
+        # picked per call: a bound method of the executor stored on it
+        # would make the executor (and the engine it holds) a cycle
+        run_ops = self._run_chain_ops if self._chained else self._run_hot_ops
         if (n == 1 and injector is None and 0 <= warmup < total
                 and views[0].sliceable()):
             # the single-core shape (no chaos, closed loop or captured):

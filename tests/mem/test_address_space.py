@@ -1,9 +1,12 @@
 """Unit tests for the address space and OS mutation events."""
 
+import weakref
+
 import pytest
 
 from repro.errors import ConfigError
 from repro.mem.address_space import KERNEL_BASE, AddressSpace
+from repro.mem.hierarchy import MemorySystem
 from repro.params import PAGE_BYTES
 
 
@@ -54,7 +57,7 @@ class TestMutationEvents:
     def test_unmap_fires_hooks_then_removes(self, space):
         base = space.alloc_region(PAGE_BYTES)
         seen = []
-        space.invalidation_hooks.append(seen.append)
+        space.add_invalidation_hook(seen.append)
         space.unmap_page(base)
         assert seen == [base >> 12]
         assert space.translate(base) is None
@@ -71,6 +74,38 @@ class TestMutationEvents:
     def test_migrate_fires_invalidation(self, space):
         base = space.alloc_region(PAGE_BYTES)
         seen = []
-        space.invalidation_hooks.append(seen.append)
+        space.add_invalidation_hook(seen.append)
         space.migrate_page(base)
         assert seen == [base >> 12]
+
+    def test_dropped_memory_system_hook_is_skipped(self, space):
+        # a memory system's hook is its bound method, held weakly: the
+        # space keeps no system alive, and a dropped one is skipped
+        # while a plain callable registered beside it still fires
+        base = space.alloc_region(2 * PAGE_BYTES)
+        mem = MemorySystem(space)
+        mem.access(base, 8)
+        seen = []
+        space.add_invalidation_hook(seen.append)
+        system = weakref.ref(mem)
+        space.unmap_page(base)
+        assert seen == [base >> 12]
+        assert mem.tlbs.l1.lookup(base >> 12) is None
+        del mem
+        assert system() is None  # freed by reference counting alone
+        space.unmap_page(base + PAGE_BYTES)
+        assert seen == [base >> 12, (base >> 12) + 1]
+
+    def test_live_bound_method_hook_fires(self, space):
+        class Observer:
+            def __init__(self):
+                self.seen = []
+
+            def on_invalidate(self, vpn):
+                self.seen.append(vpn)
+
+        base = space.alloc_region(PAGE_BYTES)
+        observer = Observer()
+        space.add_invalidation_hook(observer.on_invalidate)
+        space.migrate_page(base)
+        assert observer.seen == [base >> 12]

@@ -74,11 +74,11 @@ class TestCacheHierarchyTiming:
 
     def test_pte_loads_are_cached(self, mem, region):
         mem.access(region, 8)
-        walks_before = mem.walker.walks
+        walks_before = mem.stats.page_walks
         cold = mem.stats.walk_cycles
         # a neighbouring page shares all upper-level PTEs and the leaf line
         mem.access(region + PAGE_BYTES, 8)
-        assert mem.walker.walks == walks_before + 1
+        assert mem.stats.page_walks == walks_before + 1
         second_walk = mem.stats.walk_cycles - cold
         # the second walk's PTE loads all hit cache: 4 levels x 4 cycles
         assert second_walk == 16

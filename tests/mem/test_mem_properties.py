@@ -20,7 +20,6 @@ from repro.mem.page_table import (
     NUM_LEVELS,
     PTE_BYTES,
     PageTable,
-    PageTableWalker,
 )
 from repro.mem.prefetch import StreamPrefetcher
 from repro.mem.shared import SharedMemory
@@ -115,8 +114,8 @@ def test_tlb_matches_reference_lru(ops):
 
 
 def reference_walk_path(table, vpn):
-    """The level loop that ``PageTableWalker.walk`` unrolls: the pfn
-    (None on a fault) and the PTE addresses in load order."""
+    """The level loop that ``MemorySystem.walk`` unrolls: the pfn (None
+    on a fault) and the PTE addresses in load order."""
     idx = table._indices(vpn)
     node = table.root
     paddrs = []
@@ -130,47 +129,55 @@ def reference_walk_path(table, vpn):
     return node.entries.get(idx[-1]), paddrs
 
 
+class MissingL1Memory(MemorySystem):
+    """Every PTE load misses L1 (this ``_line_access`` fills nothing)
+    and is recorded by line, at a per-line latency so the cycle sum
+    sees every load."""
+
+    def __init__(self, space):
+        super().__init__(space)
+        self.loaded = []
+
+    def _line_access(self, line, demand=True, at=-1):
+        self.loaded.append(line)
+        return 1 + line % 7
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 1 << 20), st.integers(1, 1 << 20)),
                 max_size=150),
        st.lists(st.integers(0, MAX_VPN), max_size=30))
 def test_page_table_matches_dict(mappings, probes):
-    frames = FrameAllocator()
-    table = PageTable(frames.alloc)
+    space = AddressSpace()
+    table = space.page_table
     model = {}
     for vpn, pfn in mappings:
         table.map(vpn, pfn)
         model[vpn] = pfn
-    charged = []
-
-    def cache_access(paddr):
-        # a per-address latency, so the cycle sum sees every load
-        charged.append(paddr)
-        return 1 + paddr % 7
-
-    walker = PageTableWalker(table, cache_access)
+    mem = MissingL1Memory(space)
 
     def timed_walk(vpn):
-        charged.clear()
-        faults = walker.faults
-        walked, cycles = walker.walk(vpn)
-        assert cycles == sum(1 + paddr % 7 for paddr in charged)
-        assert walker.faults == faults + (walked is None)
-        return walked, list(charged)
+        mem.loaded.clear()
+        walked, cycles = mem.walk(vpn)
+        assert cycles == sum(1 + line % 7 for line in mem.loaded)
+        return walked, list(mem.loaded)
+
+    def reference(vpn):
+        pfn, paddrs = reference_walk_path(table, vpn)
+        return pfn, [paddr >> 6 for paddr in paddrs]
 
     for vpn, pfn in model.items():
         assert table.lookup(vpn) == pfn
-        walked, paddrs = timed_walk(vpn)
+        walked, lines = timed_walk(vpn)
         assert walked == pfn
-        assert len(paddrs) == 4
-        assert (walked, paddrs) == reference_walk_path(table, vpn)
+        assert len(lines) == 4
+        assert (walked, lines) == reference(vpn)
     # unmapped vpns stop at the first missing level: partial walks
     near = [vpn ^ (1 << bit) for vpn in model for bit in (0, 9, 18)]
     for vpn in probes + near[:60]:
-        walked, paddrs = timed_walk(vpn)
-        assert (walked, paddrs) == reference_walk_path(table, vpn)
+        walked, lines = timed_walk(vpn)
+        assert (walked, lines) == reference(vpn)
         assert walked == model.get(vpn)
-    assert walker.walks == len(model) + len(probes + near[:60])
     assert table.mapped_pages == len(model)
 
 
@@ -341,7 +348,7 @@ def counted_core(space, machine, shared, core_id, **kwargs):
         return line_access(line, demand, at)
 
     # instance attributes shadow the methods, so ``access``, the page
-    # walker's PTE loads and ``physical_access`` all enter the wrappers
+    # walk's PTE loads and ``physical_access`` all enter the wrappers
     mem._translate = counted_translate
     mem._line_access = counted_line_access
     return mem, calls
@@ -392,7 +399,7 @@ def test_derived_counts_match_the_calls(steps):
             mem.physical_access(space.translate(va), size)
             accesses[core] += 1
         else:
-            mem.walker.walk(va >> PAGE_SHIFT)
+            mem.walk(va >> PAGE_SHIFT)
         for (mem, calls), count in zip(cores, accesses):
             stats = mem.stats
             assert stats.accesses == count

@@ -1,37 +1,39 @@
-"""Unit tests for the 4-level radix page table and walker."""
+"""Unit tests for the 4-level radix page table and the timed walk."""
 
 import pytest
 
+from repro.core.sptw import SimplifiedPTW
 from repro.errors import AddressError, PageFault
-from repro.mem.address_space import FrameAllocator
-from repro.mem.page_table import (
-    ENTRIES_PER_TABLE,
-    MAX_VPN,
-    NUM_LEVELS,
-    PTE_BYTES,
-    PageTable,
-    PageTableWalker,
-)
+from repro.mem.hierarchy import MemorySystem
+from repro.mem.page_table import ENTRIES_PER_TABLE, MAX_VPN, NUM_LEVELS
+from repro.params import PAGE_SHIFT
 
 
 @pytest.fixture
-def table():
-    frames = FrameAllocator()
-    return PageTable(frames.alloc)
+def table(space):
+    return space.page_table
 
 
-def recorded_walk(table, vpn):
-    """``(pfn, PTE addresses in load order)`` of one timed walk, read
-    through a ``cache_access`` stub that records every PTE load."""
-    charged = []
+class RecordingMemory(MemorySystem):
+    """A memory system whose L1 never keeps a line: every PTE load of a
+    walk misses the inline L1 probe and reaches ``_line_access``, which
+    records the PTE's line and charges ``1 + line % 7`` cycles."""
 
-    def cache_access(paddr):
-        charged.append(paddr)
-        return 1
+    def __init__(self, space):
+        super().__init__(space)
+        self.loaded = []
 
-    pfn, cycles = PageTableWalker(table, cache_access).walk(vpn)
-    assert cycles == len(charged)
-    return pfn, charged
+    def _line_access(self, line, demand=True, at=-1):
+        self.loaded.append(line)
+        return 1 + line % 7
+
+
+def recorded_walk(space, vpn):
+    """``(pfn, PTE lines in load order)`` of one timed walk."""
+    mem = RecordingMemory(space)
+    pfn, cycles = mem.walk(vpn)
+    assert cycles == sum(1 + line % 7 for line in mem.loaded)
+    return pfn, mem.loaded
 
 
 class TestMapping:
@@ -62,15 +64,15 @@ class TestMapping:
         with pytest.raises(PageFault):
             table.unmap(1 << 30)
 
-    def test_vpn_out_of_range(self, table):
+    def test_vpn_out_of_range(self, table, space):
         with pytest.raises(AddressError):
             table.map(MAX_VPN + 1, 1)
         with pytest.raises(AddressError):
             table.lookup(-1)
         with pytest.raises(AddressError):
-            recorded_walk(table, MAX_VPN + 1)
+            recorded_walk(space, MAX_VPN + 1)
         with pytest.raises(AddressError):
-            recorded_walk(table, -1)
+            recorded_walk(space, -1)
 
     def test_max_vpn_is_mappable(self, table):
         table.map(MAX_VPN, 42)
@@ -84,58 +86,66 @@ class TestMapping:
 
 
 class TestWalkPath:
-    def test_walk_touches_four_levels(self, table):
+    def test_walk_touches_four_levels(self, table, space):
         table.map(0xABCDE, 9)
-        pfn, paddrs = recorded_walk(table, 0xABCDE)
+        pfn, lines = recorded_walk(space, 0xABCDE)
         assert pfn == 9
-        assert len(paddrs) == NUM_LEVELS
+        assert len(lines) == NUM_LEVELS
 
-    def test_walk_terminates_early_when_unmapped(self, table):
-        pfn, paddrs = recorded_walk(table, 0xABCDE)
+    def test_walk_terminates_early_when_unmapped(self, space):
+        pfn, lines = recorded_walk(space, 0xABCDE)
         assert pfn is None
-        assert len(paddrs) == 1  # stops at the missing PML4 entry
+        assert len(lines) == 1  # stops at the missing PML4 entry
 
-    def test_pte_addresses_are_distinct_per_level(self, table):
+    def test_pte_addresses_are_distinct_per_level(self, table, space):
         table.map(0x1, 1)
-        _, paddrs = recorded_walk(table, 0x1)
-        assert len(set(paddrs)) == NUM_LEVELS
+        _, lines = recorded_walk(space, 0x1)
+        assert len(set(lines)) == NUM_LEVELS
 
-    def test_adjacent_vpns_share_leaf_table(self, table):
-        table.map(100, 1)
-        table.map(101, 2)
-        _, p1 = recorded_walk(table, 100)
-        _, p2 = recorded_walk(table, 101)
+    def test_adjacent_vpns_share_leaf_table(self, table, space):
+        # one line holds 8 PTEs: vpns 7 and 8 share every upper-level
+        # PTE and load neighbouring lines of one leaf table
+        table.map(7, 1)
+        table.map(8, 2)
+        _, p1 = recorded_walk(space, 7)
+        _, p2 = recorded_walk(space, 8)
         assert p1[:-1] == p2[:-1]
-        assert p2[-1] - p1[-1] == PTE_BYTES
+        assert p2[-1] - p1[-1] == 1
 
-    def test_vpns_in_different_subtrees_diverge_at_root(self, table):
+    def test_vpns_in_different_subtrees_diverge_at_root(self, table, space):
         table.map(0, 1)
-        far = ENTRIES_PER_TABLE ** 3  # different PML4 slot
+        far = 8 * ENTRIES_PER_TABLE ** 3  # a PML4 slot one line away
         table.map(far, 2)
-        _, p1 = recorded_walk(table, 0)
-        _, p2 = recorded_walk(table, far)
+        _, p1 = recorded_walk(space, 0)
+        _, p2 = recorded_walk(space, far)
         assert p1[0] != p2[0]
 
 
 class TestWalker:
-    def test_walker_charges_cache_accesses(self, table):
-        charged = []
-
-        def cache_access(paddr):
-            charged.append(paddr)
-            return 10
-
-        walker = PageTableWalker(table, cache_access)
+    def test_walker_charges_cache_accesses(self, table, mem):
+        # PTE loads go through the data caches: a cold walk's four
+        # lines miss L1 and fill it, so the same walk again hits L1 at
+        # every level
         table.map(0x77, 5)
-        pfn, cycles = walker.walk(0x77)
+        pfn, cold = mem.walk(0x77)
         assert pfn == 5
-        assert cycles == 40
-        assert len(charged) == 4
-        assert walker.walks == 1
+        assert mem.stats.l1_misses == NUM_LEVELS
+        hits = mem.stats.l1_hits
+        pfn, warm = mem.walk(0x77)
+        assert pfn == 5
+        assert warm == NUM_LEVELS * mem.l1.latency < cold
+        assert mem.stats.l1_hits == hits + NUM_LEVELS
+        assert mem.stats.l1_misses == NUM_LEVELS
 
-    def test_walker_fault_counted(self, table):
-        walker = PageTableWalker(table, lambda paddr: 1)
-        pfn, cycles = walker.walk(0x33)
+    def test_walker_fault_counted(self, mem):
+        # an unmapped page ends the walk with a None pfn; the access
+        # path raises on it, the SPTW counts a null PTE
+        pfn, cycles = mem.walk(0x33)
         assert pfn is None
-        assert walker.faults == 1
         assert cycles >= 1
+        with pytest.raises(PageFault):
+            mem._translate(0x33)
+        sptw = SimplifiedPTW(mem)
+        pte, _cycles = sptw.resolve(0x33 << PAGE_SHIFT)
+        assert pte == 0
+        assert sptw.walks == sptw.null_ptes == 1
