@@ -36,6 +36,7 @@ from typing import Dict, List, Optional
 
 from ..errors import KVSError
 from ..workloads.ycsb import Operation, WorkloadSpec, generate_operations
+from .fastpath import BatchedOpExecutor
 from .results import RunResult, aggregate_run_results
 
 
@@ -193,7 +194,6 @@ class MultiCoreEngine:
         # differential suite); everything else runs the loop below with
         # the engine's own methods
         if config.exec_mode == "batched":
-            from .fastpath import BatchedOpExecutor  # avoid an import cycle
             executor = BatchedOpExecutor(engine)
             if executor.fused:
                 executor.run_interleave(
