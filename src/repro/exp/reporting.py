@@ -56,10 +56,12 @@ def scaling_table(records: Iterable[dict]) -> str:
 
     Renders one row per multi-core-relevant record (any record when the
     sweep contains at least one ``num_cores > 1`` run), grouped by
-    (program, frontend) and sorted by core count so the scaling trend
-    reads top to bottom.  Each run scales against the one-core run of
-    the same workload (the :func:`speedup_table` grouping key without
-    the core count) and front-end.  The per-core column shows each
+    (program, workload, frontend) and sorted by core count so the
+    scaling trend reads top to bottom.  Each run scales against the
+    one-core run of the same workload (the :func:`speedup_table`
+    grouping key without the core count) and front-end.  The workload
+    column (:func:`_workload`) tells apart rows that share a program,
+    front-end and core count.  The per-core column shows each
     core's shared-fast-table hit rate from the aggregate's per-core
     payloads.  Cluster records are :func:`cluster_table`'s: a fleet's
     aggregate holds one entry per node, not per core.
@@ -70,20 +72,20 @@ def scaling_table(records: Iterable[dict]) -> str:
         if result.cluster is not None:
             continue
         config = record.get("config", {})
-        relevant.append((config.get("program"), result.frontend,
-                         config.get("num_cores"),
+        relevant.append((config.get("program"), _workload(config),
+                         result.frontend, config.get("num_cores"),
                          _group_key({**config, "num_cores": None}),
                          result))
-    if not any(cores > 1 for _, _, cores, _, _ in relevant):
+    if not any(cores > 1 for _, _, _, cores, _, _ in relevant):
         return ""
 
-    singles = {(workload, frontend): result.throughput
-               for _, frontend, cores, workload, result in relevant
+    singles = {(group, frontend): result.throughput
+               for _, _, frontend, cores, group, result in relevant
                if cores == 1 and result.throughput}
     rows: List[List[str]] = []
-    for program, frontend, cores, workload, result in sorted(
-            relevant, key=lambda r: (str(r[0]), str(r[1]), r[2])):
-        single = singles.get((workload, frontend))
+    for program, workload, frontend, cores, group, result in sorted(
+            relevant, key=lambda r: (str(r[0]), r[1], str(r[2]), r[3])):
+        single = singles.get((group, frontend))
         scaling = (f"{result.throughput / single:.2f}x"
                    if single else "-")
         fairness = result.fairness
@@ -95,6 +97,7 @@ def scaling_table(records: Iterable[dict]) -> str:
             per_core.append(f"{1.0 - core.fast_miss_rate:.0%}")
         rows.append([
             str(program),
+            workload,
             str(frontend),
             str(cores),
             f"{result.throughput:.4f}",
@@ -104,9 +107,27 @@ def scaling_table(records: Iterable[dict]) -> str:
             "/".join(per_core) if per_core else "-",
         ])
     return format_table(
-        ["program", "frontend", "cores", "ops/cycle", "scaling",
-         "fairness", "DRAM busy", "table hits/core"],
+        ["program", "workload", "frontend", "cores", "ops/cycle",
+         "scaling", "fairness", "DRAM busy", "table hits/core"],
         rows)
+
+
+def _workload(config: dict, churn: bool = True) -> str:
+    """A row's workload beside its program, front-end and core count:
+    key distribution, value size and key count, then the open-loop
+    arrival process and load, the churn rate (unless ``churn`` is
+    False: the churn table has its own column) and the fault plan when
+    set, in the suffixes of ``RunConfig.label``."""
+    text = (f"{config.get('distribution')}-{config.get('value_size')}B"
+            f"-{config.get('num_keys')}keys")
+    if config.get("arrival_process", "closed") != "closed":
+        text += (f"@{config.get('arrival_process')}"
+                 f"-{config.get('offered_load'):g}")
+    if churn and config.get("churn_rate"):
+        text += f"~churn{config['churn_rate']:g}"
+    if config.get("fault_plan"):
+        text += f"~fault{len(config['fault_plan'])}"
+    return text
 
 
 def _group_key(config: dict) -> Tuple:
@@ -310,12 +331,15 @@ def churn_table(records: Iterable[dict]) -> str:
     along so a degradation is attributable at a glance.
     """
     by_cell: Dict[Tuple, Dict[str, RunResult]] = {}
+    #: group key -> the workload column's text
+    names: Dict[Tuple, str] = {}
     for record in records:
         config = record.get("config", {})
         rate = config.get("churn_rate")
         if rate is None:
             continue
         workload = _group_key({**config, "churn_rate": None})
+        names[workload] = _workload(config, churn=False)
         cell = by_cell.setdefault((workload, rate), {})
         cell[config.get("frontend", "?")] = \
             RunResult.from_dict(record["result"])
@@ -357,6 +381,7 @@ def churn_table(records: Iterable[dict]) -> str:
             chaos = accel.chaos or {}
             rows.append([
                 str(program),
+                names[workload],
                 str(frontend),
                 f"{rate:g}",
                 f"{base.cycles_per_op:.1f}",
@@ -370,8 +395,9 @@ def churn_table(records: Iterable[dict]) -> str:
     if not rows:
         return ""
     return format_table(
-        ["program", "frontend", "churn", "base cyc/op", "accel cyc/op",
-         "speedup", "retention", "IPB ovfl", "rows scrubbed", "oracle"],
+        ["program", "workload", "frontend", "churn", "base cyc/op",
+         "accel cyc/op", "speedup", "retention", "IPB ovfl",
+         "rows scrubbed", "oracle"],
         rows)
 
 

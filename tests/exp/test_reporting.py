@@ -4,6 +4,7 @@ from repro.exp import SweepRunner, points_from_configs
 from repro.exp.reporting import (
     accel_table,
     churn_table,
+    scaling_table,
     speedup_table,
     summary_table,
 )
@@ -104,9 +105,35 @@ class TestChurnTable:
                 for line in churn_table(records).splitlines()[2:]]
         # quiet: 4100 / 3900 = 1.05x (the 100% anchor); at churn 0.01
         # the weights give 4264 / 4290 = 0.99x -> 95% retained
-        assert [row[1:3] + row[5:7] for row in rows] == [
+        assert [row[2:4] + row[6:8] for row in rows] == [
             ["victima", "0", "1.05x", "100%"],
             ["victima", "0.01", "0.99x", "95%"],
+        ]
+
+
+class TestWorkloadColumn:
+    def test_scaling_rows_of_different_workloads_differ(self):
+        # same program, front-end and core count: only the workload
+        # column tells the closed-loop row from the open-loop one
+        records = [record_for(num_cores=2, value_size=128),
+                   record_for(num_cores=2, value_size=128,
+                              arrival_process="poisson",
+                              offered_load=0.5)]
+        rows = [line.split()
+                for line in scaling_table(records).splitlines()[2:]]
+        assert [row[1] for row in rows] == [
+            "zipf-128B-100keys", "zipf-128B-100keys@poisson-0.5"]
+
+    def test_churn_rows_name_their_workload(self):
+        records = [record_for(frontend=frontend, churn_rate=rate,
+                              distribution="uniform")
+                   for rate in (0.0, 0.05)
+                   for frontend in ("baseline", "stlt")]
+        rows = [line.split()
+                for line in churn_table(records).splitlines()[2:]]
+        assert [row[1:4] for row in rows] == [
+            ["uniform-64B-100keys", "stlt", "0"],
+            ["uniform-64B-100keys", "stlt", "0.05"],
         ]
 
 
