@@ -51,20 +51,25 @@ SPEEDUP_FLOOR = 3.0
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_fastpath.json"
 
+#: timed pairs of every full-run row: fewer read too widely on a shared
+#: host to compare across commits (the medium row read 2.31x at 3
+#: pairs where 7-pair runs of the same tree read 2.70-2.85x)
+PAIRS = 15
+
 #: (name, config, timed pairs) — smoke first: it carries the floor
 SIZES = (
     ("smoke", dict(num_keys=200, measure_ops=60, warmup_ops=120), 100),
     ("small", dict(num_keys=2_000, measure_ops=1_000,
-                   warmup_ops=1_000), 5),
+                   warmup_ops=1_000), PAIRS),
     ("medium", dict(num_keys=10_000, measure_ops=4_000,
-                    warmup_ops=2_000), 3),
+                    warmup_ops=2_000), PAIRS),
     # Redis GETs through the same kernel, at the small size
     ("redis", dict(program="redis", num_keys=2_000, measure_ops=1_000,
-                   warmup_ops=1_000), 5),
+                   warmup_ops=1_000), PAIRS),
     # ... and on the baseline front-end, through the chained-hash kernel
     ("redis_baseline", dict(program="redis", frontend="baseline",
                             num_keys=2_000, measure_ops=1_000,
-                            warmup_ops=1_000), 5),
+                            warmup_ops=1_000), PAIRS),
 )
 
 
