@@ -30,6 +30,8 @@ from repro.core.row import make_pte
 from repro.params import (PAGE_BYTES, PAGE_SHIFT, CacheParams, TLBParams,
                           scaled_machine)
 
+from tests.mem.test_page_table import RecordingMemory
+
 lines = st.integers(0, 255)
 
 
@@ -129,20 +131,6 @@ def reference_walk_path(table, vpn):
     return node.entries.get(idx[-1]), paddrs
 
 
-class MissingL1Memory(MemorySystem):
-    """Every PTE load misses L1 (this ``_line_access`` fills nothing)
-    and is recorded by line, at a per-line latency so the cycle sum
-    sees every load."""
-
-    def __init__(self, space):
-        super().__init__(space)
-        self.loaded = []
-
-    def _line_access(self, line, demand=True, at=-1):
-        self.loaded.append(line)
-        return 1 + line % 7
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 1 << 20), st.integers(1, 1 << 20)),
                 max_size=150),
@@ -154,7 +142,7 @@ def test_page_table_matches_dict(mappings, probes):
     for vpn, pfn in mappings:
         table.map(vpn, pfn)
         model[vpn] = pfn
-    mem = MissingL1Memory(space)
+    mem = RecordingMemory(space)
 
     def timed_walk(vpn):
         mem.loaded.clear()
